@@ -41,10 +41,10 @@ class CavityConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise ValueError("separation d must be > 0")
-        if not (self.c > 0 and self.hbar > 0):
-            raise ValueError("c and hbar must be > 0")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise ValueError("separation d must be finite and > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.c, self.hbar)):
+            raise ValueError("c and hbar must be finite and > 0")
 
     @staticmethod
     def si(d: float) -> "CavityConfig":
@@ -71,4 +71,5 @@ def ground_state_energy(cfg: CavityConfig) -> float:
 
 def casimir_force(cfg: CavityConfig) -> float:
     """Magnitude of dE/dd: pi c hbar / (24 d^2)."""
-    return math.pi * cfg.c * cfg.hbar / (24.0 * cfg.d**2)
+    denominator = float(-2 / sum_powers(1).value)  # -2 / (-1/12) = 24, exact
+    return math.pi * cfg.c * cfg.hbar / (denominator * cfg.d**2)

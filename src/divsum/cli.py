@@ -115,8 +115,6 @@ def cmd_sum(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.neg_k < 1:
-        raise ValueError("--neg-k must be >= 1")
     value = zeta_negative_oracle(args.neg_k)
     if args.format == "json":
         _emit_json({"neg_k": args.neg_k, "value": str(value)})
@@ -128,10 +126,6 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.k < 1:
-        raise ValueError("k must be >= 1")
-    if args.terms < 10:
-        raise ValueError("--terms must be >= 10")
     residual = functional_equation_residual(args.k, args.terms)
     passed = residual < CHECK_TOLERANCE
     status = "pass" if passed else "fail"
@@ -158,10 +152,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    if abs(args.n) > 32:
-        raise ValueError("|n| must be <= 32")
-    if args.levels < 3:
-        raise ValueError("--levels must be >= 3")
     limit = fourier_coefficient_numeric(args.n, levels=args.levels)
     expected = float((-1) ** (args.n - 1) * args.n) if args.n >= 1 else 0.0
     passed = (
@@ -208,10 +198,6 @@ def _mollify_limit(args) -> EpsilonLimit:
 
 
 def cmd_mollify(args) -> int:
-    if args.p not in (0, 2, 4):
-        raise ValueError("p must be one of 0, 2, 4")
-    if args.levels < 3:
-        raise ValueError("--levels must be >= 3")
     limit = _mollify_limit(args)
     sign = 0
     if limit.samples:
@@ -239,8 +225,6 @@ def cmd_mollify(args) -> int:
 
 
 def cmd_casimir(args) -> int:
-    if not args.d > 0:
-        raise ValueError("separation d must be > 0")
     cfg = CavityConfig.si(args.d) if args.units == "si" else CavityConfig(d=args.d)
     energy = ground_state_energy(cfg)
     force = casimir_force(cfg)

@@ -43,7 +43,7 @@ from .extrapolation import (
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction
-from .quadrature import _rule, integrate
+from .quadrature import gauss_grid, integrate
 
 __all__ = [
     "alternating_kernel",
@@ -129,7 +129,6 @@ def _remainder_cell_action(phi: TestFunction, pole: float, tol=None) -> complex:
     """
     sa, sb = _support(phi)
     width = sb - sa
-    nodes, weights = _rule(15)
 
     def outer(xv):
         xv = np.asarray(xv, dtype=float)
@@ -150,9 +149,7 @@ def _remainder_cell_action(phi: TestFunction, pole: float, tol=None) -> complex:
         frac = np.linspace(0.0, 1.0, n_in + 1)
         elo = los[:, None] + (his - los)[:, None] * frac[None, :-1]
         ehi = los[:, None] + (his - los)[:, None] * frac[None, 1:]
-        midt = 0.5 * (elo + ehi)
-        halft = 0.5 * (ehi - elo)
-        theta = midt[:, :, None] + halft[:, :, None] * nodes[None, None, :]
+        theta, weights, halft = gauss_grid(elo, ehi)
         args = pole + theta * xs[:, None, None]
         vals = (1.0 - theta) * phi.deriv2(args.ravel()).reshape(theta.shape)
         inner = np.sum((vals @ weights) * halft, axis=1)
@@ -384,32 +381,21 @@ def _comb_spectral_sum(base: Mollifier, m: int, n_max: int) -> float:
     """Truncated spectral sum hat(phi_m)(0) + 2 sum_{n=1}^{n_max} hat(phi_m)(n).
 
     hat(phi_m)(n) = hat(phi)(n/m) = 2 int_0^1 phi(u) cos(n u / m) du for the
-    even base mollifier.  The cosines at the quadrature nodes follow the
-    stable three-term recurrence cos((n+1)h) = 2 cos(h) cos(nh) - cos((n-1)h),
-    so each term of the sum is an individual weighted dot product.
+    even base mollifier.  Summing under the integral, the cosines add up to
+    the Dirichlet kernel
+
+        1 + 2 sum_{n=1}^{N} cos(n h)  =  sin((N + 1/2) h) / sin(h / 2),
+
+    taken at h = u / m on a fixed Gauss grid fine enough for the kernel's
+    frequency of about _COMB_XI_MAX.  No Gauss node sits at u = 0, so the
+    quotient is never 0/0.
     """
     n_panels = max(32, math.ceil(_COMB_XI_MAX / 6.0) + 16)
-    nodes, weights = _rule(15)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (np.broadcast_to(weights[None, :], (n_panels, 15)) * half[:, None]).ravel()
-    w_eff = 2.0 * w * base.value(u)
-
+    u, weights, half = gauss_grid(edges[:-1], edges[1:])
     h = u / m
-    two_cos_h = 2.0 * np.cos(h)
-    c_prev = np.ones_like(u)      # cos(0 * h)
-    c_cur = np.cos(h)             # cos(1 * h)
-    total = float(np.dot(w_eff, c_prev))  # the n = 0 term, hat(phi)(0)
-    for n in range(1, n_max + 1):
-        if n % 2048 == 0:
-            # reseed: the recurrence drifts by O(n eps) if left alone
-            c_prev = np.cos((n - 1) * h)
-            c_cur = np.cos(n * h)
-        total += 2.0 * float(np.dot(w_eff, c_cur))
-        c_prev, c_cur = c_cur, two_cos_h * c_cur - c_prev
-    return total
+    kernel = np.sin((n_max + 0.5) * h) / np.sin(0.5 * h)
+    return float(np.sum(((2.0 * base.value(u) * kernel) @ weights) * half))
 
 
 def dirichlet_comb_growth(m: int, agreement_tol: float = 1e-6) -> float:
@@ -458,13 +444,10 @@ def _fourier_transform_batch(phi: TestFunction, mus: np.ndarray) -> np.ndarray:
     width = sb - sa
     mu_max = float(np.max(np.abs(mus))) if mus.size else 1.0
     n_panels = max(16, math.ceil(width * mu_max / 3.0))
-    nodes, weights = _rule(15)
     edges = np.linspace(sa, sb, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w_eff = (np.broadcast_to(weights[None, :], (n_panels, 15))
-             * half[:, None]).ravel() * phi(t)
+    t, weights, half = gauss_grid(edges[:-1], edges[1:])
+    t = t.ravel()
+    w_eff = (weights * half[:, None]).ravel() * phi(t)
     return np.exp(1j * mus[:, None] * t[None, :]) @ w_eff
 
 

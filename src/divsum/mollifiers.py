@@ -8,12 +8,11 @@ evaluators accept numpy arrays and return exact zeros outside the declared
 support.
 
 Normalization constants have no closed form; they are computed once per
-(profile, p) by quadrature and cached.
+p by quadrature and cached.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,13 +20,9 @@ import numpy as np
 
 from .quadrature import integrate
 
-__all__ = ["Profile", "Mollifier", "TestFunction", "bump_moment", "mollifier"]
+__all__ = ["Mollifier", "TestFunction", "bump_moment", "mollifier"]
 
 VANISHING_ORDERS = (0, 2, 4)
-
-
-class Profile(str, enum.Enum):
-    BUMP = "bump"
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -65,13 +60,12 @@ def bump_moment(j: int) -> float:
     """integral of t^j * psi(t) over (-1, 1); zero for odd j by symmetry."""
     if j % 2 == 1:
         return 0.0
-    key = (Profile.BUMP, j)
-    if key not in _NORM_CACHE:
+    if j not in _NORM_CACHE:
         # idempotent under concurrent computation; last write wins harmlessly
-        _NORM_CACHE[key] = integrate(
+        _NORM_CACHE[j] = integrate(
             lambda t: t**j * _bump(t), -1.0, 1.0, tol=1e-14
         ).real
-    return _NORM_CACHE[key]
+    return _NORM_CACHE[j]
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,6 @@ class Mollifier:
 
     vanishing_order: int = 0
     scale: int = 1
-    profile: Profile = Profile.BUMP
 
     def __post_init__(self):
         if self.vanishing_order not in VANISHING_ORDERS:
@@ -199,7 +192,7 @@ class Mollifier:
         return self.value(t)
 
     def rescaled(self, m: int) -> "Mollifier":
-        return Mollifier(self.vanishing_order, m, self.profile)
+        return Mollifier(self.vanishing_order, m)
 
     def as_test_function(self) -> TestFunction:
         return TestFunction(

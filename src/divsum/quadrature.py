@@ -11,6 +11,9 @@ toward an endpoint that abuts a truncated singularity.
 Evaluation is batched: integrands must accept a 1-D numpy array.  The
 final reduction is ordered by panel position and compensated, so results
 are independent of refinement history and bit-stable.
+
+``gauss_grid`` is the one place the Gauss node and weight layout is built;
+the adaptive panels here and the fixed grids in ``distributions`` use it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureError", "default_tolerance", "integrate"]
+__all__ = ["QuadratureError", "default_tolerance", "gauss_grid", "integrate"]
 
 GAUSS_ORDER = 15
 _MAX_ROUNDS = 44
@@ -38,18 +41,26 @@ def default_tolerance() -> float:
 
 
 @lru_cache(maxsize=None)
-def _rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _gauss_rule():
+    # built on first use: numpy.polynomial is not needed by exact-only runs
+    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+
+def gauss_grid(lo, hi):
+    """Gauss nodes of the panels [lo, hi], the rule's weights, and half-widths.
+
+    ``lo`` and ``hi`` are arrays of one shape; the nodes of each panel lie
+    on a new last axis.  A panel's integral is ``(f(x) @ weights) * half``.
+    """
+    nodes, weights = _gauss_rule()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[..., None] + half[..., None] * nodes, weights, half
 
 
 def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    nodes, weights = _rule(GAUSS_ORDER)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    v = np.asarray(f(x.ravel()))
-    v = v.reshape(x.shape)
+    x, weights, half = gauss_grid(lo, hi)
+    v = np.asarray(f(x.ravel())).reshape(x.shape)
     return (v @ weights) * half
 
 
@@ -84,14 +95,17 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
     """Integral of a vectorized integrand over [a, b].
 
     Returns a complex value; real integrands come back with zero imaginary
-    part.  Raises QuadratureError if bisection cannot reach the tolerance.
+    part.  Raises ValueError unless tol is finite and positive, and
+    QuadratureError if bisection cannot reach the tolerance.
     """
+    if tol is None:
+        tol = default_tolerance()
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
     if not b > a:
         if b == a:
             return 0j
         raise ValueError("need b > a")
-    if tol is None:
-        tol = default_tolerance()
     total_width = b - a
 
     edges = _initial_edges(a, b, breakpoints, grade)

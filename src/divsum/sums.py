@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +46,6 @@ class SumKind(str, enum.Enum):
 
 class SumMethod(str, enum.Enum):
     CLOSED_FORM = "closed_form"
-    MOLLIFIER_NUMERIC = "mollifier_numeric"
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class RegularizedSum:
     k: int
     kind: SumKind
     method: SumMethod = SumMethod.CLOSED_FORM
-    details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
         return {

@@ -69,6 +69,14 @@ class TestForce:
     def test_inverse_square_scaling(self):
         assert abs(casimir_force(CavityConfig(d=2.0)) - math.pi / 96) < 1e-15
 
+    def test_denominator_from_closed_form_sum(self):
+        # pi c hbar / (24 d^2) with the 24 taken as -2 / sum_powers(1)
+        assert -2 / sum_powers(1).value == 24
+        for d in (1e-9, 0.37, 1.0, 2.5, 1e3):
+            for cfg in (CavityConfig(d=d), CavityConfig.si(d)):
+                expected = math.pi * cfg.c * cfg.hbar / (24.0 * cfg.d**2)
+                assert casimir_force(cfg) == expected
+
     def test_matches_finite_difference(self):
         h = 1e-4
         for d in (0.5, 1.0, 3.0):
@@ -88,3 +96,10 @@ class TestConfig:
     def test_invalid_constants(self):
         with pytest.raises(ValueError):
             CavityConfig(d=1.0, c=-1.0)
+
+    @pytest.mark.parametrize("field", ["d", "c", "hbar"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, bad):
+        kwargs = {"d": 1.0, field: bad}
+        with pytest.raises(ValueError):
+            CavityConfig(**kwargs)

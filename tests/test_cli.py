@@ -51,6 +51,11 @@ class TestZetaAndCheck:
     def test_zeta_bad_k(self, capsys):
         assert run(capsys, "zeta", "--neg-k", "0")[0] == 2
 
+    @pytest.mark.parametrize("argv", [("--k", "0"), ("--k", "3", "--terms", "5")])
+    def test_check_bad_arguments(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_check_passes(self, capsys):
         code, out, _ = run(capsys, "check", "--k", "5", "--terms", "100000")
         assert code == 0
@@ -89,6 +94,16 @@ class TestCoeff:
     def test_out_of_range(self, capsys):
         assert run(capsys, "coeff", "--n", "33")[0] == 2
 
+    @pytest.mark.parametrize("levels", ["2", "3"])
+    def test_too_few_levels(self, capsys, levels):
+        code, out, err = run(capsys, "coeff", "--n", "2", "--levels", levels)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_invalid_quadrature_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVSUM_QUAD_TOL", "nan")
+        code, out, err = run(capsys, "coeff", "--n", "2")
+        assert code == 2 and out == "" and "tolerance" in err
+
 
 class TestMollify:
     def test_target_s(self, capsys):
@@ -123,6 +138,17 @@ class TestMollify:
         assert run(capsys, "mollify", "--target", "T0", "--p", "0")[0] == 2
         assert run(capsys, "mollify", "--target", "dirichlet", "--p", "2")[0] == 2
 
+    @pytest.mark.parametrize("target", ["S", "jump:cos"])
+    def test_invalid_p_rejected(self, capsys, target):
+        code, out, err = run(capsys, "mollify", "--target", target, "--p", "3")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["S", "dirichlet"])
+    def test_too_few_levels(self, capsys, target):
+        code, out, err = run(capsys, "mollify", "--target", target,
+                             "--levels", "2")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "mollify", "--target",
                            "T0", "--p", "4", "--levels", "5")
@@ -151,6 +177,12 @@ class TestCasimir:
     def test_invalid_d(self, capsys):
         assert run(capsys, "casimir", "--d", "0")[0] == 2
         assert run(capsys, "casimir", "--d", "-3")[0] == 2
+
+    @pytest.mark.parametrize("d", ["inf", "nan"])
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_non_finite_d(self, capsys, d, units):
+        code, out, _ = run(capsys, "casimir", "--d", d, "--units", units)
+        assert code == 2 and out == ""
 
 
 class TestTable:

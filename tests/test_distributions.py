@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from divsum.distributions import (
+    _COMB_XI_MAX,
+    _comb_spectral_sum,
     all_plus_series_action,
     alternating_kernel,
     alternating_series_action,
@@ -304,6 +306,26 @@ class TestDirichletComb:
     def test_agreement_guard_trips_on_absurd_tolerance(self):
         with pytest.raises(ConsistencyError):
             dirichlet_comb_growth(2, agreement_tol=1e-18)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_kernel_matches_direct_cosine_sum(self, m):
+        # each hat(phi_m)(n) = 2 int_0^1 phi(u) cos(n u / m) du summed term by
+        # term, on a 20-point Gauss grid independent of the library's
+        base = Mollifier(0, 1)
+        n_max = math.ceil(_COMB_XI_MAX * m)
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        edges = np.linspace(0.0, 1.0, 129)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        u = (mid[:, None] + half[:, None] * nodes).ravel()
+        w = 2.0 * (weights * half[:, None]).ravel() * base.value(u)
+        n = np.arange(1, n_max + 1)
+        direct = w.sum() + 2.0 * (np.cos(np.outer(n, u / m)) @ w).sum()
+        assert abs(_comb_spectral_sum(base, m, n_max) - direct) < 1e-10
+
+    def test_large_scale_passes_default_tolerance(self):
+        phi0 = float(Mollifier(0, 1).value(np.array([0.0]))[0])
+        assert dirichlet_comb_growth(512) == 2 * PI * 512 * phi0
 
 
 class TestHomothety:

@@ -65,6 +65,13 @@ class TestTolerance:
         monkeypatch.delenv("DIVSUM_QUAD_TOL", raising=False)
         assert default_tolerance() == 1e-10
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_invalid_tolerance_rejected_before_any_evaluation(self, tol):
+        calls = []
+        with pytest.raises(ValueError):
+            integrate(lambda x: calls.append(x) or np.sin(x), 0.0, 1.0, tol=tol)
+        assert calls == []
+
     def test_determinism(self):
         f = lambda x: np.cos(7 * x) / (1.0 + x**2)
         a = integrate(f, 0.0, 5.0)
