@@ -121,7 +121,7 @@ def _support(phi: TestFunction) -> tuple:
 # Taylor-remainder route
 
 
-def _remainder_cell_action(phi: TestFunction, pole: float, tol=None) -> complex:
+def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
     """Finite-part pairing over the period cell [pole - pi, pole + pi].
 
     Valid for any C^2 function on the closed cell; phi need not vanish at
@@ -159,15 +159,15 @@ def _remainder_cell_action(phi: TestFunction, pole: float, tol=None) -> complex:
     cuts = sorted(
         {float(np.clip(v, -math.pi, math.pi)) for v in (sa - pole, sb - pole, 0.0)}
     )
-    return integrate(outer, -math.pi, math.pi, tol=tol, breakpoints=cuts)
+    return integrate(outer, -math.pi, math.pi, breakpoints=cuts)
 
 
-def finite_part_action(phi: TestFunction, tol=None) -> complex:
+def finite_part_action(phi: TestFunction) -> complex:
     """Finite-part pairing over (0, 2*pi) via the Taylor-remainder form."""
     sa, sb = _support(phi)
     if not (0.0 < sa and sb < PERIOD):
         raise ValueError("support must lie inside (0, 2*pi)")
-    return _remainder_cell_action(phi, math.pi, tol=tol)
+    return _remainder_cell_action(phi, math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def _eps_ladder(levels: int):
 
 
 def _window_integral(f, eps: float, lo: float, hi: float,
-                     extra_cuts=(), tol=None) -> complex:
+                     extra_cuts=()) -> complex:
     """Integral of f over (-pi, -eps) u (eps, pi) intersected with [lo, hi]."""
     total = 0j
     for a, b, near in ((eps, math.pi, "lo"), (-math.pi, -eps, "hi")):
@@ -190,13 +190,12 @@ def _window_integral(f, eps: float, lo: float, hi: float,
             continue
         grade = (a2,) if near == "lo" else (b2,)
         cuts = [c for c in extra_cuts if a2 < c < b2]
-        total += integrate(f, a2, b2, tol=tol, breakpoints=cuts, grade=grade)
+        total += integrate(f, a2, b2, breakpoints=cuts, grade=grade)
     return total
 
 
 def finite_part_action_epsilon(phi: TestFunction,
-                               levels: int = DEFAULT_EPS_LEVELS,
-                               tol=None) -> EpsilonLimit:
+                               levels: int = DEFAULT_EPS_LEVELS) -> EpsilonLimit:
     """Finite-part pairing over (0, 2*pi) via the counterterm route.
 
     Samples the truncated integral minus phi(pi)/tan(eps/2) on a halving
@@ -214,8 +213,7 @@ def finite_part_action_epsilon(phi: TestFunction,
     eps_list = _eps_ladder(levels)
     samples = []
     for eps in eps_list:
-        v = _window_integral(f, eps, sa - math.pi, sb - math.pi,
-                             extra_cuts=cuts, tol=tol)
+        v = _window_integral(f, eps, sa - math.pi, sb - math.pi, extra_cuts=cuts)
         samples.append(v - at_pole / math.tan(0.5 * eps))
     return extrapolate_ladder(eps_list, samples)
 
@@ -224,7 +222,7 @@ def finite_part_action_epsilon(phi: TestFunction,
 # The periodized distributions
 
 
-def alternating_series_action(phi: TestFunction, tol=None) -> complex:
+def alternating_series_action(phi: TestFunction) -> complex:
     """Pairing with the 2*pi-periodic distribution whose Fourier series is
     e^{it} - 2 e^{2it} + 3 e^{3it} - ...: the periodized finite-part kernel
     plus i*pi times the derivative-of-delta comb at odd multiples of pi.
@@ -241,17 +239,16 @@ def alternating_series_action(phi: TestFunction, tol=None) -> complex:
         if hi <= lo:
             continue
         if lo - _SINGULAR_MARGIN <= pole <= hi + _SINGULAR_MARGIN:
-            total += _remainder_cell_action(phi, pole, tol=tol)
+            total += _remainder_cell_action(phi, pole)
         else:
-            total += integrate(lambda t: phi(t) * alternating_kernel(t),
-                               lo, hi, tol=tol)
+            total += integrate(lambda t: phi(t) * alternating_kernel(t), lo, hi)
 
     for pole in _singular_points(sa, sb):
         total += -1j * math.pi * float(phi.deriv(np.array([pole]))[0])
     return total
 
 
-def all_plus_series_action(chi: TestFunction, tol=None) -> complex:
+def all_plus_series_action(chi: TestFunction) -> complex:
     """Pairing with the distribution whose Fourier series is
     e^{it} + 2 e^{2it} + 3 e^{3it} + ...
 
@@ -284,15 +281,15 @@ def all_plus_series_action(chi: TestFunction, tol=None) -> complex:
             out[z] = -0.5 * dd_at0  # continuous extension at the origin
         return out
 
-    return integrate(f, sa, sb, tol=tol, breakpoints=(0.0,))
+    return integrate(f, sa, sb, breakpoints=(0.0,))
 
 
 # ---------------------------------------------------------------------------
 # Fourier coefficients
 
 
-def fourier_coefficient_numeric(n: int, levels: int = DEFAULT_EPS_LEVELS,
-                                tol=None) -> EpsilonLimit:
+def fourier_coefficient_numeric(n: int,
+                                levels: int = DEFAULT_EPS_LEVELS) -> EpsilonLimit:
     """Numerical Fourier coefficient c_n of the alternating-series
     distribution: the limit of
 
@@ -320,8 +317,7 @@ def fourier_coefficient_numeric(n: int, levels: int = DEFAULT_EPS_LEVELS,
     eps_list = _eps_ladder(levels)
     samples = []
     for eps in eps_list:
-        v = _window_integral(f, eps, -math.pi, math.pi,
-                             extra_cuts=cuts, tol=tol)
+        v = _window_integral(f, eps, -math.pi, math.pi, extra_cuts=cuts)
         v -= sign / math.tan(0.5 * eps)
         samples.append((v - sign * n * math.pi) / PERIOD)
     return extrapolate_ladder(eps_list, samples)
@@ -354,7 +350,7 @@ def mollified_limit(pairing, vanishing_order: int = 0,
 
 
 def jump_average(f, breakpoints=(0.0,), levels: int = DEFAULT_SCALE_LEVELS,
-                 vanishing_order: int = 0, tol=None) -> EpsilonLimit:
+                 vanishing_order: int = 0) -> EpsilonLimit:
     """Mollified value at 0 of the regular distribution of f.
 
     For piecewise-continuous f the limit is (f(0+) + f(0-)) / 2.  The
@@ -364,8 +360,7 @@ def jump_average(f, breakpoints=(0.0,), levels: int = DEFAULT_SCALE_LEVELS,
 
     def pairing(phi: TestFunction) -> complex:
         sa, sb = phi.support
-        return integrate(lambda t: f(t) * phi(t), sa, sb,
-                         tol=tol, breakpoints=breakpoints)
+        return integrate(lambda t: f(t) * phi(t), sa, sb, breakpoints=breakpoints)
 
     return mollified_limit(pairing, vanishing_order, levels)
 

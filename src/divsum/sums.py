@@ -4,8 +4,17 @@ The master formula evaluated here is
 
     1^k + 2^k + 3^k + ...  :=  (1 / i^{k-1}) * (1 / (1 - 2^{k+1})) * f^{(k-1)}(0)
 
-with f(t) = e^{it} / (1 + e^{it})^2, every factor exact in Q(i).  The
-alternating sum drops the 1/(1 - 2^{k+1}) factor.  Independent oracles:
+with f(t) = e^{it} / (1 + e^{it})^2.  The alternating sum drops the
+1/(1 - 2^{k+1}) factor.  Since
+
+    f(t) = 1 / (4 cos^2(t/2)) = (1/2) d/dt tan(t/2)
+
+and tan x = sum_k T_k x^k / k! with integer tangent numbers T_k (zero for
+even k), the derivative is f^{(k-1)}(0) = T_k / 2^{k+1}.  For odd k,
+i^{k-1} = (-1)^{(k-1)/2}, so every value is an exact rational built from
+one integer, computed by the Knuth-Buckholtz recurrence.  The exact
+Taylor series of f in ``divsum.series`` is the paper's own route to the
+same derivatives; the tests compare the two.  Independent oracles:
 Bernoulli numbers via the defining recurrence, zeta(-k) = -B_{k+1}/(k+1),
 and the classical functional-equation identity checked in floating point.
 """
@@ -19,9 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .exact import GaussianRational, i_pow
-from .series import DEFAULT_ORDER, derivative_at_zero, generating_function_series
 
 __all__ = [
     "SumKind",
@@ -37,6 +44,11 @@ __all__ = [
     "ramanujan_identity_check",
     "derivative_dilation_commutation_check",
 ]
+
+# largest k whose zeta(-k) is a finite float; zeta(-261) overflows
+_MAX_FLOAT_NEG_K = 260
+
+_SUM_CHUNK = 1 << 20
 
 
 class SumKind(str, enum.Enum):
@@ -66,19 +78,22 @@ class RegularizedSum:
         }
 
 
-def _require_real(g: GaussianRational, what: str) -> Fraction:
-    # realness is asserted, never forced: a nonzero residue means a series bug
-    if not g.is_real():
-        raise ConsistencyError(
-            f"{what} has nonzero imaginary residue {g.im}"
-        )
-    return g.re
+def _alternating_value(k: int) -> Fraction:
+    """f^{(k-1)}(0) / i^{k-1} = (-1)^{(k-1)/2} T_k / 2^{k+1}; 0 for even k.
 
-
-def _gf_derivative(k: int) -> GaussianRational:
-    # one shared series covers k <= DEFAULT_ORDER; larger k get an exact order
-    s = generating_function_series(max(k, DEFAULT_ORDER))
-    return derivative_at_zero(s, k)
+    T_k comes from the Knuth-Buckholtz recurrence (Math. Comp. 21, 1967):
+    after the passes below, t[n] = T_{2n-1}.
+    """
+    if k % 2 == 0:
+        return Fraction(0)
+    n = (k + 1) // 2
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (n - 1) * t[n], 2 ** (k + 1))
 
 
 def sum_powers(k: int) -> RegularizedSum:
@@ -89,8 +104,7 @@ def sum_powers(k: int) -> RegularizedSum:
     """
     if k < 1:
         raise ValueError("sum_powers requires k >= 1")
-    g = _gf_derivative(k - 1) / i_pow(k - 1) / (1 - 2 ** (k + 1))
-    value = _require_real(g, f"sum_powers({k})")
+    value = _alternating_value(k) / (1 - 2 ** (k + 1))
     return RegularizedSum(value=value, k=k, kind=SumKind.POWERS_ALL_PLUS)
 
 
@@ -101,9 +115,8 @@ def alternating_sum_powers(k: int) -> RegularizedSum:
     """
     if k < 1:
         raise ValueError("alternating_sum_powers requires k >= 1")
-    g = _gf_derivative(k - 1) / i_pow(k - 1)
-    value = _require_real(g, f"alternating_sum_powers({k})")
-    return RegularizedSum(value=value, k=k, kind=SumKind.POWERS_ALTERNATING)
+    return RegularizedSum(value=_alternating_value(k), k=k,
+                          kind=SumKind.POWERS_ALTERNATING)
 
 
 @dataclass(frozen=True)
@@ -147,37 +160,50 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     """zeta(s) for s > 1 by direct summation plus the integral tail bound.
 
     sum_{n<=N} n^{-s} + N^{1-s}/(s-1); the neglected remainder is below
-    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.
+    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The terms are summed in
+    index order in chunks of _SUM_CHUNK, so memory stays bounded for any N.
     """
     if s <= 1:
         raise ValueError("direct summation needs s > 1")
     if terms < 10:
         raise ValueError("need at least 10 terms")
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    partial = float(np.sum(n ** (-s)))
+    partial = 0.0
+    for start in range(1, terms + 1, _SUM_CHUNK):
+        n = np.arange(start, min(start + _SUM_CHUNK, terms + 1), dtype=np.float64)
+        partial += float(np.sum(n ** (-s)))
     tail = terms ** (1.0 - s) / (s - 1.0)
     return partial + tail
 
 
 def functional_equation_residual(k: int, terms: int = 10**6) -> float:
-    """| zeta(-k) - 2 (2 pi)^{-(k+1)} sin(-k pi/2) k! zeta(k+1) |.
+    """| zeta(-k) - 2 (2 pi)^{-(k+1)} sin(-k pi/2) k! zeta(k+1) | / max(1, |zeta(-k)|).
 
     The right-hand side uses the direct series for zeta(k+1), keeping the
     check independent of the Bernoulli table behind ``zeta_negative_oracle``.
+    The residual is relative once |zeta(-k)| > 1 (odd k >= 17), so one
+    tolerance serves every k whose zeta(-k) is a finite float.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > _MAX_FLOAT_NEG_K:
+        raise ValueError(
+            f"k must be <= {_MAX_FLOAT_NEG_K}: beyond it zeta(-k) overflows a float"
+        )
     if terms < 10:
         raise ValueError("terms must be >= 10")
     lhs = float(zeta_negative_oracle(k))
-    rhs = (
-        2.0
-        / (2.0 * math.pi) ** (k + 1)
-        * math.sin(-k * math.pi / 2.0)
-        * math.factorial(k)
-        * zeta_partial_sum(k + 1, terms)
-    )
-    return abs(lhs - rhs)
+    if k % 2 == 0:
+        rhs = 0.0  # sin(-k pi/2) = 0 exactly
+    else:
+        # k! / (2 pi)^{k+1} as a running product: no factorial overflow, and
+        # every partial product stays below max(1, |zeta(-k)|)
+        two_pi = 2.0 * math.pi
+        scale = 1.0 / two_pi
+        for j in range(1, k + 1):
+            scale *= j / two_pi
+        sine = (-1) ** ((k + 1) // 2)  # sin(-k pi/2) for odd k
+        rhs = 2.0 * sine * scale * zeta_partial_sum(k + 1, terms)
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
 def ramanujan_identity_check(order: int) -> bool:

@@ -2,16 +2,25 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from divsum.cli import main
+from divsum.sums import bernoulli_numbers
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def zeta_strings():
+    """str(zeta(-k)) for k = 1..200 from one Bernoulli table."""
+    table = bernoulli_numbers(201)
+    return {k: str(-table[k + 1] / (k + 1)) for k in range(1, 201)}
 
 
 class TestSum:
@@ -42,6 +51,26 @@ class TestSum:
         assert code == 2
         assert "1 <= k <= 200" in err
 
+    @pytest.mark.parametrize("alternating", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("k", [199, 200])
+    def test_large_k_all_formats(self, capsys, zeta_strings, k, fmt, alternating):
+        value = Fraction(zeta_strings[k])
+        kind = "powers_all_plus"
+        argv = ["--format", fmt, "sum", "--k", str(k)]
+        if alternating:
+            value *= 1 - 2 ** (k + 1)
+            kind = "powers_alternating"
+            argv.append("--alternating")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == {
+            "text": f"{value}\n",
+            "json": json.dumps({"k": k, "kind": kind, "value": str(value),
+                                "method": "closed_form"}) + "\n",
+            "csv": f"k,kind,value,method\n{k},{kind},{value},closed_form\n",
+        }[fmt]
+
 
 class TestZetaAndCheck:
     def test_zeta_values(self, capsys):
@@ -51,7 +80,8 @@ class TestZetaAndCheck:
     def test_zeta_bad_k(self, capsys):
         assert run(capsys, "zeta", "--neg-k", "0")[0] == 2
 
-    @pytest.mark.parametrize("argv", [("--k", "0"), ("--k", "3", "--terms", "5")])
+    @pytest.mark.parametrize("argv", [("--k", "0"), ("--k", "3", "--terms", "5"),
+                                      ("--k", "261")])
     def test_check_bad_arguments(self, capsys, argv):
         code, out, err = run(capsys, "check", *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
@@ -60,6 +90,13 @@ class TestZetaAndCheck:
         code, out, _ = run(capsys, "check", "--k", "5", "--terms", "100000")
         assert code == 0
         assert out.splitlines()[-1] == "pass"
+
+    @pytest.mark.parametrize("k", [29, 30, 64, 170, 171, 200])
+    def test_check_large_k_passes(self, capsys, k):
+        code, out, _ = run(capsys, "check", "--k", str(k))
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "pass"
+        assert float(lines[0].split()[1]) < 1e-8
 
     def test_check_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "check", "--k", "2",
@@ -199,6 +236,21 @@ class TestTable:
         assert code == 0
         assert len(obj) == 30
         assert all(row["match"] for row in obj)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_k_max_100_all_formats(self, capsys, zeta_strings, fmt):
+        code, out, _ = run(capsys, "--format", fmt, "table", "--k-max", "100")
+        assert code == 0
+        ks = range(1, 101)
+        assert out == {
+            "text": "".join(f"{k}\t{zeta_strings[k]}\t{zeta_strings[k]}\tok\n"
+                            for k in ks),
+            "json": json.dumps([{"k": k, "sum": zeta_strings[k],
+                                 "zeta": zeta_strings[k], "match": True}
+                                for k in ks]) + "\n",
+            "csv": "k,sum,zeta,match\n" + "".join(
+                f"{k},{zeta_strings[k]},{zeta_strings[k]},true\n" for k in ks),
+        }[fmt]
 
     def test_invalid_k_max(self, capsys):
         assert run(capsys, "table", "--k-max", "0")[0] == 2

@@ -5,16 +5,18 @@ mollifier normalization constants, which are computed lazily)."""
 from concurrent.futures import ThreadPoolExecutor
 
 from divsum.distributions import alternating_series_action, mollified_limit
+from divsum.exact import i_pow
 from divsum.mollifiers import _NORM_CACHE
-from divsum.series import generating_function_series
+from divsum.series import derivative_at_zero, generating_function_series
 from divsum.sums import sum_powers, zeta_negative_oracle
 
 
 def _work(k: int):
     total = sum_powers(k).value
     oracle = zeta_negative_oracle(k)
+    series = derivative_at_zero(generating_function_series(), k - 1) / i_pow(k - 1)
     ladder = mollified_limit(alternating_series_action, (k % 3) * 2, levels=4)
-    return total, oracle, ladder.extrapolated
+    return total, oracle, series, ladder.extrapolated
 
 
 def test_parallel_matches_serial():

@@ -1,12 +1,15 @@
 """Closed-form regularized sums against the Bernoulli/zeta oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from divsum.errors import ConsistencyError
-from divsum.exact import GaussianRational
+from divsum import sums
+from divsum.exact import i_pow
+from divsum.series import derivative_at_zero, generating_function_series
 from divsum.sums import (
     SumKind,
     SumMethod,
@@ -18,7 +21,6 @@ from divsum.sums import (
     sum_powers,
     zeta_negative_oracle,
     zeta_partial_sum,
-    _require_real,
 )
 
 
@@ -47,7 +49,7 @@ class TestSumPowers:
         }
 
     def test_large_k_exact_order(self):
-        # forces a series longer than the shared default order
+        # beyond the default order of the series oracle
         assert sum_powers(80).value == zeta_negative_oracle(80)
 
 
@@ -123,6 +125,49 @@ class TestFunctionalEquation:
     def test_odd_k_spot(self):
         assert functional_equation_residual(7, 10**5) < 1e-8
 
+    @pytest.mark.parametrize("k", [259, 260])
+    def test_relative_residual_at_float_range_edge(self, k):
+        assert functional_equation_residual(k) < 1e-8
+
+    @pytest.mark.parametrize("k", [29, 171, 259])
+    def test_perturbed_oracle_fails(self, monkeypatch, k):
+        exact = sums.zeta_negative_oracle
+        monkeypatch.setattr(sums, "zeta_negative_oracle",
+                            lambda j: exact(j) * Fraction(10**7 + 1, 10**7))
+        assert functional_equation_residual(k) > 1e-8
+
+    def test_k_beyond_float_range_rejected_before_bernoulli(self, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("Bernoulli table built for a rejected k")
+
+        monkeypatch.setattr(sums, "bernoulli_numbers", forbidden)
+        for k in (261, 100000):
+            with pytest.raises(ValueError):
+                functional_equation_residual(k)
+
+
+class TestZetaPartialSum:
+    def test_default_terms_single_sum(self):
+        # 10^6 terms fit one chunk: the same single np.sum as unchunked code
+        n = np.arange(1, 10**6 + 1, dtype=np.float64)
+        for s in (2.0, 4.0, 13.0):
+            expected = float(np.sum(n ** (-s))) + 1e6 ** (1.0 - s) / (s - 1.0)
+            assert zeta_partial_sum(s, 10**6) == expected
+
+    def test_chunked_sum_bounded_memory(self):
+        chunk_bytes = 8 * 2**20
+        terms = 4 * 2**20 + 3
+        tracemalloc.start()
+        try:
+            got = zeta_partial_sum(2.0, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * chunk_bytes
+        n = np.arange(1, terms + 1, dtype=np.float64)
+        expected = float(np.sum(n ** -2.0)) + terms ** -1.0
+        assert abs(got - expected) <= 1e-15 * expected
+
 
 class TestRamanujanIdentity:
     def test_small_orders(self):
@@ -148,8 +193,16 @@ class TestDilationCommutation:
             derivative_dilation_commutation_check(1, Fraction(3, 2), 10)
 
 
-class TestRealnessGuard:
-    def test_imaginary_residue_raises(self):
-        bad = GaussianRational(Fraction(1, 4), Fraction(1, 7))
-        with pytest.raises(ConsistencyError):
-            _require_real(bad, "doctored value")
+class TestRouteAgreement:
+    def test_series_oracle_matches_tangent_route(self):
+        # the paper's Gaussian-rational series, on both sides of DEFAULT_ORDER
+        s = generating_function_series(70)
+        for k in range(1, 71):
+            g = derivative_at_zero(s, k - 1) / i_pow(k - 1)
+            assert g.is_real()
+            assert g.re == alternating_sum_powers(k).value
+
+    def test_bernoulli_oracle_up_to_200(self):
+        table = bernoulli_numbers(201)
+        for k in range(1, 201):
+            assert sum_powers(k).value == -table[k + 1] / (k + 1)
