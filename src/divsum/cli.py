@@ -5,7 +5,8 @@ flags --format {text|json|csv} and --quiet.  The quadrature tolerance is
 read from DIVSUM_QUAD_TOL (default 1e-10).
 
 Exit status: 0 success, 1 internal-consistency failure (a cross-check that
-can only fail on a library bug), 2 usage or precondition error.  All
+can only fail on a library bug), 2 usage or precondition error, 3 numerical
+failure (quadrature or a series that cannot reach its tolerance).  All
 floats print with 12 significant digits and rationals as "p/q", so output
 is byte-stable for golden tests.
 """
@@ -34,6 +35,7 @@ from .errors import ConsistencyError
 from .extrapolation import EpsilonLimit
 from .sums import (
     alternating_sum_powers,
+    bernoulli_numbers,
     functional_equation_residual,
     sum_powers,
     zeta_negative_oracle,
@@ -68,30 +70,46 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(_round12(obj)))
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    return str(value)
 
 
-def _emit_csv(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(args, obj, text, csv_rows=None) -> None:
+    """Print one result in the chosen --format; the only reader of it.
+
+    JSON prints ``obj``; CSV writes ``csv_rows`` (header first) or, when
+    none are given, the record's keys over one row per record (``obj`` is
+    a dict or a list of dicts), each cell through ``_csv_cell``; text
+    prints the lines of ``text``.
+    """
+    if args.format == "json":
+        print(json.dumps(_round12(obj)))
+    elif args.format == "csv":
+        if csv_rows is None:
+            records = obj if isinstance(obj, list) else [obj]
+            csv_rows = [list(records[0])] + [list(r.values()) for r in records]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [_csv_cell(v) for v in row] for row in csv_rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        for line in text:
+            print(line)
 
 
-def _ladder_csv_rows(limit: EpsilonLimit):
-    return [
-        [fmt_float(p), fmt_float(v.real), fmt_float(v.imag)]
-        for p, v in limit.samples
-    ]
-
-
-def _print_ladder_text(limit: EpsilonLimit, quiet: bool) -> None:
-    if quiet:
-        return
-    for p, v in limit.samples:
-        print(f"  {fmt_float(p)}  {fmt_float(v.real)}  {fmt_float(v.imag)}")
+def _emit_ladder(args, limit: EpsilonLimit, extra: dict, tail) -> None:
+    """A ladder: its JSON record plus ``extra``, its samples as CSV, and
+    its samples as text (unless --quiet) followed by the ``tail`` lines."""
+    obj = limit.to_json_obj()
+    obj.update(extra)
+    rows = [[fmt_float(p), fmt_float(v.real), fmt_float(v.imag)]
+            for p, v in limit.samples]
+    ladder = [] if args.quiet else ["  " + "  ".join(r) for r in rows]
+    _emit(args, obj, ladder + tail, [["parameter", "value_re", "value_im"]] + rows)
 
 
 # ---------------------------------------------------------------------------
@@ -102,26 +120,13 @@ def cmd_sum(args) -> int:
     if not 1 <= args.k <= 200:
         raise ValueError("k must satisfy 1 <= k <= 200")
     result = alternating_sum_powers(args.k) if args.alternating else sum_powers(args.k)
-    if args.format == "json":
-        _emit_json(result.to_json_obj())
-    elif args.format == "csv":
-        _emit_csv(
-            ["k", "kind", "value", "method"],
-            [[result.k, result.kind.value, str(result.value), result.method.value]],
-        )
-    else:
-        print(result.value)
+    _emit(args, result.to_json_obj(), [result.value])
     return 0
 
 
 def cmd_zeta(args) -> int:
     value = zeta_negative_oracle(args.neg_k)
-    if args.format == "json":
-        _emit_json({"neg_k": args.neg_k, "value": str(value)})
-    elif args.format == "csv":
-        _emit_csv(["neg_k", "value"], [[args.neg_k, str(value)]])
-    else:
-        print(value)
+    _emit(args, {"neg_k": args.neg_k, "value": str(value)}, [value])
     return 0
 
 
@@ -129,25 +134,11 @@ def cmd_check(args) -> int:
     residual = functional_equation_residual(args.k, args.terms)
     passed = residual < CHECK_TOLERANCE
     status = "pass" if passed else "fail"
-    if args.format == "json":
-        _emit_json(
-            {
-                "k": args.k,
-                "terms": args.terms,
-                "residual": residual,
-                "tolerance": CHECK_TOLERANCE,
-                "status": status,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["k", "terms", "residual", "status"],
-            [[args.k, args.terms, fmt_float(residual), status]],
-        )
-    else:
-        if not args.quiet:
-            print(f"residual {fmt_float(residual)}")
-        print(status)
+    record = {"k": args.k, "terms": args.terms, "residual": residual,
+              "tolerance": CHECK_TOLERANCE, "status": status}
+    text = [status] if args.quiet else [f"residual {fmt_float(residual)}", status]
+    _emit(args, record, text, [["k", "terms", "residual", "status"],
+                               [args.k, args.terms, residual, status]])
     return 0 if passed else 1
 
 
@@ -160,29 +151,26 @@ def cmd_coeff(args) -> int:
         and abs(limit.extrapolated - expected) <= COEFF_TOLERANCE
     )
     status = "pass" if passed else "fail"
-    if args.format == "json":
-        obj = limit.to_json_obj()
-        obj.update({"n": args.n, "expected": expected, "status": status})
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(["parameter", "value_re", "value_im"], _ladder_csv_rows(limit))
-    else:
-        _print_ladder_text(limit, args.quiet)
-        ex = limit.extrapolated if limit.extrapolated is not None else float("nan")
-        print(f"extrapolant {fmt_float(ex.real)} {fmt_float(ex.imag)}")
-        print(f"expected {fmt_float(expected)}")
-        print(status)
+    ex = limit.extrapolated if limit.extrapolated is not None else float("nan")
+    _emit_ladder(
+        args, limit, {"n": args.n, "expected": expected, "status": status},
+        [f"extrapolant {fmt_float(ex.real)} {fmt_float(ex.imag)}",
+         f"expected {fmt_float(expected)}", status],
+    )
     return 0 if passed else 1
+
+
+_DEFAULT_LEVELS = {"T0": 8, "dirichlet": 8}
 
 
 def _mollify_limit(args) -> EpsilonLimit:
     target = args.target
     p = args.p
-    if target == "T0" and p < 2:
-        raise ValueError("target T0 requires vanishing order p >= 2")
     if target == "dirichlet" and p != 0:
         raise ValueError("target dirichlet requires p = 0")
     levels = args.levels
+    if levels is None:
+        levels = _DEFAULT_LEVELS.get(target, 10)
     if target == "S":
         return mollified_limit(alternating_series_action, p, levels)
     if target == "H2S":
@@ -203,24 +191,18 @@ def cmd_mollify(args) -> int:
     if limit.samples:
         last = limit.samples[-1][1].real
         sign = (last > 0) - (last < 0)
-    if args.format == "json":
-        obj = limit.to_json_obj()
-        obj.update({"target": args.target, "p": args.p, "sign": sign})
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(["parameter", "value_re", "value_im"], _ladder_csv_rows(limit))
+    if limit.converged and limit.extrapolated is not None:
+        tail = [f"extrapolant {fmt_float(limit.extrapolated.real)} "
+                f"{fmt_float(limit.extrapolated.imag)}",
+                f"error_estimate {fmt_float(limit.error_estimate)}",
+                "converged"]
+    elif limit.growth_exponent is not None:
+        tail = [f"diverges exponent {fmt_float(limit.growth_exponent)} "
+                f"sign {'-' if sign < 0 else '+'}"]
     else:
-        _print_ladder_text(limit, args.quiet)
-        if limit.converged and limit.extrapolated is not None:
-            print(f"extrapolant {fmt_float(limit.extrapolated.real)} "
-                  f"{fmt_float(limit.extrapolated.imag)}")
-            print(f"error_estimate {fmt_float(limit.error_estimate)}")
-            print("converged")
-        elif limit.growth_exponent is not None:
-            print(f"diverges exponent {fmt_float(limit.growth_exponent)} "
-                  f"sign {'-' if sign < 0 else '+'}")
-        else:
-            print("not converged")
+        tail = ["not converged"]
+    _emit_ladder(args, limit, {"target": args.target, "p": args.p, "sign": sign},
+                 tail)
     return 0
 
 
@@ -228,54 +210,26 @@ def cmd_casimir(args) -> int:
     cfg = CavityConfig.si(args.d) if args.units == "si" else CavityConfig(d=args.d)
     energy = ground_state_energy(cfg)
     force = casimir_force(cfg)
-    if args.format == "json":
-        _emit_json(
-            {"d": args.d, "energy": energy, "force": force, "units": args.units}
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["d", "energy", "force", "units"],
-            [[fmt_float(args.d), fmt_float(energy), fmt_float(force), args.units]],
-        )
-    else:
-        print(f"energy {fmt_float(energy)}")
-        print(f"force {fmt_float(force)}")
+    _emit(args, {"d": args.d, "energy": energy, "force": force, "units": args.units},
+          [f"energy {fmt_float(energy)}", f"force {fmt_float(force)}"])
     return 0
 
 
 def cmd_table(args) -> int:
     if not 1 <= args.k_max <= 100:
         raise ValueError("k-max must satisfy 1 <= k-max <= 100")
+    bernoulli = bernoulli_numbers(args.k_max + 1)
     rows = []
-    all_match = True
     for k in range(1, args.k_max + 1):
         closed = sum_powers(k).value
-        oracle = zeta_negative_oracle(k)
-        match = closed == oracle
-        all_match &= match
-        rows.append((k, closed, oracle, match))
-    if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "k": k,
-                    "sum": str(closed),
-                    "zeta": str(oracle),
-                    "match": match,
-                }
-                for k, closed, oracle, match in rows
-            ]
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["k", "sum", "zeta", "match"],
-            [[k, str(c), str(o), str(m).lower()] for k, c, o, m in rows],
-        )
-    else:
-        for k, closed, oracle, match in rows:
-            flag = "ok" if match else "MISMATCH"
-            print(f"{k}\t{closed}\t{oracle}\t{flag}")
-    if not all_match:
+        oracle = -bernoulli[k + 1] / (k + 1)  # zeta(-k)
+        rows.append({"k": k, "sum": str(closed), "zeta": str(oracle),
+                     "match": closed == oracle})
+    _emit(args, rows, [
+        f"{r['k']}\t{r['sum']}\t{r['zeta']}\t{'ok' if r['match'] else 'MISMATCH'}"
+        for r in rows
+    ])
+    if not all(r["match"] for r in rows):
         print("table mismatch: closed form disagrees with the zeta oracle",
               file=sys.stderr)
         return 1
@@ -335,19 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_LEVELS = {"T0": 8, "dirichlet": 8}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "levels", 0) is None:
-        args.levels = _DEFAULT_LEVELS.get(args.target, 10)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

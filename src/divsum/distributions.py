@@ -433,8 +433,9 @@ def dirichlet_comb_ladder(levels: int = 8,
 # Homothety
 
 
-def _fourier_transform_batch(phi: TestFunction, mus: np.ndarray) -> np.ndarray:
-    """integral of phi(t) e^{i mu t} dt for a batch of frequencies."""
+def _fourier_transform_batch(phi: TestFunction, mus: np.ndarray) -> tuple:
+    """integral of phi(t) e^{i mu t} dt for a batch of frequencies, and the
+    sum of |w_eff| over the weighted nodes, which scales its rounding error."""
     sa, sb = _support(phi)
     width = sb - sa
     mu_max = float(np.max(np.abs(mus))) if mus.size else 1.0
@@ -443,26 +444,37 @@ def _fourier_transform_batch(phi: TestFunction, mus: np.ndarray) -> np.ndarray:
     t, weights, half = gauss_grid(edges[:-1], edges[1:])
     t = t.ravel()
     w_eff = (weights * half[:, None]).ravel() * phi(t)
-    return np.exp(1j * mus[:, None] * t[None, :]) @ w_eff
+    fts = np.exp(1j * mus[:, None] * t[None, :]) @ w_eff
+    return fts, float(np.sum(np.abs(w_eff)))
+
+
+# rounding error of a weighted-node transform, relative to sum |w_eff|
+_TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def _lacunary_series_pairing(phi: TestFunction, lam: float,
                              tail_tol: float = 1e-13,
                              max_terms: int = 4096) -> complex:
     """sum over q >= 1 of (-1)^{q-1} q <e^{i lam q t}, phi>, truncated when
-    the terms' spectral decay makes the tail negligible."""
+    the terms' spectral decay makes the tail negligible.
+
+    A transform computed from weights w_eff carries a rounding error of
+    about eps * sum |w_eff|, so the terms level off near q times that
+    instead of decaying further; a term below that floor counts as small.
+    """
     total = 0j
     small_run = 0
     q0 = 1
     block = 64
     while q0 <= max_terms:
         qs = np.arange(q0, min(q0 + block, max_terms + 1))
-        fts = _fourier_transform_batch(phi, lam * qs.astype(float))
+        fts, mass = _fourier_transform_batch(phi, lam * qs.astype(float))
         signs = np.where(qs % 2 == 1, 1.0, -1.0)
         terms = signs * qs * fts
-        for term in terms:
+        for q, term in zip(qs, terms):
             total += term
-            if abs(term) < tail_tol * (1.0 + abs(total)):
+            if abs(term) < max(tail_tol * (1.0 + abs(total)),
+                               q * _TRANSFORM_ROUNDING * mass):
                 small_run += 1
                 if small_run >= 3:
                     return total

@@ -28,11 +28,14 @@ __all__ = ["QuadratureError", "default_tolerance", "gauss_grid", "integrate"]
 
 GAUSS_ORDER = 15
 _MAX_ROUNDS = 44
+# cap on panels bisected in one round; normal use stays below 100
+_MAX_ACTIVE_PANELS = 1 << 14
 _REL_FLOOR = 1e-14
 
 
 class QuadratureError(ArithmeticError):
-    """Refinement exhausted without reaching the requested tolerance."""
+    """Refinement cannot reach the requested tolerance: the integrand is not
+    finite, the active panels exceed their cap, or the rounds run out."""
 
 
 def default_tolerance() -> float:
@@ -61,7 +64,10 @@ def gauss_grid(lo, hi):
 def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     x, weights, half = gauss_grid(lo, hi)
     v = np.asarray(f(x.ravel())).reshape(x.shape)
-    return (v @ weights) * half
+    values = (v @ weights) * half
+    if not np.isfinite(values).all():
+        raise QuadratureError("integrand is not finite on a panel")
+    return values
 
 
 def _graded_offsets(width: float) -> list:
@@ -96,7 +102,8 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
 
     Returns a complex value; real integrands come back with zero imaginary
     part.  Raises ValueError unless tol is finite and positive, and
-    QuadratureError if bisection cannot reach the tolerance.
+    QuadratureError if a panel value is not finite or bisection cannot
+    reach the tolerance within the panel cap and the round limit.
     """
     if tol is None:
         tol = default_tolerance()
@@ -128,6 +135,10 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
         bad = ~ok
         if not bad.any():
             break
+        if 2 * np.count_nonzero(bad) > _MAX_ACTIVE_PANELS:
+            raise QuadratureError(
+                f"more than {_MAX_ACTIVE_PANELS} panels short of tolerance {tol:.3e}"
+            )
         lo = np.concatenate([lo[bad], mid[bad]])
         hi = np.concatenate([mid[bad], hi[bad]])
         whole = np.concatenate([left[bad], right[bad]])

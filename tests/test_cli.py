@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import divsum.cli
 from divsum.cli import main
+from divsum.errors import ConsistencyError
+from divsum.quadrature import QuadratureError
 from divsum.sums import bernoulli_numbers
 
 
@@ -186,6 +189,12 @@ class TestMollify:
                              "--levels", "2")
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_unreachable_tolerance_is_a_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIVSUM_QUAD_TOL", "1e-300")
+        code, out, err = run(capsys, "mollify", "--target", "S", "--levels", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "mollify", "--target",
                            "T0", "--p", "4", "--levels", "5")
@@ -255,6 +264,17 @@ class TestTable:
     def test_invalid_k_max(self, capsys):
         assert run(capsys, "table", "--k-max", "0")[0] == 2
 
+    def test_one_bernoulli_table(self, capsys, monkeypatch):
+        sizes = []
+
+        def counted(n):
+            sizes.append(n)
+            return bernoulli_numbers(n)
+
+        monkeypatch.setattr(divsum.cli, "bernoulli_numbers", counted)
+        assert run(capsys, "table", "--k-max", "30")[0] == 0
+        assert sizes == [31]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -270,6 +290,24 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("exc,code", [
+        (ConsistencyError("routes disagree"), 1),
+        (QuadratureError("stalled"), 3),
+        (ArithmeticError("tail"), 3),
+        (ZeroDivisionError("division"), 3),
+        (ValueError("bad"), 2),
+    ])
+    def test_error_maps_to_exit_code(self, capsys, monkeypatch, exc, code):
+        def fail(_):
+            raise exc
+
+        monkeypatch.setattr(divsum.cli, "zeta_negative_oracle", fail)
+        got, out, err = run(capsys, "zeta", "--neg-k", "3")
+        assert got == code and out == ""
+        assert str(exc) in err and "Traceback" not in err
 
 
 class TestUsageErrors:

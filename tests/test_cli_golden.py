@@ -1,0 +1,24 @@
+"""Byte-for-byte CLI output: stdout and exit code of fixed commands.
+
+``golden_cli.json`` holds one record per command: ``argv``, the exit
+``code`` and the exact ``stdout``.  It covers zeta, check, casimir (natural
+and si units), coeff (pass and fail) and mollify in its converged,
+not-converged, divergent and Dirichlet-comb branches, each in text, JSON
+and CSV, with and without --quiet.  Only stdout is pinned; error wording on
+stderr is free to change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from divsum.cli import main
+
+CASES = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_stdout_and_exit_code(capsys, case):
+    code = main(case["argv"])
+    assert (code, capsys.readouterr().out) == (case["code"], case["stdout"])

@@ -350,6 +350,16 @@ class TestHomothety:
         with pytest.raises(ValueError):
             homothety_pairing_check(mollifier(0, 1), 0.0)
 
+    @pytest.mark.parametrize("lam", [0.37, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_shifted_bumps(self, p, lam):
+        # the lacunary terms level off at their rounding floor well above
+        # 1e-13 here; the series must still stop and agree
+        assert homothety_pairing_check(mollifier(p, 1).shifted(0.3), lam)
+
+    def test_narrow_vanishing_bump_at_half(self):
+        assert homothety_pairing_check(mollifier(2, 2), 0.5)
+
 
 class TestCrossModuleConsistency:
     @pytest.mark.parametrize("p,m", [(2, 2), (4, 4)])

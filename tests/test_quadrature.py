@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from divsum.quadrature import default_tolerance, integrate
+from divsum.mollifiers import mollifier
+from divsum.quadrature import (
+    _MAX_ACTIVE_PANELS,
+    GAUSS_ORDER,
+    QuadratureError,
+    default_tolerance,
+    integrate,
+)
 
 
 class TestBasics:
@@ -77,3 +84,36 @@ class TestTolerance:
         a = integrate(f, 0.0, 5.0)
         b = integrate(f, 0.0, 5.0)
         assert a == b
+
+
+class TestFailSafe:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_raises_at_once(self, bad):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x > 0.3, bad, x)
+
+        with pytest.raises(QuadratureError):
+            integrate(f, 0.0, 1.0)
+        assert len(calls) == 1
+
+    def test_panel_cap_stops_runaway_refinement(self):
+        # the bump's flat tails have panel values far below any relative
+        # floor, so a tolerance of 1e-300 can never be met there
+        phi = mollifier(2, 2)
+        evals = []
+
+        def f(x):
+            evals.append(x.size)
+            return phi(x)
+
+        with pytest.raises(QuadratureError):
+            integrate(f, *phi.support, tol=1e-300)
+        # the active panels reach the cap once, far from _MAX_ROUNDS doublings
+        assert sum(evals) <= 4 * _MAX_ACTIVE_PANELS * GAUSS_ORDER
+
+    def test_tight_but_reachable_tolerance_still_converges(self):
+        v = integrate(np.cos, 0.0, 1.0, tol=1e-15)
+        assert abs(v.real - math.sin(1.0)) < 1e-15
