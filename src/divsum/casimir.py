@@ -16,6 +16,7 @@ can be supplied through the config.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .sums import sum_powers
@@ -63,13 +64,25 @@ def angular_frequency(n: int, cfg: CavityConfig) -> float:
     return cfg.c * mode_wavenumber(n, cfg)
 
 
+def _in_float_range(value: float, cfg: CavityConfig) -> float:
+    """value, unless it overflowed, underflowed or lost digits as a subnormal."""
+    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+        raise ValueError(f"result at d={cfg.d!r} is outside the float range")
+    return value
+
+
 def ground_state_energy(cfg: CavityConfig) -> float:
     """(pi hbar c / 2d) times the regularized sum of the mode indices."""
     coefficient = float(sum_powers(1).value)  # -1/12, never hard-coded
-    return math.pi * cfg.hbar * cfg.c / (2.0 * cfg.d) * coefficient
+    energy = math.pi * cfg.hbar * cfg.c / (2.0 * cfg.d) * coefficient
+    return _in_float_range(energy, cfg)
 
 
 def casimir_force(cfg: CavityConfig) -> float:
     """Magnitude of dE/dd: pi c hbar / (24 d^2)."""
     denominator = float(-2 / sum_powers(1).value)  # -2 / (-1/12) = 24, exact
-    return math.pi * cfg.c * cfg.hbar / (denominator * cfg.d**2)
+    try:
+        d_squared = _in_float_range(cfg.d**2, cfg)
+    except OverflowError:
+        d_squared = math.inf  # rejected below: the force underflows to 0
+    return _in_float_range(math.pi * cfg.c * cfg.hbar / (denominator * d_squared), cfg)

@@ -67,6 +67,8 @@ PERIOD = 2.0 * math.pi
 DEFAULT_EPS_LEVELS = 10
 DEFAULT_SCALE_LEVELS = 10
 EPS_TOP = 0.5
+# symmetric eps-windows drop the odd part: remainders run in eps, eps^3, ...
+_EPS_FIRST_ORDER = 1
 
 # a pole closer than this to the integration region forces the
 # remainder-form route; farther away the kernel is integrated directly
@@ -215,7 +217,7 @@ def finite_part_action_epsilon(phi: TestFunction,
     for eps in eps_list:
         v = _window_integral(f, eps, sa - math.pi, sb - math.pi, extra_cuts=cuts)
         samples.append(v - at_pole / math.tan(0.5 * eps))
-    return extrapolate_ladder(eps_list, samples)
+    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +322,7 @@ def fourier_coefficient_numeric(n: int,
         v = _window_integral(f, eps, -math.pi, math.pi, extra_cuts=cuts)
         v -= sign / math.tan(0.5 * eps)
         samples.append((v - sign * n * math.pi) / PERIOD)
-    return extrapolate_ladder(eps_list, samples)
+    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,8 @@ def mollified_limit(pairing, vanishing_order: int = 0,
               for m in scales]
     if detect_divergence(values):
         return divergent_ladder(scales, values)
-    return extrapolate_ladder(scales, values)
+    # the even bumps give an expansion in 1/m^2, 1/m^4, ...
+    return extrapolate_ladder(scales, values, first_order=2)
 
 
 def jump_average(f, breakpoints=(0.0,), levels: int = DEFAULT_SCALE_LEVELS,
@@ -419,14 +422,13 @@ def dirichlet_comb_growth(m: int, agreement_tol: float = 1e-6) -> float:
 
 def dirichlet_comb_ladder(levels: int = 8,
                           agreement_tol: float = 1e-6) -> EpsilonLimit:
-    """Scale ladder of the comb pairing, m = 1, 2, 4, ..., 2^(levels-1)."""
+    """Scale ladder of the comb pairing, m = 1, 2, 4, ..., 2^(levels-1); its
+    values 2 pi m phi(0) double at every level, so it is always divergent."""
     if levels < 3:
         raise ValueError("need at least 3 levels")
     scales = [2**j for j in range(levels)]
     values = [complex(dirichlet_comb_growth(m, agreement_tol)) for m in scales]
-    if detect_divergence(values):
-        return divergent_ladder(scales, values)
-    return extrapolate_ladder(scales, values)
+    return divergent_ladder(scales, values)
 
 
 # ---------------------------------------------------------------------------

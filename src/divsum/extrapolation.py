@@ -1,11 +1,13 @@
 """Limit extrapolation for epsilon- and scale-ladders.
 
-A ladder samples a quantity at parameters shrinking (epsilon) or growing
-(mollifier scale m) by a fixed ratio.  Richardson elimination is applied
-stage by stage, with the leading error order re-detected at every stage
-from the contraction ratio of successive differences; that way ladders
-whose error expansions run in odd powers, even powers, or plain integer
-powers are all accelerated without hard-coding an exponent.
+A ladder samples a quantity at parameters halving (epsilon) or doubling
+(mollifier scale m) from level to level.  Every ladder in divsum knows the
+powers its error runs in, so Richardson elimination removes them in turn,
+with no order detection.  The window (-pi, -eps) u (eps, pi) is symmetric
+about the pole and discards the odd part of the integrand, which leaves a
+remainder in odd powers eps, eps^3, ...; the even bumps phi_m give even
+powers 1/m^2, 1/m^4, ...  The caller passes the leading power
+``first_order``; stage k eliminates the power ``first_order + 2k``.
 
 Divergent ladders are a reported outcome, not an error: the fitted power
 of the parameter is recorded instead of an extrapolant.
@@ -82,8 +84,10 @@ class EpsilonLimit:
                 for p, v in self.samples]
 
 
-def richardson_extrapolate(values, ratio: float = 2.0):
-    """(estimate, error_estimate, converged) from a geometric ladder.
+def richardson_extrapolate(values, first_order: int):
+    """(estimate, error_estimate, converged) from a ladder whose parameter
+    halves or doubles at each level and whose error expansion runs in the
+    powers first_order, first_order + 2, ...
 
     ``values`` are ordered from the coarsest parameter to the finest.
     """
@@ -91,41 +95,25 @@ def richardson_extrapolate(values, ratio: float = 2.0):
     if len(col) == 0:
         raise ValueError("empty ladder")
     scale = max(1.0, max(abs(v) for v in col))
-    if len(col) == 1:
-        return col[0], math.inf, False
-
     noise = _NOISE_REL * scale
     est = col[-1]
-    corr_prev = None
-    for stage in range(len(values) - 1):
-        if len(col) >= 3:
-            d1 = col[-2] - col[-3]
-            d2 = col[-1] - col[-2]
-            if abs(d2) <= noise:
-                # differences at the noise floor: the column has converged
-                return col[-1], max(abs(d2), noise), True
-            try:
-                order = math.log(abs(d1 / d2)) / math.log(ratio)
-            except (ValueError, ZeroDivisionError):
-                order = stage + 1
-            if not (0.2 < order < 40.0):
-                order = stage + 1
-            order = max(1, round(order))
-        else:
-            order = stage + 1
-        factor = ratio ** order
+    corr_prev = math.inf
+    for order in range(first_order, first_order + 2 * (len(col) - 1), 2):
+        step = abs(col[-1] - col[-2])
+        if len(col) >= 3 and step <= noise:
+            # differences at the noise floor: the column has converged
+            return col[-1], max(step, noise), True
+        factor = 2.0 ** order
         col = [(factor * col[j + 1] - col[j]) / (factor - 1.0)
                for j in range(len(col) - 1)]
         new = col[-1]
         corr = abs(new - est)
-        if corr_prev is not None and corr > corr_prev and corr_prev <= 1e-9 * scale:
+        if corr > corr_prev and corr_prev <= 1e-9 * scale:
             # the table has hit its noise-limited accuracy
             break
         est = new
         corr_prev = corr
-        if len(col) < 2:
-            break
-    err = max(corr_prev if corr_prev is not None else math.inf, noise * 0.1)
+    err = max(corr_prev, noise * 0.1)
     converged = err <= max(_CONTRACT_REL * scale, 1e-12)
     return est, err, converged
 
@@ -165,9 +153,9 @@ def divergent_ladder(params, values) -> EpsilonLimit:
     )
 
 
-def extrapolate_ladder(params, values, ratio: float = 2.0) -> EpsilonLimit:
+def extrapolate_ladder(params, values, first_order: int) -> EpsilonLimit:
     """Assemble an EpsilonLimit from ladder samples (convergent branch)."""
-    est, err, converged = richardson_extrapolate(values, ratio=ratio)
+    est, err, converged = richardson_extrapolate(values, first_order)
     return EpsilonLimit(
         samples=tuple((float(p), complex(v)) for p, v in zip(params, values)),
         extrapolated=est,

@@ -77,6 +77,13 @@ class TestForce:
                 expected = math.pi * cfg.c * cfg.hbar / (24.0 * cfg.d**2)
                 assert casimir_force(cfg) == expected
 
+    @pytest.mark.parametrize("d", [1e-160, 1e-170, 5e-324, 1e200])
+    def test_outside_float_range(self, d):
+        # the force overflows, underflows, or passes through a subnormal d^2
+        for cfg in (CavityConfig(d=d), CavityConfig.si(d)):
+            with pytest.raises(ValueError, match="float range"):
+                casimir_force(cfg)
+
     def test_matches_finite_difference(self):
         h = 1e-4
         for d in (0.5, 1.0, 3.0):

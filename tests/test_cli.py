@@ -223,6 +223,11 @@ class TestCasimir:
     def test_invalid_d(self, capsys):
         assert run(capsys, "casimir", "--d", "0")[0] == 2
         assert run(capsys, "casimir", "--d", "-3")[0] == 2
+        # energy or force outside the float range
+        for d in ("1e-160", "1e-170", "5e-324", "1e200"):
+            for units in ("natural", "si"):
+                code, out, err = run(capsys, "casimir", "--d", d, "--units", units)
+                assert code == 2 and out == "" and "float range" in err
 
     @pytest.mark.parametrize("d", ["inf", "nan"])
     @pytest.mark.parametrize("units", ["natural", "si"])

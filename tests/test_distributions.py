@@ -88,11 +88,17 @@ class TestFinitePartAction:
         assert abs(finite_part_action(tf) - plain) < 1e-10
 
     def test_matches_epsilon_route_at_pole(self):
-        tf = mollifier(0, 1).shifted(PI)
-        a = finite_part_action(tf)
-        b = finite_part_action_epsilon(tf)
-        assert b.converged
-        assert abs(a - b.extrapolated) < 1e-8
+        # the p = 4 bumps centred just off pi have phi''(pi) near 0, so the
+        # leading eps term nearly vanishes; the ladder must still eliminate
+        # the odd powers eps, eps^3, ... in order
+        near_centre = [mollifier(4, 1).dilated(1.0 / hw).shifted(PI + off)
+                       for hw, off in ((0.3, 6e-4), (0.3, 8e-4), (0.3, 1.5e-3),
+                                       (0.35, 1.5e-3), (1.0, 1e-3))]
+        for tf in [mollifier(0, 1).shifted(PI)] + near_centre:
+            a = finite_part_action(tf)
+            b = finite_part_action_epsilon(tf)
+            assert b.converged
+            assert abs(a - b.extrapolated) < 1e-8
 
     def test_odd_about_pole_vanishes(self):
         # (t-pi) * bump is odd about pi; kernel is even about pi
@@ -260,6 +266,9 @@ class TestMollifiedLimits:
         rec = mollified_limit(alternating_series_action, p)
         assert rec.converged
         assert abs(rec.extrapolated - 0.25) < 1e-6
+        # eliminating 1/m^2, 1/m^4, ... already pins the limit from m <= 16
+        short = mollified_limit(alternating_series_action, p, levels=4)
+        assert abs(short.extrapolated - 0.25) < 1e-10
 
     def test_divergent_all_plus_ladder(self):
         rec = mollified_limit(all_plus_series_action, 4, levels=8)

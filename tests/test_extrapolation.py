@@ -21,15 +21,15 @@ def eps_ladder(levels):
 class TestRichardson:
     def test_first_order(self):
         hs = eps_ladder(10)
-        values = [3.0 + 2.0 * h + 0.7 * h**2 for h in hs]
-        est, err, converged = richardson_extrapolate(values)
+        values = [3.0 + 2.0 * h + 0.7 * h**3 for h in hs]
+        est, err, converged = richardson_extrapolate(values, 1)
         assert converged
         assert abs(est - 3.0) < 1e-12
 
     def test_odd_powers_only(self):
         hs = eps_ladder(10)
         values = [-1.5 + 0.3 * h + 0.2 * h**3 - h**5 for h in hs]
-        est, _, converged = richardson_extrapolate(values)
+        est, _, converged = richardson_extrapolate(values, 1)
         assert converged
         assert abs(est + 1.5) < 1e-12
 
@@ -37,24 +37,24 @@ class TestRichardson:
         # the m-ladder shape: expansion in 1/m^2, 1/m^4, ...
         hs = eps_ladder(8)
         values = [0.25 - 0.4 * h**2 + 1.1 * h**4 for h in hs]
-        est, _, converged = richardson_extrapolate(values)
+        est, _, converged = richardson_extrapolate(values, 2)
         assert converged
         assert abs(est - 0.25) < 1e-12
 
     def test_constant_ladder(self):
-        est, err, converged = richardson_extrapolate([0.5] * 8)
+        est, err, converged = richardson_extrapolate([0.5] * 8, 1)
         assert converged
         assert est == 0.5
 
     def test_zero_ladder(self):
-        est, _, converged = richardson_extrapolate([0.0] * 6)
+        est, _, converged = richardson_extrapolate([0.0] * 6, 2)
         assert converged
         assert est == 0.0
 
     def test_complex_values(self):
         hs = eps_ladder(9)
-        values = [(1 - 2j) + (0.5 + 0.25j) * h + 0.1j * h**2 for h in hs]
-        est, _, converged = richardson_extrapolate(values)
+        values = [(1 - 2j) + (0.5 + 0.25j) * h + 0.1j * h**3 for h in hs]
+        est, _, converged = richardson_extrapolate(values, 1)
         assert converged
         assert abs(est - (1 - 2j)) < 1e-12
 
@@ -62,13 +62,13 @@ class TestRichardson:
         rnd = [1e-13, -2e-13, 5e-14, -8e-14, 1e-13, -5e-14, 3e-14, -2e-14, 1e-14, -3e-14]
         hs = eps_ladder(10)
         values = [2.0 + 0.8 * h + noise for h, noise in zip(hs, rnd)]
-        est, err, converged = richardson_extrapolate(values)
+        est, err, converged = richardson_extrapolate(values, 1)
         assert abs(est - 2.0) < 1e-10
         assert converged
 
     def test_non_contracting_flagged(self):
         values = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-        _, _, converged = richardson_extrapolate(values)
+        _, _, converged = richardson_extrapolate(values, 1)
         assert not converged
 
 
@@ -105,15 +105,15 @@ class TestEpsilonLimitRecord:
 
     def test_error_estimate_dominates_last_correction(self):
         hs = eps_ladder(8)
-        values = [1.0 + h + h**2 for h in hs]
-        rec = extrapolate_ladder(hs, values)
+        values = [1.0 + h + h**3 for h in hs]
+        rec = extrapolate_ladder(hs, values, 1)
         assert rec.converged
         assert rec.error_estimate >= 0.0
         assert abs(rec.extrapolated - 1.0) <= max(rec.error_estimate, 1e-11)
 
     def test_json_round_trip(self):
         hs = eps_ladder(4)
-        rec = extrapolate_ladder(hs, [0.25 + 0.5 * h for h in hs])
+        rec = extrapolate_ladder(hs, [0.25 + 0.5 * h for h in hs], 1)
         obj = rec.to_json_obj()
         parsed = json.loads(json.dumps(obj))
         assert parsed["converged"] is True
@@ -130,7 +130,7 @@ class TestEpsilonLimitRecord:
 
     def test_csv_rows(self):
         hs = eps_ladder(3)
-        rec = extrapolate_ladder(hs, [complex(1, -h) for h in hs])
+        rec = extrapolate_ladder(hs, [complex(1, -h) for h in hs], 1)
         rows = rec.to_csv_rows()
         assert len(rows) == 3
         assert rows[0][0] == "0.5"
