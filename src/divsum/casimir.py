@@ -83,6 +83,6 @@ def casimir_force(cfg: CavityConfig) -> float:
     denominator = float(-2 / sum_powers(1).value)  # -2 / (-1/12) = 24, exact
     try:
         d_squared = _in_float_range(cfg.d**2, cfg)
-    except OverflowError:
-        d_squared = math.inf  # rejected below: the force underflows to 0
+    except OverflowError as exc:
+        raise ValueError(f"result at d={cfg.d!r} is outside the float range") from exc
     return _in_float_range(math.pi * cfg.c * cfg.hbar / (denominator * d_squared), cfg)

@@ -338,7 +338,8 @@ def _scale_ladder(levels: int, base: int = 2):
 def mollified_limit(pairing, vanishing_order: int = 0,
                     levels: int = DEFAULT_SCALE_LEVELS) -> EpsilonLimit:
     """Evaluate pairing(phi_m) on the scale ladder m = 2, 4, 8, ... and
-    extrapolate m -> infinity.
+    extrapolate m -> infinity in the powers 1/m^2, 1/m^4, ... of the even
+    bumps; an odd power in the pairing stays in the extrapolant.
 
     Divergent ladders (magnitudes growing by >= 1.5x across the last three
     levels) are reported with the fitted power of m instead of a limit.
@@ -348,18 +349,17 @@ def mollified_limit(pairing, vanishing_order: int = 0,
               for m in scales]
     if detect_divergence(values):
         return divergent_ladder(scales, values)
-    # the even bumps give an expansion in 1/m^2, 1/m^4, ...
     return extrapolate_ladder(scales, values, first_order=2)
 
 
 def jump_average(f, breakpoints=(0.0,), levels: int = DEFAULT_SCALE_LEVELS,
                  vanishing_order: int = 0) -> EpsilonLimit:
-    """Mollified value at 0 of the regular distribution of f.
-
-    For piecewise-continuous f the limit is (f(0+) + f(0-)) / 2.  The
-    function must be integrable near 0; declared jump locations become
-    panel breakpoints.
-    """
+    """Mollified value at 0 of the regular distribution of f: it tends to
+    (f(0+) + f(0-)) / 2 in even powers of 1/m when the odd one-sided
+    derivatives of f agree at 0 (a step plus an even part: Heaviside, sign,
+    cos).  A kink at 0, as in exp(t) H(t), leaves a miss of order
+    |f'(0+) - f'(0-)| / m that the error estimate does not show.  Jump
+    locations become panel breakpoints."""
 
     def pairing(phi: TestFunction) -> complex:
         sa, sb = phi.support

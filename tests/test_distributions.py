@@ -289,6 +289,28 @@ class TestMollifiedLimits:
         rec = jump_average(np.cos)
         assert rec.converged and abs(rec.extrapolated - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_jump_step_plus_smooth(self, p):
+        # exp has odd derivatives, but equal ones on both sides of 0, so the
+        # pairing still runs in even powers of 1/m
+        f = lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0) + np.exp(t)
+        rec = jump_average(f, levels=5, vanishing_order=p)
+        assert rec.converged and abs(rec.extrapolated - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_jump_kink_leaves_a_one_over_m_miss(self, p):
+        # exp(t) H(t) has f'(0+) != f'(0-), outside jump_average's contract:
+        # the 1/m term survives the even-power ladder, so the miss halves
+        # with each level while the error estimate stays far below it
+        kink = lambda t: np.where(np.asarray(t) > 0, np.exp(t), 0.0)
+        misses = []
+        for levels in (9, 10):
+            rec = jump_average(kink, levels=levels, vanishing_order=p)
+            misses.append(abs(rec.extrapolated - 0.5))
+            assert 1e-5 < misses[-1] < 1e-3
+            assert rec.error_estimate < 1e-2 * misses[-1]
+        assert abs(misses[0] / misses[1] - 2.0) < 1e-3
+
 
 class TestDirichletComb:
     def test_closed_form_value(self):
