@@ -7,93 +7,4 @@ distributions (finite-part kernel, derivative-of-delta comb, mollified
 limits, Fourier coefficients), and the 1-D Casimir toy model.
 """
 
-from .casimir import (
-    CavityConfig,
-    casimir_force,
-    ground_state_energy,
-    mode_wavenumber,
-)
-from .distributions import (
-    all_plus_series_action,
-    alternating_kernel,
-    alternating_series_action,
-    centered_kernel,
-    dirichlet_comb_growth,
-    dirichlet_comb_ladder,
-    finite_part_action,
-    finite_part_action_epsilon,
-    fourier_coefficient_numeric,
-    homothety_pairing_check,
-    jump_average,
-    mollified_limit,
-)
-from .errors import ConsistencyError
-from .exact import GaussianRational, Rational, i_pow
-from .extrapolation import EpsilonLimit
-from .mollifiers import Mollifier, TestFunction, mollifier
-from .quadrature import integrate
-from .series import (
-    TaylorSeries,
-    derivative_at_zero,
-    generating_function_series,
-    series_exp_it,
-)
-from .sums import (
-    BernoulliTable,
-    RegularizedSum,
-    SumKind,
-    SumMethod,
-    alternating_sum_powers,
-    bernoulli_numbers,
-    derivative_dilation_commutation_check,
-    functional_equation_residual,
-    ramanujan_identity_check,
-    sum_powers,
-    zeta_negative_oracle,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CavityConfig",
-    "casimir_force",
-    "ground_state_energy",
-    "mode_wavenumber",
-    "all_plus_series_action",
-    "alternating_kernel",
-    "alternating_series_action",
-    "centered_kernel",
-    "dirichlet_comb_growth",
-    "dirichlet_comb_ladder",
-    "finite_part_action",
-    "finite_part_action_epsilon",
-    "fourier_coefficient_numeric",
-    "homothety_pairing_check",
-    "jump_average",
-    "mollified_limit",
-    "ConsistencyError",
-    "GaussianRational",
-    "Rational",
-    "i_pow",
-    "EpsilonLimit",
-    "Mollifier",
-    "TestFunction",
-    "mollifier",
-    "integrate",
-    "TaylorSeries",
-    "derivative_at_zero",
-    "generating_function_series",
-    "series_exp_it",
-    "BernoulliTable",
-    "RegularizedSum",
-    "SumKind",
-    "SumMethod",
-    "alternating_sum_powers",
-    "bernoulli_numbers",
-    "derivative_dilation_commutation_check",
-    "functional_equation_residual",
-    "ramanujan_identity_check",
-    "sum_powers",
-    "zeta_negative_oracle",
-    "__version__",
-]

@@ -8,7 +8,9 @@ Exit status: 0 success, 1 internal-consistency failure (a cross-check that
 can only fail on a library bug), 2 usage or precondition error, 3 numerical
 failure (quadrature or a series that cannot reach its tolerance).  All
 floats print with 12 significant digits and rationals as "p/q", so output
-is byte-stable for golden tests.
+is byte-stable for golden tests.  coeff and mollify import numpy and the
+numerical layers when they run, check imports numpy for its direct series,
+and sum, zeta, table and casimir load neither.
 """
 
 from __future__ import annotations
@@ -20,17 +22,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .casimir import CavityConfig, casimir_force, ground_state_energy
-from .distributions import (
-    all_plus_series_action,
-    alternating_series_action,
-    dirichlet_comb_ladder,
-    fourier_coefficient_numeric,
-    jump_average,
-    mollified_limit,
-)
 from .errors import ConsistencyError
 from .extrapolation import EpsilonLimit
 from .sums import (
@@ -44,15 +36,8 @@ from .sums import (
 CHECK_TOLERANCE = 1e-8
 COEFF_TOLERANCE = 1e-6
 
-_JUMP_FUNCTIONS = {
-    "heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
-    "sign": lambda t: np.sign(np.asarray(t)),
-    "cos": np.cos,
-}
-
-_MOLLIFY_TARGETS = ("S", "H2S", "T0", "dirichlet") + tuple(
-    f"jump:{name}" for name in _JUMP_FUNCTIONS
-)
+_MOLLIFY_TARGETS = ("S", "H2S", "T0", "dirichlet",
+                    "jump:heaviside", "jump:sign", "jump:cos")
 
 
 def fmt_float(x: float) -> str:
@@ -143,6 +128,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    from .distributions import fourier_coefficient_numeric
+
     limit = fourier_coefficient_numeric(args.n, levels=args.levels)
     expected = float((-1) ** (args.n - 1) * args.n) if args.n >= 1 else 0.0
     ex = limit.extrapolated  # an epsilon-ladder never diverges
@@ -160,6 +147,10 @@ _DEFAULT_LEVELS = {"T0": 8, "dirichlet": 8}
 
 
 def _mollify_limit(args) -> EpsilonLimit:
+    import numpy as np
+
+    from . import distributions as dist
+
     target = args.target
     p = args.p
     if target == "dirichlet" and p != 0:
@@ -168,17 +159,23 @@ def _mollify_limit(args) -> EpsilonLimit:
     if levels is None:
         levels = _DEFAULT_LEVELS.get(target, 10)
     if target == "S":
-        return mollified_limit(alternating_series_action, p, levels)
+        return dist.mollified_limit(dist.alternating_series_action, p, levels)
     if target == "H2S":
-        return mollified_limit(
-            lambda tf: 0.5 * alternating_series_action(tf.dilated(0.5)), p, levels
+        return dist.mollified_limit(
+            lambda tf: 0.5 * dist.alternating_series_action(tf.dilated(0.5)),
+            p, levels,
         )
     if target == "T0":
-        return mollified_limit(all_plus_series_action, p, levels)
+        return dist.mollified_limit(dist.all_plus_series_action, p, levels)
     if target == "dirichlet":
-        return dirichlet_comb_ladder(levels)
-    name = target.split(":", 1)[1]
-    return jump_average(_JUMP_FUNCTIONS[name], levels=levels, vanishing_order=p)
+        return dist.dirichlet_comb_ladder(levels)
+    jump_functions = {
+        "jump:heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
+        "jump:sign": lambda t: np.sign(np.asarray(t)),
+        "jump:cos": np.cos,
+    }
+    return dist.jump_average(jump_functions[target], levels=levels,
+                             vanishing_order=p)
 
 
 def cmd_mollify(args) -> int:

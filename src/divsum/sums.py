@@ -26,15 +26,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import GaussianRational, i_pow
 
 __all__ = [
     "SumKind",
-    "SumMethod",
     "RegularizedSum",
-    "BernoulliTable",
     "sum_powers",
     "alternating_sum_powers",
     "bernoulli_numbers",
@@ -49,15 +45,14 @@ __all__ = [
 _MAX_FLOAT_NEG_K = 260
 
 _SUM_CHUNK = 1 << 20
+# more terms buy nothing (the check's residual is already at its rounding
+# floor at 10**6) and cost about a second per 10**8
+_MAX_TERMS = 10**8
 
 
 class SumKind(str, enum.Enum):
     POWERS_ALL_PLUS = "powers_all_plus"
     POWERS_ALTERNATING = "powers_alternating"
-
-
-class SumMethod(str, enum.Enum):
-    CLOSED_FORM = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,13 @@ class RegularizedSum:
     value: Fraction
     k: int
     kind: SumKind
-    method: SumMethod = SumMethod.CLOSED_FORM
 
     def to_json_obj(self) -> dict:
         return {
             "k": self.k,
             "kind": self.kind.value,
             "value": str(self.value),
-            "method": self.method.value,
+            "method": "closed_form",
         }
 
 
@@ -119,20 +113,7 @@ def alternating_sum_powers(k: int) -> RegularizedSum:
                           kind=SumKind.POWERS_ALTERNATING)
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """B_0 .. B_n in the B_1 = -1/2 convention."""
-
-    values: tuple
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def bernoulli_numbers(n: int) -> BernoulliTable:
+def bernoulli_numbers(n: int) -> tuple:
     """Bernoulli numbers B_0..B_n via sum_{j<=m} C(m+1, j) B_j = 0.
 
     The recurrence fixes B_1 = -1/2; odd indices >= 3 vanish.
@@ -145,7 +126,7 @@ def bernoulli_numbers(n: int) -> BernoulliTable:
         for j in range(m):
             s += math.comb(m + 1, j) * vals[j]
         vals.append(-s / (m + 1))
-    return BernoulliTable(tuple(vals))
+    return tuple(vals)
 
 
 def zeta_negative_oracle(k: int) -> Fraction:
@@ -161,12 +142,17 @@ def zeta_partial_sum(s: float, terms: int) -> float:
 
     sum_{n<=N} n^{-s} + N^{1-s}/(s-1); the neglected remainder is below
     N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The terms are summed in
-    index order in chunks of _SUM_CHUNK, so memory stays bounded for any N.
+    index order in chunks of _SUM_CHUNK, so memory stays bounded; N is
+    capped at _MAX_TERMS, which bounds the time.
     """
     if s <= 1:
         raise ValueError("direct summation needs s > 1")
     if terms < 10:
         raise ValueError("need at least 10 terms")
+    if terms > _MAX_TERMS:
+        raise ValueError(f"terms must be <= {_MAX_TERMS}")
+    import numpy as np  # the exact routes in this module need no arrays
+
     partial = 0.0
     for start in range(1, terms + 1, _SUM_CHUNK):
         n = np.arange(start, min(start + _SUM_CHUNK, terms + 1), dtype=np.float64)
@@ -191,6 +177,8 @@ def functional_equation_residual(k: int, terms: int = 10**6) -> float:
         )
     if terms < 10:
         raise ValueError("terms must be >= 10")
+    if terms > _MAX_TERMS:
+        raise ValueError(f"terms must be <= {_MAX_TERMS}")
     lhs = float(zeta_negative_oracle(k))
     if k % 2 == 0:
         rhs = 0.0  # sin(-k pi/2) = 0 exactly

@@ -84,7 +84,9 @@ class TestZetaAndCheck:
         assert run(capsys, "zeta", "--neg-k", "0")[0] == 2
 
     @pytest.mark.parametrize("argv", [("--k", "0"), ("--k", "3", "--terms", "5"),
-                                      ("--k", "261")])
+                                      ("--k", "261"),
+                                      ("--k", "3", "--terms", "100000001"),
+                                      ("--k", "2", "--terms", "100000001")])
     def test_check_bad_arguments(self, capsys, argv):
         code, out, err = run(capsys, "check", *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
@@ -139,6 +141,10 @@ class TestCoeff:
         code, out, err = run(capsys, "coeff", "--n", "2", "--levels", levels)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_too_many_levels(self, capsys):
+        code, out, err = run(capsys, "coeff", "--n", "2", "--levels", "21")
+        assert code == 2 and out == "" and err == "error: levels must be <= 20\n"
+
     def test_invalid_quadrature_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVSUM_QUAD_TOL", "nan")
         code, out, err = run(capsys, "coeff", "--n", "2")
@@ -188,6 +194,12 @@ class TestMollify:
         code, out, err = run(capsys, "mollify", "--target", target,
                              "--levels", "2")
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["S", "dirichlet", "jump:sign"])
+    def test_too_many_levels(self, capsys, target):
+        code, out, err = run(capsys, "mollify", "--target", target,
+                             "--levels", "21")
+        assert code == 2 and out == "" and err == "error: levels must be <= 20\n"
 
     def test_unreachable_tolerance_is_a_numerical_failure(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVSUM_QUAD_TOL", "1e-300")

@@ -8,6 +8,7 @@ import pytest
 
 from divsum.distributions import (
     _COMB_XI_MAX,
+    MAX_LEVELS,
     _comb_spectral_sum,
     all_plus_series_action,
     alternating_kernel,
@@ -129,6 +130,10 @@ class TestFinitePartEpsilon:
     def test_level_floor(self):
         with pytest.raises(ValueError):
             finite_part_action_epsilon(zero_tf(), levels=2)
+
+    def test_level_ceiling(self):
+        with pytest.raises(ValueError, match="levels"):
+            finite_part_action_epsilon(zero_tf(), levels=MAX_LEVELS + 1)
 
     def test_second_order_zero_at_pole_gives_improper_integral(self):
         # phi(pi) = phi'(pi) = 0: the counterterm vanishes at every eps and
@@ -253,6 +258,14 @@ class TestFourierCoefficients:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             fourier_coefficient_numeric(33)
+
+    def test_deepest_ladder(self):
+        # past MAX_LEVELS each level loses about a bit to cancellation
+        rec = fourier_coefficient_numeric(32, levels=MAX_LEVELS)
+        assert rec.converged
+        assert abs(rec.extrapolated - (-32.0)) < 1e-8
+        with pytest.raises(ValueError, match="levels"):
+            fourier_coefficient_numeric(32, levels=MAX_LEVELS + 1)
 
     def test_ladder_is_epsilon_indexed(self):
         rec = fourier_coefficient_numeric(1, levels=5)

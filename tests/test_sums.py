@@ -12,7 +12,6 @@ from divsum.exact import i_pow
 from divsum.series import derivative_at_zero, generating_function_series
 from divsum.sums import (
     SumKind,
-    SumMethod,
     alternating_sum_powers,
     bernoulli_numbers,
     derivative_dilation_commutation_check,
@@ -34,7 +33,6 @@ class TestSumPowers:
         r = sum_powers(k)
         assert r.value == expected
         assert r.kind is SumKind.POWERS_ALL_PLUS
-        assert r.method is SumMethod.CLOSED_FORM
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +145,10 @@ class TestFunctionalEquation:
 
 
 class TestZetaPartialSum:
+    def test_terms_bound(self):
+        with pytest.raises(ValueError, match="terms"):
+            zeta_partial_sum(2.0, sums._MAX_TERMS + 1)
+
     def test_default_terms_single_sum(self):
         # 10^6 terms fit one chunk: the same single np.sum as unchunked code
         n = np.arange(1, 10**6 + 1, dtype=np.float64)
