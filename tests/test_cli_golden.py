@@ -3,8 +3,9 @@
 ``golden_cli.json`` holds one record per command: ``argv``, the exit
 ``code`` and the exact ``stdout``.  It covers zeta, check, casimir (natural
 and si units), coeff (pass and fail) and mollify in its converged,
-not-converged, divergent and Dirichlet-comb branches, each in text, JSON
-and CSV, with and without --quiet.  Only stdout is pinned; error wording on
+not-converged, divergent and Dirichlet-comb branches, plus the dilated
+H2S target, S at p = 2 and a p = 4 jump, each in text, JSON and CSV, with
+and without --quiet.  Only stdout is pinned; error wording on
 stderr is free to change.
 """
 
