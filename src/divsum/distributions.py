@@ -104,25 +104,18 @@ def kernel_ratio(x):
     return out
 
 
-def _singular_points(lo: float, hi: float) -> list:
-    """Odd multiples of pi inside [lo, hi]."""
-    pts = []
-    n = math.floor((lo / math.pi - 1.0) / 2.0)
-    while True:
-        p = (2 * n + 1) * math.pi
-        if p > hi:
-            break
-        if p >= lo:
-            pts.append(p)
-        n += 1
-    return pts
-
-
 def _support(phi: TestFunction) -> tuple:
     sa, sb = phi.support
     if not sb > sa:
         raise ValueError("test function has empty support")
     return float(sa), float(sb)
+
+
+def _period_support(phi: TestFunction) -> tuple:
+    sa, sb = _support(phi)
+    if not (0.0 < sa and sb < PERIOD):
+        raise ValueError("support must lie inside (0, 2*pi)")
+    return sa, sb
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +165,7 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
 
 def finite_part_action(phi: TestFunction) -> complex:
     """Finite-part pairing over (0, 2*pi) via the Taylor-remainder form."""
-    sa, sb = _support(phi)
-    if not (0.0 < sa and sb < PERIOD):
-        raise ValueError("support must lie inside (0, 2*pi)")
+    _period_support(phi)
     return _remainder_cell_action(phi, math.pi)
 
 
@@ -182,16 +173,7 @@ def finite_part_action(phi: TestFunction) -> complex:
 # Truncated-window route
 
 
-def _eps_ladder(levels: int):
-    if levels < 3:
-        raise ValueError("need at least 3 epsilon levels")
-    if levels > MAX_LEVELS:
-        raise ValueError(f"levels must be <= {MAX_LEVELS}")
-    return [EPS_TOP * 0.5**j for j in range(levels)]
-
-
-def _window_integral(f, eps: float, lo: float, hi: float,
-                     extra_cuts=()) -> complex:
+def _window_integral(f, eps: float, lo: float, hi: float, cuts) -> complex:
     """Integral of f over (-pi, -eps) u (eps, pi) intersected with [lo, hi]."""
     total = 0j
     for a, b, near in ((eps, math.pi, "lo"), (-math.pi, -eps, "hi")):
@@ -199,9 +181,22 @@ def _window_integral(f, eps: float, lo: float, hi: float,
         if b2 <= a2:
             continue
         grade = (a2,) if near == "lo" else (b2,)
-        cuts = [c for c in extra_cuts if a2 < c < b2]
         total += integrate(f, a2, b2, breakpoints=cuts, grade=grade)
     return total
+
+
+def _eps_limit(f, finish, lo: float, hi: float, cuts,
+               levels: int) -> EpsilonLimit:
+    """Extrapolate finish(eps, window integral of f) on the halving ladder
+    eps = EPS_TOP, EPS_TOP/2, ..., levels samples."""
+    if levels < 3:
+        raise ValueError("need at least 3 epsilon levels")
+    if levels > MAX_LEVELS:
+        raise ValueError(f"levels must be <= {MAX_LEVELS}")
+    eps_list = [EPS_TOP * 0.5**j for j in range(levels)]
+    samples = [finish(eps, _window_integral(f, eps, lo, hi, cuts))
+               for eps in eps_list]
+    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
 def finite_part_action_epsilon(phi: TestFunction,
@@ -211,21 +206,14 @@ def finite_part_action_epsilon(phi: TestFunction,
     Samples the truncated integral minus phi(pi)/tan(eps/2) on a halving
     epsilon ladder and extrapolates.
     """
-    sa, sb = _support(phi)
-    if not (0.0 < sa and sb < PERIOD):
-        raise ValueError("support must lie inside (0, 2*pi)")
+    sa, sb = _period_support(phi)
     at_pole = float(phi(np.array([math.pi]))[0])
-    cuts = (sa - math.pi, sb - math.pi)
 
     def f(x):
         return phi(math.pi + np.asarray(x)) * centered_kernel(x)
 
-    eps_list = _eps_ladder(levels)
-    samples = []
-    for eps in eps_list:
-        v = _window_integral(f, eps, sa - math.pi, sb - math.pi, extra_cuts=cuts)
-        samples.append(v - at_pole / math.tan(0.5 * eps))
-    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
+    return _eps_limit(f, lambda eps, v: v - at_pole / math.tan(0.5 * eps),
+                      sa - math.pi, sb - math.pi, (), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +234,12 @@ def alternating_series_action(phi: TestFunction) -> complex:
         pole = cell_lo + math.pi
         lo, hi = max(sa, cell_lo), min(sb, cell_hi)
         n += 1
-        if hi <= lo:
-            continue
         if lo - _SINGULAR_MARGIN <= pole <= hi + _SINGULAR_MARGIN:
             total += _remainder_cell_action(phi, pole)
         else:
             total += integrate(lambda t: phi(t) * alternating_kernel(t), lo, hi)
-
-    for pole in _singular_points(sa, sb):
-        total += -1j * math.pi * float(phi.deriv(np.array([pole]))[0])
+        if lo <= pole <= hi:  # the cell's one pole carries the delta' term
+            total += -1j * math.pi * float(phi.deriv(np.array([pole]))[0])
     return total
 
 
@@ -279,17 +264,10 @@ def all_plus_series_action(chi: TestFunction) -> complex:
             f"(got chi(0)={at0:.3e}, chi'(0)={d_at0:.3e})"
         )
 
-    dd_at0 = float(chi.deriv2(np.array([0.0]))[0])
-
     def f(x):
+        # 0 is a breakpoint, so no Gauss node lands on the removable 0/0
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        z = x == 0.0
-        nz = ~z
-        out[nz] = -0.25 * chi(x[nz]) / np.sin(0.5 * x[nz]) ** 2
-        if z.any():
-            out[z] = -0.5 * dd_at0  # continuous extension at the origin
-        return out
+        return -0.25 * chi(x) / np.sin(0.5 * x) ** 2
 
     return integrate(f, sa, sb, breakpoints=(0.0,))
 
@@ -324,13 +302,10 @@ def fourier_coefficient_numeric(n: int,
         step = 6.0 / abs(n)
         cuts = list(np.arange(-math.pi + step, math.pi, step))
 
-    eps_list = _eps_ladder(levels)
-    samples = []
-    for eps in eps_list:
-        v = _window_integral(f, eps, -math.pi, math.pi, extra_cuts=cuts)
-        v -= sign / math.tan(0.5 * eps)
-        samples.append((v - sign * n * math.pi) / PERIOD)
-    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
+    def finish(eps, v):
+        return (v - sign / math.tan(0.5 * eps) - sign * n * math.pi) / PERIOD
+
+    return _eps_limit(f, finish, -math.pi, math.pi, cuts, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +337,18 @@ def mollified_limit(pairing, vanishing_order: int = 0,
     return extrapolate_ladder(scales, values, first_order=2)
 
 
-def jump_average(f, breakpoints=(0.0,), levels: int = DEFAULT_SCALE_LEVELS,
+def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
                  vanishing_order: int = 0) -> EpsilonLimit:
     """Mollified value at 0 of the regular distribution of f: it tends to
     (f(0+) + f(0-)) / 2 in even powers of 1/m when the odd one-sided
     derivatives of f agree at 0 (a step plus an even part: Heaviside, sign,
     cos).  A kink at 0, as in exp(t) H(t), leaves a miss of order
-    |f'(0+) - f'(0-)| / m that the error estimate does not show.  Jump
-    locations become panel breakpoints."""
+    |f'(0+) - f'(0-)| / m that the error estimate does not show.  The jump
+    at 0 is a panel breakpoint."""
 
     def pairing(phi: TestFunction) -> complex:
         sa, sb = phi.support
-        return integrate(lambda t: f(t) * phi(t), sa, sb, breakpoints=breakpoints)
+        return integrate(lambda t: f(t) * phi(t), sa, sb, breakpoints=(0.0,))
 
     return mollified_limit(pairing, vanishing_order, levels)
 

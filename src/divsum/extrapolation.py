@@ -29,6 +29,8 @@ __all__ = [
 
 _NOISE_REL = 5e-14
 _CONTRACT_REL = 1e-7
+_DIVERGENCE_FACTOR = 1.5
+_DIVERGENCE_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -134,13 +136,15 @@ def fit_power_growth(params, values) -> float:
     return sxy / sxx
 
 
-def detect_divergence(values, factor: float = 1.5, window: int = 3) -> bool:
-    """Magnitudes growing monotonically by >= factor across the last levels."""
+def detect_divergence(values) -> bool:
+    """Magnitudes growing monotonically by >= _DIVERGENCE_FACTOR across the
+    last _DIVERGENCE_WINDOW levels."""
     mags = [abs(complex(v)) for v in values]
-    if len(mags) < window:
+    if len(mags) < _DIVERGENCE_WINDOW:
         return False
-    tail = mags[-window:]
-    return all(b >= factor * a and a > 0 for a, b in zip(tail, tail[1:]))
+    tail = mags[-_DIVERGENCE_WINDOW:]
+    return all(b >= _DIVERGENCE_FACTOR * a and a > 0
+               for a, b in zip(tail, tail[1:]))
 
 
 def divergent_ladder(params, values) -> EpsilonLimit:

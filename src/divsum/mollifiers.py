@@ -13,6 +13,7 @@ p by quadrature and cached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,31 +26,42 @@ __all__ = ["Mollifier", "TestFunction", "bump_moment", "mollifier"]
 VANISHING_ORDERS = (0, 2, 4)
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    u = 1.0 - t[inside] ** 2
-    out[inside] = np.exp(-1.0 / u)
-    return out
+def _bump_jet(t: np.ndarray, order: int) -> list:
+    """[psi, psi', ..., psi^(order)] at points with |t| < 1, order <= 2."""
+    u = 1.0 - t * t
+    e = np.exp(-1.0 / u)
+    jet = [e]
+    if order >= 1:
+        g = -2.0 * t / u**2                       # (d/dt) of -1/(1-t^2)
+        jet.append(e * g)
+    if order >= 2:
+        gp = -2.0 / u**2 - 8.0 * t * t / u**3     # its derivative
+        jet.append(e * (g * g + gp))
+    return jet
 
 
-def _bump_d1(t: np.ndarray) -> np.ndarray:
+def _profile(t: np.ndarray, p: int, order: int) -> np.ndarray:
+    """order-th derivative of t^p psi(t) by the Leibniz rule; exact zeros
+    outside (-1, 1)."""
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    u = 1.0 - ti * ti
-    out[inside] = np.exp(-1.0 / u) * (-2.0 * ti / u**2)
-    return out
-
-
-def _bump_d2(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    u = 1.0 - ti * ti
-    g = -2.0 * ti / u**2                      # (d/dt) of -1/(1-t^2)
-    gp = -2.0 / u**2 - 8.0 * ti * ti / u**3   # its derivative
-    out[inside] = np.exp(-1.0 / u) * (g * g + gp)
+    psi = _bump_jet(ti, order)
+    if p == 0:
+        out[inside] = psi[order]
+        return out
+    # t^p and its first two derivatives by explicit squaring: libm pow is not
+    # bit-symmetric in t, and phi(t) = phi(-t) must hold exactly
+    s = ti * ti
+    mono = [s if p == 2 else s * s]
+    if order >= 1:
+        mono.append(2.0 * ti if p == 2 else 4.0 * (ti * s))
+    if order >= 2:
+        mono.append(2.0 if p == 2 else 12.0 * s)
+    f = mono[order] * psi[0]
+    for i in range(1, order + 1):
+        f = f + math.comb(order, i) * mono[order - i] * psi[i]
+    out[inside] = f
     return out
 
 
@@ -63,7 +75,7 @@ def bump_moment(j: int) -> float:
     if j not in _NORM_CACHE:
         # idempotent under concurrent computation; last write wins harmlessly
         _NORM_CACHE[j] = integrate(
-            lambda t: t**j * _bump(t), -1.0, 1.0, tol=1e-14
+            lambda t: t**j * _profile(t, 0, 0), -1.0, 1.0, tol=1e-14
         ).real
     return _NORM_CACHE[j]
 
@@ -142,54 +154,20 @@ class Mollifier:
         m = self.scale
         return (-1.0 / m, 1.0 / m)
 
-    # t^p via explicit squaring below: libm pow is not bit-symmetric in t,
-    # and the mollifier symmetry phi(t) = phi(-t) must hold exactly
-
-    def _base(self, t: np.ndarray) -> np.ndarray:
-        p = self.vanishing_order
-        if p == 0:
-            return _bump(t)
-        s = t * t
-        tp = s if p == 2 else s * s
-        return tp * _bump(t)
-
-    def _base_d1(self, t: np.ndarray) -> np.ndarray:
-        p = self.vanishing_order
-        if p == 0:
-            return _bump_d1(t)
-        s = t * t
-        tp = s if p == 2 else s * s
-        tp1 = t if p == 2 else t * s
-        return p * tp1 * _bump(t) + tp * _bump_d1(t)
-
-    def _base_d2(self, t: np.ndarray) -> np.ndarray:
-        p = self.vanishing_order
-        if p == 0:
-            return _bump_d2(t)
-        s = t * t
-        tp = s if p == 2 else s * s
-        tp1 = t if p == 2 else t * s
-        tp2 = np.ones_like(t) if p == 2 else s
-        return (
-            p * (p - 1) * tp2 * _bump(t)
-            + 2.0 * p * tp1 * _bump_d1(t)
-            + tp * _bump_d2(t)
-        )
+    def _derivative(self, t, order: int) -> np.ndarray:
+        """order-th derivative of m f(m t) / c, f(t) = t^p psi(t)."""
+        m, c = self.scale, self.norm_const
+        t = m * np.asarray(t, dtype=float)
+        return m ** (order + 1) * _profile(t, self.vanishing_order, order) / c
 
     def value(self, t) -> np.ndarray:
-        m, c = self.scale, self.norm_const
-        return m * self._base(m * np.asarray(t, dtype=float)) / c
+        return self._derivative(t, 0)
 
     def deriv(self, t) -> np.ndarray:
-        m, c = self.scale, self.norm_const
-        return m**2 * self._base_d1(m * np.asarray(t, dtype=float)) / c
+        return self._derivative(t, 1)
 
     def deriv2(self, t) -> np.ndarray:
-        m, c = self.scale, self.norm_const
-        return m**3 * self._base_d2(m * np.asarray(t, dtype=float)) / c
-
-    def __call__(self, t):
-        return self.value(t)
+        return self._derivative(t, 2)
 
     def rescaled(self, m: int) -> "Mollifier":
         return Mollifier(self.vanishing_order, m)

@@ -62,12 +62,6 @@ class TaylorSeries:
             tuple(self.coeffs[j] + other.coeffs[j] for j in range(n + 1))
         )
 
-    def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
-        n = min(self.order, other.order)
-        return TaylorSeries(
-            tuple(self.coeffs[j] - other.coeffs[j] for j in range(n + 1))
-        )
-
     def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
@@ -78,10 +72,6 @@ class TaylorSeries:
                 acc = acc + a[k] * b[j - k]
             out.append(acc)
         return TaylorSeries(tuple(out))
-
-    def scale(self, c) -> "TaylorSeries":
-        g = GaussianRational.from_value(c)
-        return TaylorSeries(tuple(g * a for a in self.coeffs))
 
     def reciprocal(self) -> "TaylorSeries":
         """Formal inverse; requires a nonzero constant term."""
@@ -106,21 +96,12 @@ class TaylorSeries:
             tuple(self.coeffs[j] * j for j in range(1, self.order + 1))
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TaylorSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def to_json_obj(self) -> list:
         """Exact coefficient list: [{"j": 0, "re": "1/4", "im": "0"}, ...]."""
         return [
             {"j": j, "re": str(c.re), "im": str(c.im)}
             for j, c in enumerate(self.coeffs)
         ]
-
-    def __str__(self) -> str:
-        return " + ".join(f"({c})*t^{j}" for j, c in enumerate(self.coeffs))
 
 
 def constant_series(value, order: int) -> TaylorSeries:

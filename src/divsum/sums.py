@@ -41,7 +41,8 @@ __all__ = [
     "derivative_dilation_commutation_check",
 ]
 
-# largest k whose zeta(-k) is a finite float; zeta(-261) overflows
+# largest k whose zeta(-k) is a finite float; zeta(-261) overflows.  It also
+# bounds the exact oracle, whose Bernoulli table costs about k^3.5
 _MAX_FLOAT_NEG_K = 260
 
 _SUM_CHUNK = 1 << 20
@@ -130,9 +131,9 @@ def bernoulli_numbers(n: int) -> tuple:
 
 
 def zeta_negative_oracle(k: int) -> Fraction:
-    """zeta(-k) = -B_{k+1} / (k+1), exact, for integer k >= 1."""
-    if k < 1:
-        raise ValueError("zeta_negative_oracle requires k >= 1")
+    """zeta(-k) = -B_{k+1} / (k+1), exact, for integer 1 <= k <= 260."""
+    if not 1 <= k <= _MAX_FLOAT_NEG_K:
+        raise ValueError(f"k must satisfy 1 <= k <= {_MAX_FLOAT_NEG_K}")
     table = bernoulli_numbers(k + 1)
     return -table[k + 1] / (k + 1)
 
@@ -167,14 +168,9 @@ def functional_equation_residual(k: int, terms: int = 10**6) -> float:
     The right-hand side uses the direct series for zeta(k+1), keeping the
     check independent of the Bernoulli table behind ``zeta_negative_oracle``.
     The residual is relative once |zeta(-k)| > 1 (odd k >= 17), so one
-    tolerance serves every k whose zeta(-k) is a finite float.
+    tolerance serves every k whose zeta(-k) is a finite float; the oracle
+    rejects any other k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > _MAX_FLOAT_NEG_K:
-        raise ValueError(
-            f"k must be <= {_MAX_FLOAT_NEG_K}: beyond it zeta(-k) overflows a float"
-        )
     if terms < 10:
         raise ValueError("terms must be >= 10")
     if terms > _MAX_TERMS:

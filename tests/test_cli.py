@@ -82,6 +82,9 @@ class TestZetaAndCheck:
 
     def test_zeta_bad_k(self, capsys):
         assert run(capsys, "zeta", "--neg-k", "0")[0] == 2
+        # the Bernoulli table's cost grows like k^3.5; the oracle stops at 260
+        for k in ("261", "100000"):
+            assert run(capsys, "zeta", "--neg-k", k)[:2] == (2, "")
 
     @pytest.mark.parametrize("argv", [("--k", "0"), ("--k", "3", "--terms", "5"),
                                       ("--k", "261"),

@@ -36,6 +36,13 @@ class TestAxioms:
         assert np.array_equal(phi.deriv(outside), np.zeros(6))
         assert np.array_equal(phi.deriv2(outside), np.zeros(6))
 
+    def test_zero_at_infinity(self, p, m):
+        # t^p is never formed outside the support, so inf * 0 cannot give nan
+        phi = Mollifier(p, m)
+        far = np.array([-np.inf, np.inf])
+        for f in (phi.value, phi.deriv, phi.deriv2):
+            assert np.array_equal(f(far), np.zeros(2))
+
 
 class TestVanishingOrder:
     def test_p_zero_positive_at_origin(self):
@@ -68,6 +75,24 @@ class TestDerivativeConsistency:
         scale2 = np.max(np.abs(phi.deriv2(t))) + 1.0
         assert np.max(np.abs(fd1 - phi.deriv(t))) / scale1 < 1e-8
         assert np.max(np.abs(fd2 - phi.deriv2(t))) / scale2 < 1e-4
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_exact_derivatives(self, p, m):
+        # m (mt)^p exp(-1/(1 - (mt)^2)) / bump_moment(p) differentiated by
+        # sympy and evaluated at 30 digits at the same float arguments
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        c = sp.Float(bump_moment(p), 30)
+        f = m * (m * x) ** p * sp.exp(-1 / (1 - (m * x) ** 2)) / c
+        t = np.array([-0.93, -0.8, -0.66, -0.5, -0.37, -0.21, -0.08, 0.0,
+                      0.03, 0.17, 0.31, 0.46, 0.62, 0.77, 0.9]) / m
+        phi = Mollifier(p, m)
+        for j, got in enumerate((phi.value(t), phi.deriv(t), phi.deriv2(t))):
+            exact = sp.diff(f, x, j)
+            for tk, gk in zip(t, got):
+                want = exact.subs(x, sp.Rational(float(tk))).evalf(30)
+                assert abs(sp.Float(float(gk), 30) - want) <= 1e-12 * abs(want)
 
 
 class TestMoments:

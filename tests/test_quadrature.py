@@ -8,6 +8,7 @@ import pytest
 from divsum.mollifiers import mollifier
 from divsum.quadrature import (
     _MAX_ACTIVE_PANELS,
+    _MAX_ROUNDS,
     GAUSS_ORDER,
     QuadratureError,
     default_tolerance,
@@ -117,3 +118,31 @@ class TestFailSafe:
     def test_tight_but_reachable_tolerance_still_converges(self):
         v = integrate(np.cos, 0.0, 1.0, tol=1e-15)
         assert abs(v.real - math.sin(1.0)) < 1e-15
+
+    def test_round_limit_accepts_a_small_residual(self):
+        # a step off every panel edge keeps one panel short of tolerance in
+        # every round; after the last round its width, about 2^-44, is the
+        # residual, far below 1e3 * tol, so the panels are kept
+        jump = 1.0 / math.sqrt(2.0)
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x > jump, 1.0, 0.0)
+
+        v = integrate(f, 0.0, 1.0)
+        assert abs(v.real - (1.0 - jump)) <= 1e-15
+        assert len(calls) == 1 + 2 * _MAX_ROUNDS
+
+    def test_round_limit_rejects_a_large_residual(self):
+        # the integral of x^-0.9 over the panel at 0 shrinks only like
+        # width^0.1, so the rounds run out with a residual above 1e3 * tol
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return x ** -0.9
+
+        with pytest.raises(QuadratureError, match="stalled"):
+            integrate(f, 0.0, 1.0)
+        assert len(calls) == 1 + 2 * _MAX_ROUNDS
