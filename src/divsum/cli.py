@@ -102,8 +102,6 @@ def _emit_ladder(args, limit: EpsilonLimit, extra: dict, tail) -> None:
 
 
 def cmd_sum(args) -> int:
-    if not 1 <= args.k <= 200:
-        raise ValueError("k must satisfy 1 <= k <= 200")
     result = alternating_sum_powers(args.k) if args.alternating else sum_powers(args.k)
     _emit(args, result.to_json_obj(), [result.value])
     return 0

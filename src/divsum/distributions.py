@@ -27,6 +27,12 @@ invariant.  The remainder route is valid on any full period cell centered
 at a pole p: the kernel integral over such a cell truncated by eps equals
 1/tan(eps/2) exactly, and the first-order Taylor term drops out by the
 symmetry of the cell about p.
+
+On the halving ladder eps = 1/2, 1/4, ... the truncated windows are nested,
+so the counterterm route and the Fourier coefficients c_n share one ladder
+loop that keeps a running window integral: each level adds only the two
+slivers (eps, 2 eps) and (-2 eps, -eps), which need no grading toward the
+pole because each spans a factor of 2 in distance from it.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .extrapolation import (
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction
-from .quadrature import gauss_grid, integrate
+from .quadrature import GAUSS_ORDER, QuadratureError, gauss_grid, integrate
 
 __all__ = [
     "alternating_kernel",
@@ -81,6 +87,12 @@ _EPS_FIRST_ORDER = 1
 _SINGULAR_MARGIN = 0.25
 
 _MAX_FOURIER_INDEX = 32
+
+# cap on the inner Gauss nodes of one outer call of the remainder route,
+# where several float arrays of that length are live at once.  Bumps of
+# half-width >= 0.03 stay below 2^18; narrower ones across the pole can ask
+# for gigabytes
+_MAX_INNER_NODES = 1 << 22
 
 
 def alternating_kernel(t):
@@ -147,6 +159,10 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
         # panels proportional to how much of the support the segment sweeps
         arg_range = float(np.max((his - los) * np.abs(xs)))
         n_in = int(min(96, max(12, math.ceil(48.0 * arg_range / width + 8))))
+        if xs.size * n_in * GAUSS_ORDER > _MAX_INNER_NODES:
+            raise QuadratureError(
+                f"remainder route needs more than {_MAX_INNER_NODES} inner nodes"
+            )
         frac = np.linspace(0.0, 1.0, n_in + 1)
         elo = los[:, None] + (his - los)[:, None] * frac[None, :-1]
         ehi = los[:, None] + (his - los)[:, None] * frac[None, 1:]
@@ -173,29 +189,30 @@ def finite_part_action(phi: TestFunction) -> complex:
 # Truncated-window route
 
 
-def _window_integral(f, eps: float, lo: float, hi: float, cuts) -> complex:
-    """Integral of f over (-pi, -eps) u (eps, pi) intersected with [lo, hi]."""
-    total = 0j
-    for a, b, near in ((eps, math.pi, "lo"), (-math.pi, -eps, "hi")):
-        a2, b2 = max(a, lo), min(b, hi)
-        if b2 <= a2:
-            continue
-        grade = (a2,) if near == "lo" else (b2,)
-        total += integrate(f, a2, b2, breakpoints=cuts, grade=grade)
-    return total
-
-
 def _eps_limit(f, finish, lo: float, hi: float, cuts,
                levels: int) -> EpsilonLimit:
     """Extrapolate finish(eps, window integral of f) on the halving ladder
-    eps = EPS_TOP, EPS_TOP/2, ..., levels samples."""
+    eps = EPS_TOP, EPS_TOP/2, ..., levels samples.
+
+    The window is (-pi, -eps) u (eps, pi) intersected with [lo, hi]: level
+    0 integrates (EPS_TOP, pi) and (-pi, -EPS_TOP), and each later level
+    adds the slivers (eps, 2 eps) and (-2 eps, -eps) to the running total.
+    """
     if levels < 3:
         raise ValueError("need at least 3 epsilon levels")
     if levels > MAX_LEVELS:
         raise ValueError(f"levels must be <= {MAX_LEVELS}")
     eps_list = [EPS_TOP * 0.5**j for j in range(levels)]
-    samples = [finish(eps, _window_integral(f, eps, lo, hi, cuts))
-               for eps in eps_list]
+    window = 0j
+    samples = []
+    outer = math.pi
+    for eps in eps_list:
+        for a, b in ((eps, outer), (-outer, -eps)):
+            a, b = max(a, lo), min(b, hi)
+            if b > a:
+                window += integrate(f, a, b, breakpoints=cuts)
+        outer = eps
+        samples.append(finish(eps, window))
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 

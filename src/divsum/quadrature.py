@@ -3,10 +3,10 @@
 Panels are bisected until the local error estimate (panel value versus the
 sum of its two halves) meets a width-proportional share of the absolute
 tolerance, with a per-panel relative floor so that panels carrying huge but
-accurately-computed contributions terminate.  Known trouble points are
-seeded as panel edges up front: explicit breakpoints (kernel poles,
-mollifier support edges, jump locations) and optional geometric grading
-toward an endpoint that abuts a truncated singularity.
+accurately-computed contributions terminate.  Known trouble points (kernel
+poles, mollifier support edges, jump locations, oscillation cuts) are
+seeded as panel edges up front through ``breakpoints``; growth toward an
+endpoint, as of 1/x^2 near a truncated pole, is left to bisection.
 
 Evaluation is batched: integrands must accept a 1-D numpy array.  The
 final reduction is ordered by panel position and compensated, so results
@@ -70,34 +70,8 @@ def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return values
 
 
-def _graded_offsets(width: float) -> list:
-    # halving ladder of edge offsets; local bisection refines further on demand
-    offs = []
-    x = width
-    while x > 1e-11 * width:
-        offs.append(x)
-        x *= 0.5
-    return offs
-
-
-def _initial_edges(a: float, b: float, breakpoints, grade) -> np.ndarray:
-    pts = {a, b}
-    for p in breakpoints:
-        if a < p < b:
-            pts.add(float(p))
-    for g in grade:
-        if g == a:
-            pts.update(a + off for off in _graded_offsets(b - a))
-        elif g == b:
-            pts.update(b - off for off in _graded_offsets(b - a))
-        else:
-            raise ValueError("grading point must be an endpoint of the interval")
-    edges = np.array(sorted(pts))
-    return edges[(edges >= a) & (edges <= b)]
-
-
 def integrate(f, a: float, b: float, *, tol: float | None = None,
-              breakpoints=(), grade=()) -> complex:
+              breakpoints=()) -> complex:
     """Integral of a vectorized integrand over [a, b].
 
     Returns a complex value; real integrands come back with zero imaginary
@@ -115,9 +89,8 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
         raise ValueError("need b > a")
     total_width = b - a
 
-    edges = _initial_edges(a, b, breakpoints, grade)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    edges = np.array(sorted({a, b, *(float(p) for p in breakpoints if a < p < b)}))
+    lo, hi = edges[:-1], edges[1:]
     whole = _panel_values(f, lo, hi).astype(complex)
 
     accepted: list[tuple[float, complex]] = []

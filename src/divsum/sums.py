@@ -45,6 +45,9 @@ __all__ = [
 # bounds the exact oracle, whose Bernoulli table costs about k^3.5
 _MAX_FLOAT_NEG_K = 260
 
+# largest k of the exact power sums, whose recurrence costs about k^3
+_MAX_SUM_K = 200
+
 _SUM_CHUNK = 1 << 20
 # more terms buy nothing (the check's residual is already at its rounding
 # floor at 10**6) and cost about a second per 10**8
@@ -77,8 +80,12 @@ def _alternating_value(k: int) -> Fraction:
     """f^{(k-1)}(0) / i^{k-1} = (-1)^{(k-1)/2} T_k / 2^{k+1}; 0 for even k.
 
     T_k comes from the Knuth-Buckholtz recurrence (Math. Comp. 21, 1967):
-    after the passes below, t[n] = T_{2n-1}.
+    after the passes below, t[n] = T_{2n-1}.  Rejects k outside
+    1 <= k <= 200; k = 0 is the series 1 + 1 + 1 + ..., for which the
+    method is not defined.
     """
+    if not 1 <= k <= _MAX_SUM_K:
+        raise ValueError(f"k must satisfy 1 <= k <= {_MAX_SUM_K}")
     if k % 2 == 0:
         return Fraction(0)
     n = (k + 1) // 2
@@ -92,24 +99,16 @@ def _alternating_value(k: int) -> Fraction:
 
 
 def sum_powers(k: int) -> RegularizedSum:
-    """Exact value assigned to 1^k + 2^k + 3^k + ... for integer k >= 1.
-
-    k = 0 (the series 1 + 1 + 1 + ...) is rejected: the method is defined
-    for k >= 1 only.
-    """
-    if k < 1:
-        raise ValueError("sum_powers requires k >= 1")
+    """Exact value assigned to 1^k + 2^k + 3^k + ... for 1 <= k <= 200."""
     value = _alternating_value(k) / (1 - 2 ** (k + 1))
     return RegularizedSum(value=value, k=k, kind=SumKind.POWERS_ALL_PLUS)
 
 
 def alternating_sum_powers(k: int) -> RegularizedSum:
-    """Exact value assigned to 1^k - 2^k + 3^k - ... for integer k >= 1.
+    """Exact value assigned to 1^k - 2^k + 3^k - ... for 1 <= k <= 200.
 
     Equals (1 - 2^{k+1}) times ``sum_powers(k)``.
     """
-    if k < 1:
-        raise ValueError("alternating_sum_powers requires k >= 1")
     return RegularizedSum(value=_alternating_value(k), k=k,
                           kind=SumKind.POWERS_ALTERNATING)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from divsum.distributions import (
 from divsum.errors import ConsistencyError
 from divsum.mollifiers import Mollifier, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
-from divsum.quadrature import integrate
+from divsum.quadrature import QuadratureError, integrate
 
 PI = math.pi
 
@@ -105,6 +106,19 @@ class TestFinitePartAction:
         # (t-pi) * bump is odd about pi; kernel is even about pi
         tf = slope_bump_at(PI, 0.8)
         assert abs(finite_part_action(tf)) < 1e-10
+
+    def test_narrow_bump_across_pole_is_bounded(self):
+        # half-width 0.02 across the pole: without a cap on the inner grid
+        # the outer panels ask for gigabytes before the rounds run out
+        tf = mollifier(2, 1).dilated(50.0).shifted(PI + 0.018)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="inner nodes"):
+                finite_part_action(tf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 30
 
 
 class TestFinitePartEpsilon:

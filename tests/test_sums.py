@@ -37,6 +37,8 @@ class TestSumPowers:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             sum_powers(0)
+        with pytest.raises(ValueError):
+            sum_powers(201)
 
     def test_json_shape(self):
         assert sum_powers(3).to_json_obj() == {
@@ -69,6 +71,8 @@ class TestAlternatingSumPowers:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             alternating_sum_powers(0)
+        with pytest.raises(ValueError):
+            alternating_sum_powers(10**6)
 
 
 class TestBernoulli:
