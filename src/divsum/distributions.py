@@ -26,7 +26,12 @@ which needs no limit process at all.  Their agreement is a library-level
 invariant.  The remainder route is valid on any full period cell centered
 at a pole p: the kernel integral over such a cell truncated by eps equals
 1/tan(eps/2) exactly, and the first-order Taylor term drops out by the
-symmetry of the cell about p.
+symmetry of the cell about p.  With v = theta |t-p| the inner integral is
+(|x| A - B) / x^2 for x = t - p, where A and B are the integrals of
+phi''(p +- v) and v phi''(p +- v) over (0, |x|).  Each side of the pole
+integrates A and B once per cell, adaptively over the part of the support
+it covers, and keeps their prefix sums over the accepted panels; an outer
+node reads the prefix below |x| and adds one Gauss panel up to |x|.
 
 On the halving ladder eps = 1/2, 1/4, ... the truncated windows are nested,
 so the counterterm route and the Fourier coefficients c_n share one ladder
@@ -49,7 +54,7 @@ from .extrapolation import (
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction
-from .quadrature import GAUSS_ORDER, QuadratureError, gauss_grid, integrate
+from .quadrature import default_tolerance, gauss_grid, integrate, panel_integrals
 
 __all__ = [
     "alternating_kernel",
@@ -86,13 +91,12 @@ _EPS_FIRST_ORDER = 1
 # remainder-form route; farther away the kernel is integrated directly
 _SINGULAR_MARGIN = 0.25
 
-_MAX_FOURIER_INDEX = 32
+# tolerance of the remainder route's phi'' moments relative to
+# max|phi''| times the span they cover; a bump of half-width 0.01 inside
+# one of width 2 converges down to 1e-13 and stalls on rounding at 1e-14
+_MOMENT_REL_TOL = 1e-12
 
-# cap on the inner Gauss nodes of one outer call of the remainder route,
-# where several float arrays of that length are live at once.  Bumps of
-# half-width >= 0.03 stay below 2^18; narrower ones across the pole can ask
-# for gigabytes
-_MAX_INNER_NODES = 1 << 22
+_MAX_FOURIER_INDEX = 32
 
 
 def alternating_kernel(t):
@@ -134,6 +138,54 @@ def _period_support(phi: TestFunction) -> tuple:
 # Taylor-remainder route
 
 
+def _side_remainder(phi: TestFunction, pole: float, sign: float,
+                    v_lo: float, v_hi: float, width: float):
+    """y -> integral_0^y (y - v) phi''(pole + sign v) dv for 0 < y <= pi,
+    the Taylor remainder phi(pole + sign y) - phi(pole) - sign y phi'(pole).
+
+    phi'' vanishes outside v in [v_lo, v_hi].  One adaptive quadrature over
+    that interval, seeded with panels proportional to the share of the
+    support it covers, runs once per cell, not once per outer node; the
+    prefix sums of A = int phi'' dv and B = int v phi'' dv over its panels
+    give y A - B over the whole panels below y, and one more Gauss panel,
+    from the left edge of the panel holding y to y, adds the rest.
+    """
+    if not v_hi > v_lo:
+        return np.zeros_like
+    n = int(min(96, max(12, math.ceil(48.0 * (v_hi - v_lo) / width + 8))))
+    seeds = np.linspace(v_lo, v_hi, n + 1)
+    # phi'' carries rounding noise of about |phi'''| ulp(pole) from its
+    # argument, far above an absolute 1e-10 for narrow bumps, so A and B are
+    # asked for relative to the size of phi'' over the interval
+    nodes = gauss_grid(seeds[:-1], seeds[1:])[0].ravel()
+    scale = float(np.max(np.abs(phi.deriv2(pole + sign * nodes)))) * (v_hi - v_lo)
+    tol = max(default_tolerance(), _MOMENT_REL_TOL * scale)
+
+    def moments(v):
+        # A in the real part, B in the imaginary part: one error estimate
+        # bounds both
+        return phi.deriv2(pole + sign * v) * (1.0 + 1j * v)
+
+    lo, ab = panel_integrals(moments, v_lo, v_hi, tol=tol, breakpoints=seeds)
+    order = np.argsort(lo)
+    edges = np.append(lo[order], v_hi)
+    pa = np.concatenate([[0.0], np.cumsum(ab.real[order])])
+    pb = np.concatenate([[0.0], np.cumsum(ab.imag[order])])
+
+    def remainder(y):
+        k = np.maximum(np.searchsorted(edges, y, side="right") - 1, 0)
+        out = y * pa[k] - pb[k]
+        end = np.minimum(y, v_hi)
+        part = end > edges[k]
+        if part.any():
+            t, w, h = gauss_grid(edges[k[part]], end[part])
+            d2 = phi.deriv2(pole + sign * t.ravel()).reshape(t.shape)
+            out[part] += (((y[part, None] - t) * d2) @ w) * h
+        return out
+
+    return remainder
+
+
 def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
     """Finite-part pairing over the period cell [pole - pi, pole + pi].
 
@@ -142,36 +194,19 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
     """
     sa, sb = _support(phi)
     width = sb - sa
+    right = _side_remainder(phi, pole, 1.0, max(sa - pole, 0.0),
+                            min(sb - pole, math.pi), width)
+    left = _side_remainder(phi, pole, -1.0, max(pole - sb, 0.0),
+                           min(pole - sa, math.pi), width)
 
     def outer(xv):
         xv = np.asarray(xv, dtype=float)
-        res = np.zeros_like(xv)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (sa - pole) / xv
-            t2 = (sb - pole) / xv
-        lo = np.clip(np.minimum(t1, t2), 0.0, 1.0)
-        hi = np.clip(np.maximum(t1, t2), 0.0, 1.0)
-        ok = hi > lo
-        if not ok.any():
-            return res
-        xs, los, his = xv[ok], lo[ok], hi[ok]
-        # the inner integrand is phi'' along a segment; resolve it with
-        # panels proportional to how much of the support the segment sweeps
-        arg_range = float(np.max((his - los) * np.abs(xs)))
-        n_in = int(min(96, max(12, math.ceil(48.0 * arg_range / width + 8))))
-        if xs.size * n_in * GAUSS_ORDER > _MAX_INNER_NODES:
-            raise QuadratureError(
-                f"remainder route needs more than {_MAX_INNER_NODES} inner nodes"
-            )
-        frac = np.linspace(0.0, 1.0, n_in + 1)
-        elo = los[:, None] + (his - los)[:, None] * frac[None, :-1]
-        ehi = los[:, None] + (his - los)[:, None] * frac[None, 1:]
-        theta, weights, halft = gauss_grid(elo, ehi)
-        args = pole + theta * xs[:, None, None]
-        vals = (1.0 - theta) * phi.deriv2(args.ravel()).reshape(theta.shape)
-        inner = np.sum((vals @ weights) * halft, axis=1)
-        res[ok] = kernel_ratio(xs) * inner
-        return res
+        rem = np.zeros_like(xv)
+        for side, on in ((right, xv > 0.0), (left, xv < 0.0)):
+            if on.any():
+                rem[on] = side(np.abs(xv[on]))
+        # no node lands on x = 0, a breakpoint
+        return kernel_ratio(xv) * rem / (xv * xv)
 
     cuts = sorted(
         {float(np.clip(v, -math.pi, math.pi)) for v in (sa - pole, sb - pole, 0.0)}

@@ -9,11 +9,13 @@ seeded as panel edges up front through ``breakpoints``; growth toward an
 endpoint, as of 1/x^2 near a truncated pole, is left to bisection.
 
 Evaluation is batched: integrands must accept a 1-D numpy array.  The
-final reduction is ordered by panel position and compensated, so results
-are independent of refinement history and bit-stable.
+final reduction is a correctly rounded sum (math.fsum) over the panels, so
+results are independent of refinement history and bit-stable.
 
 ``gauss_grid`` is the one place the Gauss node and weight layout is built;
 the adaptive panels here and the fixed grids in ``distributions`` use it.
+``panel_integrals`` hands out the accepted panels themselves, for callers
+that keep running sums over them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureError", "default_tolerance", "gauss_grid", "integrate"]
+__all__ = ["QuadratureError", "default_tolerance", "gauss_grid", "integrate",
+           "panel_integrals"]
 
 GAUSS_ORDER = 15
 _MAX_ROUNDS = 44
@@ -79,13 +82,25 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
     QuadratureError if a panel value is not finite or bisection cannot
     reach the tolerance within the panel cap and the round limit.
     """
+    _, values = panel_integrals(f, a, b, tol=tol, breakpoints=breakpoints)
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
+def panel_integrals(f, a: float, b: float, *, tol: float | None = None,
+                    breakpoints=()) -> tuple:
+    """The accepted panels of ``integrate``, in no particular order: their
+    left edges and complex integrals, which sum to its value.  The panels
+    tile [a, b], so each one ends where the next left edge begins.
+
+    Empty arrays when b == a; raises as ``integrate`` does.
+    """
     if tol is None:
         tol = default_tolerance()
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
     if not b > a:
         if b == a:
-            return 0j
+            return np.empty(0), np.empty(0, dtype=complex)
         raise ValueError("need b > a")
     total_width = b - a
 
@@ -93,7 +108,7 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
     lo, hi = edges[:-1], edges[1:]
     whole = _panel_values(f, lo, hi).astype(complex)
 
-    accepted: list[tuple[float, complex]] = []
+    accepted = []  # (lo, values) of each round's converged panels
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + hi)
         left = _panel_values(f, lo, mid).astype(complex)
@@ -103,8 +118,7 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
         budget = np.maximum(tol * (hi - lo) / total_width,
                             _REL_FLOOR * np.abs(refined))
         ok = err <= budget
-        for i in np.nonzero(ok)[0]:
-            accepted.append((lo[i], refined[i]))
+        accepted.append((lo[ok], refined[ok]))
         bad = ~ok
         if not bad.any():
             break
@@ -121,10 +135,7 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
             raise QuadratureError(
                 f"quadrature stalled with error estimate {residual:.3e}"
             )
-        for i in range(len(lo)):
-            accepted.append((lo[i], whole[i]))
+        accepted.append((lo, whole))
 
-    accepted.sort(key=lambda item: item[0])
-    re = math.fsum(v.real for _, v in accepted)
-    im = math.fsum(v.imag for _, v in accepted)
-    return complex(re, im)
+    lo, values = zip(*accepted)
+    return np.concatenate(lo), np.concatenate(values)

@@ -116,17 +116,20 @@ def alternating_sum_powers(k: int) -> RegularizedSum:
 def bernoulli_numbers(n: int) -> tuple:
     """Bernoulli numbers B_0..B_n via sum_{j<=m} C(m+1, j) B_j = 0.
 
-    The recurrence fixes B_1 = -1/2; odd indices >= 3 vanish.
+    The recurrence fixes B_1 = -1/2; odd indices >= 3 vanish.  It runs in
+    integers: by von Staudt-Clausen every denominator divides the product
+    D of the primes <= n + 1, so D B_m is an integer and the division by
+    m + 1 is exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    vals = [Fraction(1)]
+    denom = math.prod(p for p in range(2, n + 2)
+                      if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    nums = [denom]
     for m in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(m):
-            s += math.comb(m + 1, j) * vals[j]
-        vals.append(-s / (m + 1))
-    return tuple(vals)
+        s = sum(math.comb(m + 1, j) * nums[j] for j in range(m))
+        nums.append(-s // (m + 1))
+    return tuple(Fraction(v, denom) for v in nums)
 
 
 def zeta_negative_oracle(k: int) -> Fraction:

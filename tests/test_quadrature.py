@@ -13,6 +13,7 @@ from divsum.quadrature import (
     QuadratureError,
     default_tolerance,
     integrate,
+    panel_integrals,
 )
 
 
@@ -24,6 +25,18 @@ class TestBasics:
 
     def test_empty_interval(self):
         assert integrate(np.sin, 1.0, 1.0) == 0j
+        lo, values = panel_integrals(np.sin, 1.0, 1.0)
+        assert lo.size == values.size == 0
+
+    def test_panels_tile_the_interval_and_sum_to_the_integral(self):
+        f = lambda x: np.sin(40 * x) / (1.0 + x)
+        lo, values = panel_integrals(f, 0.0, 3.0, breakpoints=(1.0,))
+        order = np.argsort(lo)
+        edges = np.append(lo[order], 3.0)
+        assert edges[0] == 0.0 and 1.0 in edges
+        for a, b, v in zip(edges[:-1], edges[1:], values[order]):
+            assert abs(v - integrate(f, a, b)) < 1e-13
+        assert math.fsum(values.real) == integrate(f, 0.0, 3.0, breakpoints=(1.0,)).real
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):

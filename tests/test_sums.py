@@ -75,7 +75,24 @@ class TestAlternatingSumPowers:
             alternating_sum_powers(10**6)
 
 
+def fraction_bernoulli(n: int) -> tuple:
+    """B_0..B_n by the same recurrence in Fraction arithmetic."""
+    vals = [Fraction(1)]
+    for m in range(1, n + 1):
+        s = Fraction(0)
+        for j in range(m):
+            s += math.comb(m + 1, j) * vals[j]
+        vals.append(-s / (m + 1))
+    return tuple(vals)
+
+
 class TestBernoulli:
+    def test_integer_recurrence_matches_fraction_recurrence(self):
+        # 261 is the table behind zeta_negative_oracle(260)
+        oracle = fraction_bernoulli(261)
+        for n in (0, 1, 2, 3, 4, 5, 30, 261):
+            assert bernoulli_numbers(n) == oracle[: n + 1]
+
     def test_base_values(self):
         table = bernoulli_numbers(12)
         assert table[0] == 1
