@@ -34,10 +34,14 @@ it covers, and keeps their prefix sums over the accepted panels; an outer
 node reads the prefix below |x| and adds one Gauss panel up to |x|.
 
 On the halving ladder eps = 1/2, 1/4, ... the truncated windows are nested,
-so the counterterm route and the Fourier coefficients c_n share one ladder
-loop that keeps a running window integral: each level adds only the two
-slivers (eps, 2 eps) and (-2 eps, -eps), which need no grading toward the
-pole because each spans a factor of 2 in distance from it.
+and the window (-pi, -eps) u (eps, pi) is symmetric about the pole, so the
+counterterm route and the Fourier coefficients c_n share one ladder pass
+over the even fold g(x) = f(x) + f(-x) on (0, pi].  A single adaptive
+quadrature of g, with every eps a breakpoint, yields panels that never
+straddle a ladder point; each sample is the correctly rounded sum of the
+panels to the right of its eps.  Bisection grades the panels toward the
+pole, and the absolute tolerance is shared over the whole pass: a sample's
+quadrature error budget is one tolerance, not one per level.
 """
 
 from __future__ import annotations
@@ -78,10 +82,12 @@ __all__ = [
 PERIOD = 2.0 * math.pi
 DEFAULT_EPS_LEVELS = 10
 DEFAULT_SCALE_LEVELS = 10
-# deepest ladder.  Each eps level loses about one bit to the cancellation
-# against 1/tan(eps/2): the c_n ladders miss by up to 2e-9 at 20 levels and
-# 9e-6 at 32, still marked converged.  The scale ladders share the bound,
-# which also caps their list of m = 2^j before the first sample.
+# deepest ladder.  The c_n samples integrate a bounded Fejer form, so their
+# ladders miss by at most 1e-13 from 10 to 20 levels.  The counterterm
+# route still cancels against phi(pi)/tan(eps/2) and loses about one bit
+# per level: unit bumps at the pole miss by up to 1e-12 at 10 levels and
+# 1e-9 at 20.  The scale ladders share the bound, which also caps their
+# list of m = 2^j before the first sample.
 MAX_LEVELS = 20
 EPS_TOP = 0.5
 # symmetric eps-windows drop the odd part: remainders run in eps, eps^3, ...
@@ -167,10 +173,9 @@ def _side_remainder(phi: TestFunction, pole: float, sign: float,
         return phi.deriv2(pole + sign * v) * (1.0 + 1j * v)
 
     lo, ab = panel_integrals(moments, v_lo, v_hi, tol=tol, breakpoints=seeds)
-    order = np.argsort(lo)
-    edges = np.append(lo[order], v_hi)
-    pa = np.concatenate([[0.0], np.cumsum(ab.real[order])])
-    pb = np.concatenate([[0.0], np.cumsum(ab.imag[order])])
+    edges = np.append(lo, v_hi)
+    pa = np.concatenate([[0.0], np.cumsum(ab.real)])
+    pb = np.concatenate([[0.0], np.cumsum(ab.imag)])
 
     def remainder(y):
         k = np.maximum(np.searchsorted(edges, y, side="right") - 1, 0)
@@ -224,30 +229,43 @@ def finite_part_action(phi: TestFunction) -> complex:
 # Truncated-window route
 
 
-def _eps_limit(f, finish, lo: float, hi: float, cuts,
-               levels: int) -> EpsilonLimit:
-    """Extrapolate finish(eps, window integral of f) on the halving ladder
-    eps = EPS_TOP, EPS_TOP/2, ..., levels samples.
+def _eps_limit(g, finish, lo: float, hi: float, cuts, levels: int,
+               first: int = 0) -> EpsilonLimit:
+    """Extrapolate finish(eps, integral of g over (eps, pi) intersected
+    with (lo, hi)) on the halving ladder eps = EPS_TOP 2^-j for j = first,
+    first + 1, ...: levels samples, fewer where the ladder would pass
+    MAX_LEVELS.
 
-    The window is (-pi, -eps) u (eps, pi) intersected with [lo, hi]: level
-    0 integrates (EPS_TOP, pi) and (-pi, -EPS_TOP), and each later level
-    adds the slivers (eps, 2 eps) and (-2 eps, -eps) to the running total.
+    g is the even fold f(x) + f(-x) of an integrand f about the pole, and
+    vanishes outside (lo, hi).  It is integrated once, over (eps_last, hi)
+    clipped to (lo, hi), with every eps and every cut a breakpoint; the
+    panels come back sorted, so a sample reads the sum of the panels whose
+    left edge is at least its eps.  A ladder with fewer than 3 samples is
+    returned unconverged, with its last sample as the value.
     """
     if levels < 3:
         raise ValueError("need at least 3 epsilon levels")
     if levels > MAX_LEVELS:
         raise ValueError(f"levels must be <= {MAX_LEVELS}")
-    eps_list = [EPS_TOP * 0.5**j for j in range(levels)]
-    window = 0j
+    eps_list = [EPS_TOP * 0.5**j
+                for j in range(first, min(first + levels, MAX_LEVELS))]
     samples = []
-    outer = math.pi
-    for eps in eps_list:
-        for a, b in ((eps, outer), (-outer, -eps)):
-            a, b = max(a, lo), min(b, hi)
-            if b > a:
-                window += integrate(f, a, b, breakpoints=cuts)
-        outer = eps
-        samples.append(finish(eps, window))
+    if eps_list:
+        a = min(max(eps_list[-1], lo), hi)
+        left, values = panel_integrals(g, a, hi,
+                                       breakpoints=[*eps_list, *cuts])
+        re, im = values.real.tolist(), values.imag.tolist()
+        for eps in eps_list:
+            k = int(np.searchsorted(left, eps))
+            window = complex(math.fsum(re[k:]), math.fsum(im[k:]))
+            samples.append(finish(eps, window))
+    if len(samples) < 3:
+        return EpsilonLimit(
+            samples=tuple(zip(eps_list, samples)),
+            extrapolated=samples[-1] if samples else None,
+            error_estimate=math.inf,
+            converged=False,
+        )
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
@@ -256,16 +274,30 @@ def finite_part_action_epsilon(phi: TestFunction,
     """Finite-part pairing over (0, 2*pi) via the counterterm route.
 
     Samples the truncated integral minus phi(pi)/tan(eps/2) on a halving
-    epsilon ladder and extrapolates.
+    epsilon ladder and extrapolates.  When the pole lies inside the
+    support, the ladder starts at the first eps below the distance delta
+    from the pole to the nearer support edge: phi is smooth but not
+    analytic at its edges, so the samples follow a power series in eps
+    only below delta.  If fewer than 3 levels fit below delta within
+    MAX_LEVELS, the ladder is reported unconverged.
     """
     sa, sb = _period_support(phi)
     at_pole = float(phi(np.array([math.pi]))[0])
+    # signed distances of the support edges from the pole, positive inside
+    below, above = math.pi - sa, sb - math.pi
+    first = 0
+    if below > 0.0 and above > 0.0:
+        delta = min(below, above)
+        while first < MAX_LEVELS and EPS_TOP * 0.5**first >= delta:
+            first += 1
 
-    def f(x):
-        return phi(math.pi + np.asarray(x)) * centered_kernel(x)
+    def g(x):
+        return (phi(math.pi + x) + phi(math.pi - x)) * centered_kernel(x)
 
-    return _eps_limit(f, lambda eps, v: v - at_pole / math.tan(0.5 * eps),
-                      sa - math.pi, sb - math.pi, (), levels)
+    # g vanishes outside the support's extent in x = |t - pi|
+    lo, hi = max(0.0, -below, -above), min(math.pi, max(below, above))
+    return _eps_limit(g, lambda eps, v: v - at_pole / math.tan(0.5 * eps),
+                      lo, hi, (abs(below), abs(above)), levels, first)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +368,12 @@ def fourier_coefficient_numeric(n: int,
       (1/2pi) ( integral over the truncated period window of e^{-int} K(t)
                 - (-1)^n / tan(eps/2)  -  (-1)^n n pi ).
 
-    Converges to (-1)^{n-1} n for n >= 1 and to 0 for n <= 0.
+    Converges to (-1)^{n-1} n for n >= 1 and to 0 for n <= 0.  About the
+    pole t = pi the window integral folds to 2 (-1)^n cos(nx) K(x) on
+    (eps, pi), and 1/tan(eps/2) is the integral of 2 K there, so the first
+    two terms are the integral of the Fejer form
+    -(-1)^n (sin(nx/2) / sin(x/2))^2: bounded, real and free of the
+    cancellation of cos(nx) - 1 near the pole.
     """
     if abs(n) > _MAX_FOURIER_INDEX:
         raise ValueError(f"|n| must be <= {_MAX_FOURIER_INDEX}")
@@ -344,20 +381,20 @@ def fourier_coefficient_numeric(n: int,
         raise ValueError("need at least 4 epsilon levels")
     sign = -1.0 if n % 2 else 1.0
 
-    def f(x):
+    def g(x):
         x = np.asarray(x, dtype=float)
-        return np.exp(-1j * n * (math.pi + x)) * centered_kernel(x)
+        return -sign * (np.sin(0.5 * n * x) / np.sin(0.5 * x)) ** 2
 
     # pre-split oscillatory panels so the error estimator never aliases
     cuts = []
     if abs(n) >= 4:
         step = 6.0 / abs(n)
-        cuts = list(np.arange(-math.pi + step, math.pi, step))
+        cuts = list(np.arange(step, math.pi, step))
 
     def finish(eps, v):
-        return (v - sign / math.tan(0.5 * eps) - sign * n * math.pi) / PERIOD
+        return (v - sign * n * math.pi) / PERIOD
 
-    return _eps_limit(f, finish, -math.pi, math.pi, cuts, levels)
+    return _eps_limit(g, finish, 0.0, math.pi, cuts, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ results are independent of refinement history and bit-stable.
 
 ``gauss_grid`` is the one place the Gauss node and weight layout is built;
 the adaptive panels here and the fixed grids in ``distributions`` use it.
-``panel_integrals`` hands out the accepted panels themselves, for callers
-that keep running sums over them.
+``panel_integrals`` hands out the accepted panels themselves, sorted by
+left edge, for callers that read prefix or suffix sums over them.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
 
 def panel_integrals(f, a: float, b: float, *, tol: float | None = None,
                     breakpoints=()) -> tuple:
-    """The accepted panels of ``integrate``, in no particular order: their
-    left edges and complex integrals, which sum to its value.  The panels
-    tile [a, b], so each one ends where the next left edge begins.
+    """The accepted panels of ``integrate``, sorted by left edge: their left
+    edges and complex integrals, which sum to its value.  The panels tile
+    [a, b], so each one ends where the next left edge begins.
 
     Empty arrays when b == a; raises as ``integrate`` does.
     """
@@ -137,5 +137,6 @@ def panel_integrals(f, a: float, b: float, *, tol: float | None = None,
             )
         accepted.append((lo, whole))
 
-    lo, values = zip(*accepted)
-    return np.concatenate(lo), np.concatenate(values)
+    lo, values = (np.concatenate(v) for v in zip(*accepted))
+    order = np.argsort(lo)
+    return lo[order], values[order]

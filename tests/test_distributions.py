@@ -9,6 +9,8 @@ import pytest
 
 from divsum.distributions import (
     _COMB_XI_MAX,
+    DEFAULT_EPS_LEVELS,
+    EPS_TOP,
     MAX_LEVELS,
     _comb_spectral_sum,
     _remainder_cell_action,
@@ -235,6 +237,31 @@ class TestFinitePartEpsilon:
         with pytest.raises(ValueError, match="levels"):
             finite_part_action_epsilon(zero_tf(), levels=MAX_LEVELS + 1)
 
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_support_edge_just_past_the_pole(self, p):
+        # the right support edge 0.004 to 0.03 past pi: the bump is not
+        # analytic there, so only samples with eps below that distance may
+        # enter the tableau
+        for half in (0.1, 0.3, 0.5):
+            for edge in (0.004, 0.01, 0.02, 0.03):
+                tf = mollifier(p, 1).dilated(1.0 / half).shifted(PI + edge - half)
+                rec = finite_part_action_epsilon(tf)
+                assert rec.samples[0][0] < edge <= 2.0 * rec.samples[0][0]
+                if rec.converged:
+                    miss = abs(rec.extrapolated - finite_part_action(tf))
+                    assert miss <= 1e-9, (half, edge, miss)
+
+    @pytest.mark.parametrize("edge, fit", [(1e-6, 1), (1e-7, 0)])
+    def test_too_few_levels_below_the_edge_distance(self, edge, fit):
+        # only eps = EPS_TOP 2^-19 lies below 1e-6, and none below 1e-7
+        tf = mollifier(0, 1).dilated(10.0).shifted(PI + edge - 0.1)
+        rec = finite_part_action_epsilon(tf)
+        assert not rec.converged
+        assert rec.error_estimate == math.inf
+        deepest = EPS_TOP * 0.5 ** (MAX_LEVELS - 1)
+        assert [eps for eps, _ in rec.samples] == [deepest] * fit
+        assert rec.extrapolated == (rec.samples[-1][1] if fit else None)
+
     def test_second_order_zero_at_pole_gives_improper_integral(self):
         # phi(pi) = phi'(pi) = 0: the counterterm vanishes at every eps and
         # the limit is the improper integral of the continuous extension
@@ -360,12 +387,22 @@ class TestFourierCoefficients:
             fourier_coefficient_numeric(33)
 
     def test_deepest_ladder(self):
-        # past MAX_LEVELS each level loses about a bit to cancellation
-        rec = fourier_coefficient_numeric(32, levels=MAX_LEVELS)
-        assert rec.converged
-        assert abs(rec.extrapolated - (-32.0)) < 1e-8
+        # MAX_LEVELS itself is checked for every index below
         with pytest.raises(ValueError, match="levels"):
             fourier_coefficient_numeric(32, levels=MAX_LEVELS + 1)
+
+    @pytest.mark.parametrize("levels", [DEFAULT_EPS_LEVELS, MAX_LEVELS])
+    def test_every_index_within_its_error_estimate(self, levels):
+        # the Fejer form has no counterterm to cancel against, so the
+        # samples are real and the deepest ladder is as good as the default
+        for n in range(-32, 33):
+            rec = fourier_coefficient_numeric(n, levels=levels)
+            truth = (-1) ** (n - 1) * n if n >= 1 else 0
+            miss = abs(rec.extrapolated - truth)
+            assert rec.converged, n
+            assert rec.extrapolated.imag == 0.0, n
+            assert miss <= rec.error_estimate, (n, miss, rec.error_estimate)
+            assert miss <= 1e-11, (n, miss)
 
     def test_ladder_is_epsilon_indexed(self):
         rec = fourier_coefficient_numeric(1, levels=5)
@@ -378,8 +415,9 @@ class TestFourierCoefficients:
         # 2 (-1)^n int_eps^pi cos(n x) / (4 sin^2(x/2)) dx (the sine part
         # cancels on the symmetric window), here at 32 digits with
         # Gauss-Legendre on 32 panels over (eps_0, pi) plus one panel per
-        # halving sliver; no node at 0.  The 1/tan(eps/2) cancellation
-        # doubles the float error at every level, hence the 1/eps bound.
+        # halving sliver; no node at 0.  The library integrates the Fejer
+        # form, which never cancels against 1/tan(eps/2), so the bound does
+        # not grow as eps shrinks.
         mpmath = pytest.importorskip("mpmath")
         rec = fourier_coefficient_numeric(n, levels=10)
         sign = -1 if n % 2 else 1
@@ -398,7 +436,7 @@ class TestFourierCoefficients:
                 truth = (2 * sign * window - sign / mpmath.tan(e / 2)
                          - sign * n * mpmath.pi) / (2 * mpmath.pi)
                 err = abs(complex(value) - complex(truth))
-                assert err <= 1e-14 + 2e-15 / eps, (eps, err)
+                assert err <= 1e-14, (eps, err)
 
 
 class TestMollifiedLimits:

@@ -31,10 +31,10 @@ class TestBasics:
     def test_panels_tile_the_interval_and_sum_to_the_integral(self):
         f = lambda x: np.sin(40 * x) / (1.0 + x)
         lo, values = panel_integrals(f, 0.0, 3.0, breakpoints=(1.0,))
-        order = np.argsort(lo)
-        edges = np.append(lo[order], 3.0)
+        edges = np.append(lo, 3.0)
         assert edges[0] == 0.0 and 1.0 in edges
-        for a, b, v in zip(edges[:-1], edges[1:], values[order]):
+        assert (np.diff(edges) > 0).all()  # sorted by left edge
+        for a, b, v in zip(edges[:-1], edges[1:], values):
             assert abs(v - integrate(f, a, b)) < 1e-13
         assert math.fsum(values.real) == integrate(f, 0.0, 3.0, breakpoints=(1.0,)).real
 
