@@ -14,8 +14,7 @@ p by quadrature and cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,52 +81,56 @@ def bump_moment(j: int) -> float:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth compactly supported function with first and second derivative.
+    """phi(t) = amp * f(lam * (t - shift)) for a base f (a Mollifier, say)
+    with numpy-vectorized value, deriv and deriv2 methods that vanish
+    outside ``base_support``.  The map is data: transforms do not nest."""
 
-    Evaluators are numpy-vectorized; everything vanishes outside
-    ``support``.
-    """
+    base: object
+    base_support: tuple
+    lam: float = 1.0
+    shift: float = 0.0
+    amp: float = 1.0
 
-    value: Callable
-    deriv: Callable
-    deriv2: Callable
-    support: tuple
+    @property
+    def support(self) -> tuple:
+        sa, sb = self.base_support
+        return (self.shift + sa / self.lam, self.shift + sb / self.lam)
+
+    def local(self, pole: float = 0.0, order: int = 0):
+        """x -> phi^(order)(pole + x) for order <= 2.  The offset pole - shift
+        is formed once, exactly when the shift is within a factor 2 of the
+        pole (Sterbenz), so x is not rounded against the pole."""
+        f = getattr(self.base, ("value", "deriv", "deriv2")[order])
+        off, lam = pole - self.shift, self.lam
+        c = self.amp * (1.0, lam, lam * lam)[order]
+        if off == 0.0 and c == 1.0:  # plain or dilated: no idle array ops
+            return f if lam == 1.0 else lambda x: f(lam * np.asarray(x, dtype=float))
+        return lambda x: c * f(lam * (off + np.asarray(x, dtype=float)))
 
     def __call__(self, t):
-        return self.value(np.asarray(t, dtype=float))
+        return self.local(0.0, 0)(t)
+
+    value = __call__
+
+    def deriv(self, t):
+        return self.local(0.0, 1)(t)
+
+    def deriv2(self, t):
+        return self.local(0.0, 2)(t)
 
     def shifted(self, a: float) -> "TestFunction":
         """Translate by a: t maps to value(t - a)."""
-        v, d1, d2 = self.value, self.deriv, self.deriv2
-        sa, sb = self.support
-        return TestFunction(
-            value=lambda t: v(np.asarray(t, dtype=float) - a),
-            deriv=lambda t: d1(np.asarray(t, dtype=float) - a),
-            deriv2=lambda t: d2(np.asarray(t, dtype=float) - a),
-            support=(sa + a, sb + a),
-        )
+        return replace(self, shift=self.shift + a)
 
     def dilated(self, lam: float) -> "TestFunction":
         """Homothetic image: t maps to value(lam * t); support scales by 1/lam."""
-        if lam <= 0:
+        scale = self.lam * lam
+        if not scale > 0:  # also nan, and a product that underflows to 0
             raise ValueError("dilation factor must be positive")
-        v, d1, d2 = self.value, self.deriv, self.deriv2
-        sa, sb = self.support
-        return TestFunction(
-            value=lambda t: v(lam * np.asarray(t, dtype=float)),
-            deriv=lambda t: lam * d1(lam * np.asarray(t, dtype=float)),
-            deriv2=lambda t: lam * lam * d2(lam * np.asarray(t, dtype=float)),
-            support=(sa / lam, sb / lam),
-        )
+        return replace(self, lam=scale, shift=self.shift / lam)
 
     def scaled(self, amp: float) -> "TestFunction":
-        v, d1, d2 = self.value, self.deriv, self.deriv2
-        return TestFunction(
-            value=lambda t: amp * v(np.asarray(t, dtype=float)),
-            deriv=lambda t: amp * d1(np.asarray(t, dtype=float)),
-            deriv2=lambda t: amp * d2(np.asarray(t, dtype=float)),
-            support=self.support,
-        )
+        return replace(self, amp=self.amp * amp)
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,7 @@ class Mollifier:
 
     def __post_init__(self):
         if self.vanishing_order not in VANISHING_ORDERS:
-            raise ValueError(
-                f"vanishing order must be one of {VANISHING_ORDERS}"
-            )
+            raise ValueError(f"vanishing order must be one of {VANISHING_ORDERS}")
         if self.scale < 1:
             raise ValueError("scale must be an integer >= 1")
 
@@ -151,8 +152,7 @@ class Mollifier:
 
     @property
     def support(self) -> tuple:
-        m = self.scale
-        return (-1.0 / m, 1.0 / m)
+        return (-1.0 / self.scale, 1.0 / self.scale)
 
     def _derivative(self, t, order: int) -> np.ndarray:
         """order-th derivative of m f(m t) / c, f(t) = t^p psi(t)."""
@@ -173,12 +173,7 @@ class Mollifier:
         return Mollifier(self.vanishing_order, m)
 
     def as_test_function(self) -> TestFunction:
-        return TestFunction(
-            value=self.value,
-            deriv=self.deriv,
-            deriv2=self.deriv2,
-            support=self.support,
-        )
+        return TestFunction(self, self.support)
 
 
 def mollifier(vanishing_order: int = 0, scale: int = 1) -> TestFunction:

@@ -2,7 +2,9 @@
 
 import math
 import random
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,28 +40,20 @@ PI = math.pi
 
 def zero_tf(lo=1.0, hi=2.0) -> SmoothTF:
     z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return SmoothTF(value=z, deriv=z, deriv2=z, support=(lo, hi))
+    return SmoothTF(SimpleNamespace(value=z, deriv=z, deriv2=z), (lo, hi))
 
 
 def slope_bump_at(center: float, half_width: float) -> SmoothTF:
-    """(t - center) * bump((t - center)/w): value 0, derivative psi(0) at center."""
-    base = mollifier(0, 1)
-    w = half_width
+    """(t - center) * bump((t - center)/w): value 0, derivative psi(0) at center.
 
-    def val(t):
-        x = (np.asarray(t, dtype=float) - center) / w
-        return (np.asarray(t, dtype=float) - center) * base(x)
-
-    def d1(t):
-        x = (np.asarray(t, dtype=float) - center) / w
-        return base(x) + x * base.deriv(x)
-
-    def d2(t):
-        x = (np.asarray(t, dtype=float) - center) / w
-        return (2.0 * base.deriv(x) + x * base.deriv2(x)) / w
-
-    return SmoothTF(value=val, deriv=d1, deriv2=d2,
-                    support=(center - w, center + w))
+    That is w f((t - center)/w) for the base f(x) = x bump(x)."""
+    bump = mollifier(0, 1)
+    slope = SimpleNamespace(
+        value=lambda x: x * bump(x),
+        deriv=lambda x: bump(x) + x * bump.deriv(x),
+        deriv2=lambda x: 2.0 * bump.deriv(x) + x * bump.deriv2(x),
+    )
+    return SmoothTF(slope, bump.support, 1.0 / half_width, center, half_width)
 
 
 class TestKernels:
@@ -177,6 +171,9 @@ class TestRemainderRouteAgainstMpmath:
         (4, 50.0, 0.003),
         (0, 2.0, 0.6),              # pole 0.1 outside the support
         (2, 1 / 0.35, 2.0 - PI),    # pole 0.79 outside the support
+        (4, 200.0, 0.0),            # half-width 0.005 centred on the pole
+        (0, 200.0, 0.0055),         # pole 0.0005 outside the support
+        (2, 100.0, 0.011),          # pole 0.001 outside the support
     ])
     def test_finite_part_action(self, p, lam, offset):
         truth = remainder_truth(p, lam, PI + offset, PI)
@@ -200,10 +197,10 @@ class TestRemainderRouteAgainstMpmath:
         # refinement has to find it (an unrefined grid returns 640.5)
         wide = mollifier(0, 1).shifted(PI + 0.2)
         narrow = mollifier(2, 1).dilated(100.0).shifted(PI + 0.5)
-        tf = SmoothTF(value=lambda t: wide(t) + narrow(t),
-                      deriv=lambda t: wide.deriv(t) + narrow.deriv(t),
-                      deriv2=lambda t: wide.deriv2(t) + narrow.deriv2(t),
-                      support=wide.support)
+        both = SimpleNamespace(value=lambda t: wide(t) + narrow(t),
+                               deriv=lambda t: wide.deriv(t) + narrow.deriv(t),
+                               deriv2=lambda t: wide.deriv2(t) + narrow.deriv2(t))
+        tf = SmoothTF(both, wide.support)
         truth = (remainder_truth(0, 1.0, PI + 0.2, PI)
                  + remainder_truth(2, 100.0, PI + 0.5, PI))
         assert abs(finite_part_action(tf) - float(truth)) < 1e-9
@@ -333,6 +330,14 @@ class TestAlternatingSeriesAction:
 
     def test_agrees_with_lacunary_series_at_lambda_one(self):
         assert homothety_pairing_check(mollifier(0, 1), 1.0, tol=1e-7)
+
+    def test_extreme_supports_are_rejected_promptly(self):
+        # about 1e299 period cells, an infinite support edge, a nan dilation
+        start = time.perf_counter()
+        for lam in (1e-300, 1e-320, float("nan")):
+            with pytest.raises(ValueError):
+                alternating_series_action(mollifier().dilated(lam))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAllPlusSeriesAction:

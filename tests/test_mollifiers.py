@@ -127,6 +127,29 @@ class TestTransforms:
         with pytest.raises(ValueError):
             mollifier().dilated(-1.0)
 
+    def test_shifts_add_before_evaluating(self):
+        f = mollifier(2, 1)
+        a, b = f.shifted(0.1).shifted(0.2), f.shifted(0.1 + 0.2)
+        assert a == b
+        t = np.linspace(-0.8, 1.3, 43)
+        for k in range(3):
+            assert np.array_equal(a.local(0.0, k)(t), b.local(0.0, k)(t))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_local_matches_global_where_the_sum_is_exact(self, order):
+        tf = mollifier(4, 1).shifted(math.pi + 0.01)
+        x = np.arange(-1000, 860) / 1024
+        t = math.pi + x
+        assert np.array_equal(t - math.pi, x)  # no rounding in pi + x
+        at_t = (tf.value, tf.deriv, tf.deriv2)[order](t)
+        assert np.array_equal(tf.local(math.pi, order)(x), at_t)
+
+    def test_identity_map_evaluates_the_base_directly(self):
+        base = Mollifier(2, 1)
+        tf = base.as_test_function()
+        assert tf.local(0.0, 1) == base.deriv
+        assert tf.shifted(0.5).local(0.5, 2) == base.deriv2
+
     def test_scaled(self):
         tf = mollifier(2, 1).scaled(3.0)
         t = np.linspace(-1, 1, 11)
