@@ -282,25 +282,27 @@ def finite_part_action_epsilon(phi: TestFunction,
     support, the ladder starts at the first eps below the distance delta
     from the pole to the nearer support edge: phi is smooth but not
     analytic at its edges, so the samples follow a power series in eps
-    only below delta.  If fewer than 3 levels fit below delta within
-    MAX_LEVELS, the ladder is reported unconverged.
+    only below delta.  When the pole is not inside the support (on an edge
+    or outside it), delta is instead the support's far extent about the
+    pole: a sample with eps beyond it sees no support at all.  If fewer
+    than 3 levels fit below delta within MAX_LEVELS, the ladder is
+    reported unconverged.
     """
     sa, sb = _period_support(phi)
     f = phi.local(math.pi)
     at_pole = float(f(np.zeros(1))[0])
     # signed distances of the support edges from the pole, positive inside
     below, above = math.pi - sa, sb - math.pi
+    # g vanishes outside the support's extent in x = |t - pi|
+    lo, hi = max(0.0, -below, -above), min(math.pi, max(below, above))
+    delta = min(below, above) if below > 0.0 and above > 0.0 else hi
     first = 0
-    if below > 0.0 and above > 0.0:
-        delta = min(below, above)
-        while first < MAX_LEVELS and EPS_TOP * 0.5**first >= delta:
-            first += 1
+    while first < MAX_LEVELS and EPS_TOP * 0.5**first >= delta:
+        first += 1
 
     def g(x):
         return (f(x) + f(-x)) * centered_kernel(x)
 
-    # g vanishes outside the support's extent in x = |t - pi|
-    lo, hi = max(0.0, -below, -above), min(math.pi, max(below, above))
     return _eps_limit(g, lambda eps, v: v - at_pole / math.tan(0.5 * eps),
                       lo, hi, (abs(below), abs(above)), levels, first)
 

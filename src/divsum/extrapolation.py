@@ -41,8 +41,9 @@ class EpsilonLimit:
     parameters: decreasing for an epsilon-ladder, increasing for a
     scale-ladder.  ``extrapolated`` is None when the ladder diverged, in
     which case ``growth_exponent`` carries the fitted power of the
-    parameter, or when an epsilon-ladder has no sample at all.  ``error_estimate`` is never below the magnitude of the
-    last Richardson correction.
+    parameter, or when an epsilon-ladder has no sample at all.
+    ``error_estimate`` is never below the magnitude of the last Richardson
+    correction.
     """
 
     samples: tuple

@@ -8,9 +8,13 @@ poles, mollifier support edges, jump locations, oscillation cuts) are
 seeded as panel edges up front through ``breakpoints``; growth toward an
 endpoint, as of 1/x^2 near a truncated pole, is left to bisection.
 
-Evaluation is batched: integrands must accept a 1-D numpy array.  The
-final reduction is a correctly rounded sum (math.fsum) over the panels, so
-results are independent of refinement history and bit-stable.
+Evaluation is batched: integrands must accept a 1-D numpy array, and are
+called once per round.  Round 0 evaluates the seeded panels whole together
+with both of their halves; each later round evaluates both halves of every
+panel bisected in the round before.  The final reduction is a correctly
+rounded sum (math.fsum) over the panels, so results are deterministic for a
+given input; a panel's last bit still depends on where its row sits in the
+batch it was evaluated in.
 
 ``gauss_grid`` is the one place the Gauss node and weight layout is built;
 the adaptive panels here and the fixed grids in ``distributions`` use it.
@@ -31,7 +35,9 @@ __all__ = ["QuadratureError", "default_tolerance", "gauss_grid", "integrate",
 
 GAUSS_ORDER = 15
 _MAX_ROUNDS = 44
-# cap on panels bisected in one round; normal use stays below 100
+# cap on the panels seeded, and on the panels bisected in one round; one
+# integrand call then takes at most 3 * 2^14 * GAUSS_ORDER = 737,280 nodes
+# (round 0: every seeded panel whole and halved).  Normal use stays below 100
 _MAX_ACTIVE_PANELS = 1 << 14
 _REL_FLOOR = 1e-14
 
@@ -78,7 +84,8 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
     """Integral of a vectorized integrand over [a, b].
 
     Returns a complex value; real integrands come back with zero imaginary
-    part.  Raises ValueError unless tol is finite and positive, and
+    part.  Raises ValueError unless tol is finite and positive, or when
+    the breakpoints seed more than _MAX_ACTIVE_PANELS panels, and
     QuadratureError if a panel value is not finite or bisection cannot
     reach the tolerance within the panel cap and the round limit.
     """
@@ -106,13 +113,22 @@ def panel_integrals(f, a: float, b: float, *, tol: float | None = None,
 
     edges = np.array(sorted({a, b, *(float(p) for p in breakpoints if a < p < b)}))
     lo, hi = edges[:-1], edges[1:]
-    whole = _panel_values(f, lo, hi).astype(complex)
+    if lo.size > _MAX_ACTIVE_PANELS:
+        raise ValueError(f"more than {_MAX_ACTIVE_PANELS} seeded panels")
 
     accepted = []  # (lo, values) of each round's converged panels
+    whole = None
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (lo + hi)
-        left = _panel_values(f, lo, mid).astype(complex)
-        right = _panel_values(f, mid, hi).astype(complex)
+        n = lo.size
+        if whole is None:  # round 0 also evaluates the seeded panels whole
+            v = _panel_values(f, np.concatenate([lo, lo, mid]),
+                              np.concatenate([hi, mid, hi])).astype(complex)
+            whole, v = v[:n], v[n:]
+        else:
+            v = _panel_values(f, np.concatenate([lo, mid]),
+                              np.concatenate([mid, hi])).astype(complex)
+        left, right = v[:n], v[n:]
         refined = left + right
         err = np.abs(whole - refined)
         budget = np.maximum(tol * (hi - lo) / total_width,

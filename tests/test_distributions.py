@@ -259,6 +259,19 @@ class TestFinitePartEpsilon:
         assert [eps for eps, _ in rec.samples] == [deepest] * fit
         assert rec.extrapolated == (rec.samples[-1][1] if fit else None)
 
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["left-edge", "right-edge"])
+    @pytest.mark.parametrize("gap", [0.0, 1e-3], ids=["on", "outside"])
+    def test_pole_on_or_just_outside_a_support_edge(self, p, side, gap):
+        # the support ends 0.1 or 0.101 from the pole: the ladder starts
+        # below that, not at EPS_TOP, where the samples would be 0
+        tf = mollifier(p, 1).dilated(20.0).shifted(PI + side * (0.05 + gap))
+        rec = finite_part_action_epsilon(tf)
+        assert rec.samples[0][0] < 0.1 + gap
+        if rec.converged:
+            miss = abs(rec.extrapolated - finite_part_action(tf))
+            assert miss <= rec.error_estimate, (miss, rec.error_estimate)
+
     def test_second_order_zero_at_pole_gives_improper_integral(self):
         # phi(pi) = phi'(pi) = 0: the counterterm vanishes at every eps and
         # the limit is the improper integral of the continuous extension

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from divsum.distributions import alternating_kernel
 from divsum.mollifiers import mollifier
 from divsum.quadrature import (
     _MAX_ACTIVE_PANELS,
     _MAX_ROUNDS,
+    _REL_FLOOR,
     GAUSS_ORDER,
     QuadratureError,
+    _panel_values,
     default_tolerance,
     integrate,
     panel_integrals,
@@ -145,7 +148,7 @@ class TestFailSafe:
 
         v = integrate(f, 0.0, 1.0)
         assert abs(v.real - (1.0 - jump)) <= 1e-15
-        assert len(calls) == 1 + 2 * _MAX_ROUNDS
+        assert len(calls) == _MAX_ROUNDS
 
     def test_round_limit_rejects_a_large_residual(self):
         # the integral of x^-0.9 over the panel at 0 shrinks only like
@@ -158,4 +161,87 @@ class TestFailSafe:
 
         with pytest.raises(QuadratureError, match="stalled"):
             integrate(f, 0.0, 1.0)
-        assert len(calls) == 1 + 2 * _MAX_ROUNDS
+        assert len(calls) == _MAX_ROUNDS
+
+    def test_seeded_panels_over_the_cap_rejected_before_any_evaluation(self):
+        calls = []
+        edges = np.linspace(0.0, 1.0, (1 << 15) + 2)[1:-1]
+        with pytest.raises(ValueError, match="seeded panels"):
+            integrate(lambda x: calls.append(x) or np.sin(x), 0.0, 1.0,
+                      breakpoints=edges)
+        assert calls == []
+
+
+def _two_call_panel_integrals(f, a, b, tol, breakpoints=()):
+    """Reference: the round loop that evaluates the whole seeded panels in
+    one call and each round's left and right halves in two more.  Returns
+    the sorted panels and the number of rounds."""
+    total_width = b - a
+    edges = np.array(sorted({a, b, *(float(p) for p in breakpoints if a < p < b)}))
+    lo, hi = edges[:-1], edges[1:]
+    whole = _panel_values(f, lo, hi).astype(complex)
+    accepted = []
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        mid = 0.5 * (lo + hi)
+        left = _panel_values(f, lo, mid).astype(complex)
+        right = _panel_values(f, mid, hi).astype(complex)
+        refined = left + right
+        err = np.abs(whole - refined)
+        budget = np.maximum(tol * (hi - lo) / total_width,
+                            _REL_FLOOR * np.abs(refined))
+        ok = err <= budget
+        accepted.append((lo[ok], refined[ok]))
+        bad = ~ok
+        if not bad.any():
+            break
+        lo = np.concatenate([lo[bad], mid[bad]])
+        hi = np.concatenate([mid[bad], hi[bad]])
+        whole = np.concatenate([left[bad], right[bad]])
+    else:
+        assert float(np.sum(np.abs(whole))) <= 1e3 * tol
+        accepted.append((lo, whole))
+    lo, values = (np.concatenate(v) for v in zip(*accepted))
+    order = np.argsort(lo)
+    return lo[order], values[order], rounds
+
+
+def _fejer_32(x):
+    return -(np.sin(16.0 * x) / np.sin(0.5 * x)) ** 2
+
+
+_EPS_LADDER = [0.5 * 0.5**j for j in range(10)]
+_BUMP = mollifier(2, 1).dilated(16.0).shifted(1.0 / 16.0)
+
+
+class TestOneCallPerRound:
+    """The batched loop evaluates the same panels as the two-call loop; a
+    panel's value may differ in its last bits, by where its row sits in
+    the batch."""
+
+    @pytest.mark.parametrize("f, a, b, breakpoints, tol", [
+        (lambda x: np.cos(7 * x) / (1.0 + x**2), 0.0, 5.0, (), 1e-10),
+        (lambda x: _BUMP(x) * alternating_kernel(x), 0.0, 0.125, (), 1e-10),
+        # runs out of rounds with a residual of about 2^-44
+        (lambda x: np.where(x > 1.0 / math.sqrt(2.0), 1.0, 0.0), 0.0, 1.0, (),
+         1e-10),
+        (_fejer_32, _EPS_LADDER[-1], math.pi,
+         [*_EPS_LADDER, *np.arange(6.0 / 32, math.pi, 6.0 / 32)], 1e-10),
+        # runs out of rounds with a residual of about 2^-21, kept below 1e3 tol
+        (lambda x: x**-0.5, 0.0, 1.0, (), 1e-6),
+    ], ids=["cos7x", "bump-kernel", "step", "fejer-32", "inverse-sqrt"])
+    def test_matches_the_two_call_loop(self, f, a, b, breakpoints, tol):
+        ref_lo, ref_values, rounds = _two_call_panel_integrals(f, a, b, tol,
+                                                               breakpoints)
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        lo, values = panel_integrals(counted, a, b, tol=tol,
+                                     breakpoints=breakpoints)
+        assert np.array_equal(lo, ref_lo)
+        for part in (np.real, np.imag):
+            assert (np.abs(part(values) - part(ref_values))
+                    <= 4 * np.spacing(np.abs(part(ref_values)))).all()
+        assert len(calls) == rounds
