@@ -17,21 +17,19 @@ pole; they are exactly equal, not approximations.
 
 Finite-part pairings are evaluated through two independent routes: the
 truncated-window route with the 1/tan(eps/2) counterterm followed by
-extrapolation in eps, and the Taylor-remainder route
+extrapolation in eps, and the remainder route
 
-    integral over one period cell of
-        (t-p)^2 K(t) * integral_0^1 (1-theta) phi''(p + theta (t-p)) dtheta
+    minus the integral over one period cell of log|sin(x/2)| phi''(p + x) dx
 
 which needs no limit process at all.  Their agreement is a library-level
-invariant.  The remainder route is valid on any full period cell centered
-at a pole p: the kernel integral over such a cell truncated by eps equals
-1/tan(eps/2) exactly, and the first-order Taylor term drops out by the
-symmetry of the cell about p.  With v = theta |t-p| the inner integral is
-(|x| A - B) / x^2 for x = t - p, where A and B are the integrals of
-phi''(p +- v) and v phi''(p +- v) over (0, |x|).  Each side of the pole
-integrates A and B once per cell, adaptively over the part of the support
-it covers, and keeps their prefix sums over the accepted panels; an outer
-node reads the prefix below |x| and adds one Gauss panel up to |x|.
+invariant.  About a pole p the kernel is K(x) = 1/(4 sin^2(x/2)), which is
+-(log|sin(x/2)|)''.  Integrating the truncated integral of K(x) phi(p + x)
+by parts twice leaves this absolutely convergent integral: the boundary
+terms at +-eps cancel the counterterm as eps -> 0, and those at the cell
+edges vanish, where cot(pi/2) = 0 and log sin(pi/2) = 0, so phi need not
+vanish there.  One adaptive quadrature per cell evaluates it in u with
+x = u|u|, which turns the log singularity at the pole into the continuous
+2|u| log|sin(x/2)|.
 
 On the halving ladder eps = 1/2, 1/4, ... the truncated windows are nested,
 and the window (-pi, -eps) u (eps, pi) is symmetric about the pole, so the
@@ -63,7 +61,6 @@ from .quadrature import default_tolerance, gauss_grid, integrate, panel_integral
 __all__ = [
     "alternating_kernel",
     "centered_kernel",
-    "kernel_ratio",
     "finite_part_action",
     "finite_part_action_epsilon",
     "alternating_series_action",
@@ -97,15 +94,22 @@ _EPS_FIRST_ORDER = 1
 # remainder-form route; farther away the kernel is integrated directly
 _SINGULAR_MARGIN = 0.25
 
-# tolerance of the remainder route's phi'' moments relative to
-# max|phi''| times the span they cover; a bump of half-width 0.01 inside
-# one of width 2 converges down to 1e-13 and stalls on rounding at 1e-14
-_MOMENT_REL_TOL = 1e-12
+# tolerance of the remainder route relative to max|phi''|, probed at
+# _PROBE_POINTS even steps over the support in the cell, times that span;
+# at an absolute 1e-10 a half-width 0.01 bump built from plain callables
+# inside one of width 2 stalls on rounding (see _remainder_cell_action)
+_REMAINDER_REL_TOL = 1e-12
+_PROBE_POINTS = 513
+# breakpoints 0 and +-2^-k in u = sign(x) sqrt|x| grade the remainder
+# route's panels toward the pole in its first round; going past k = 24
+# saves no round on the benchmark's cells or on bumps of half-width 0.001
+_POLE_GRADING = (0.0, *(s * 0.5**k for k in range(1, 25) for s in (1.0, -1.0)))
 
 _MAX_FOURIER_INDEX = 32
 
-# a period cell costs about 0.7 ms on one x86 core and the benchmark's widest
-# support spans 4 periods; 1e299 cells (a bump dilated by 1e-300) would hang
+# a period cell costs about 0.34 ms on one x86 core (mean over the benchmark's
+# alternating-series cells) and the benchmark's widest support spans 4
+# periods; 1e299 cells (a bump dilated by 1e-300) would hang
 _MAX_CELLS = 1024
 
 
@@ -119,15 +123,6 @@ def centered_kernel(x):
     """The same kernel with a pole shifted to x = 0: 1 / (4 sin^2(x/2))."""
     x = np.asarray(x, dtype=float)
     return 0.25 / np.sin(0.5 * x) ** 2
-
-
-def kernel_ratio(x):
-    """x^2 / (4 sin^2(x/2)) = (x / (2 sin(x/2)))^2, analytic on (-2pi, 2pi)."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0.0
-    out[nz] = (x[nz] / (2.0 * np.sin(0.5 * x[nz]))) ** 2
-    return out
 
 
 def _support(phi: TestFunction) -> tuple:
@@ -145,86 +140,43 @@ def _period_support(phi: TestFunction) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Taylor-remainder route
-
-
-def _side_remainder(d2, sign: float, v_lo: float, v_hi: float, width: float):
-    """Taylor remainder y -> phi(pole + sign y) - phi(pole) - sign y phi'(pole)
-    = integral_0^y (y - v) d2(sign v) dv, 0 < y <= pi, d2(x) = phi''(pole + x).
-
-    phi'' vanishes outside v in [v_lo, v_hi].  One adaptive quadrature over
-    that interval, seeded with panels proportional to the share of the
-    support it covers, runs once per cell, not once per outer node; the
-    prefix sums of A = int phi'' dv and B = int v phi'' dv over its panels
-    give y A - B over the whole panels below y, and one more Gauss panel,
-    from the left edge of the panel holding y to y, adds the rest.
-    """
-    if not v_hi > v_lo:
-        return np.zeros_like
-    n = int(min(96, max(12, math.ceil(48.0 * (v_hi - v_lo) / width + 8))))
-    seeds = np.linspace(v_lo, v_hi, n + 1)
-    # an affine bump rounds v only against pole - shift, but a base given by
-    # plain callables (a sum of bumps, say) sees pole + v, so its phi'' has
-    # noise near |phi'''| ulp(pole), far above an absolute 1e-10 for narrow
-    # features: A and B are asked for relative to the size of phi'' there
-    nodes = gauss_grid(seeds[:-1], seeds[1:])[0].ravel()
-    scale = float(np.max(np.abs(d2(sign * nodes)))) * (v_hi - v_lo)
-    tol = max(default_tolerance(), _MOMENT_REL_TOL * scale)
-
-    def moments(v):
-        # A in the real part, B in the imaginary part: one error estimate
-        # bounds both
-        return d2(sign * v) * (1.0 + 1j * v)
-
-    lo, ab = panel_integrals(moments, v_lo, v_hi, tol=tol, breakpoints=seeds)
-    edges = np.append(lo, v_hi)
-    pa = np.concatenate([[0.0], np.cumsum(ab.real)])
-    pb = np.concatenate([[0.0], np.cumsum(ab.imag)])
-
-    def remainder(y):
-        k = np.maximum(np.searchsorted(edges, y, side="right") - 1, 0)
-        out = y * pa[k] - pb[k]
-        end = np.minimum(y, v_hi)
-        part = end > edges[k]
-        if part.any():
-            t, w, h = gauss_grid(edges[k[part]], end[part])
-            at = d2(sign * t.ravel()).reshape(t.shape)
-            out[part] += (((y[part, None] - t) * at) @ w) * h
-        return out
-
-    return remainder
+# Remainder route: the finite part integrated by parts twice
 
 
 def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
-    """Finite-part pairing over the period cell [pole - pi, pole + pi].
+    """Finite-part pairing over the period cell [pole - pi, pole + pi]:
+    minus the integral of log|sin(x/2)| phi''(pole + x) over the cell.
 
     Valid for any C^2 function on the closed cell; phi need not vanish at
-    the cell edges.
+    the cell edges.  With x = u|u| the integrand is
+    -2|u| log|sin(x/2)| phi''(pole + x), whose error on a panel at the pole
+    shrinks like its width squared and so meets the width-proportional
+    budget; in x the log alone never does.
     """
     sa, sb = _support(phi)
-    width, d2 = sb - sa, phi.local(pole, 2)
-    right = _side_remainder(d2, 1.0, max(sa - pole, 0.0),
-                            min(sb - pole, math.pi), width)
-    left = _side_remainder(d2, -1.0, max(pole - sb, 0.0),
-                           min(pole - sa, math.pi), width)
+    lo, hi = max(sa - pole, -math.pi), min(sb - pole, math.pi)
+    if not hi > lo:
+        return 0j
+    d2 = phi.local(pole, 2)
+    # an affine bump rounds x only against pole - shift, but a base given by
+    # plain callables (a sum of bumps, say) sees pole + x, so its phi'' has
+    # noise near |phi'''| ulp(pole), far above an absolute 1e-10 for narrow
+    # features: the integral is asked for relative to the size of phi''
+    scale = float(np.max(np.abs(d2(np.linspace(lo, hi, _PROBE_POINTS))))) * (hi - lo)
+    tol = max(default_tolerance(), _REMAINDER_REL_TOL * scale)
 
-    def outer(xv):
-        xv = np.asarray(xv, dtype=float)
-        rem = np.zeros_like(xv)
-        for side, on in ((right, xv > 0.0), (left, xv < 0.0)):
-            if on.any():
-                rem[on] = side(np.abs(xv[on]))
-        # no node lands on x = 0, a breakpoint
-        return kernel_ratio(xv) * rem / (xv * xv)
+    def f(u):
+        # no node lands on u = 0, a breakpoint
+        x = u * np.abs(u)
+        return -2.0 * np.abs(u) * np.log(np.abs(np.sin(0.5 * x))) * d2(x)
 
-    cuts = sorted(
-        {float(np.clip(v, -math.pi, math.pi)) for v in (sa - pole, sb - pole, 0.0)}
-    )
-    return integrate(outer, -math.pi, math.pi, breakpoints=cuts)
+    ua, ub = (math.copysign(math.sqrt(abs(v)), v) for v in (lo, hi))
+    return integrate(f, ua, ub, tol=tol, breakpoints=_POLE_GRADING)
 
 
 def finite_part_action(phi: TestFunction) -> complex:
-    """Finite-part pairing over (0, 2*pi) via the Taylor-remainder form."""
+    """Finite-part pairing over (0, 2*pi) via the remainder route: minus the
+    integral of log|sin(x/2)| phi''(pi + x) over (-pi, pi)."""
     _period_support(phi)
     return _remainder_cell_action(phi, math.pi)
 
