@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: sum, zeta, check, coeff, mollify, casimir, table.  Global
-flags --format {text|json|csv} and --quiet.  The quadrature tolerance is
-read from DIVSUM_QUAD_TOL (default 1e-10).
+flags --format {text|json|csv} and --quiet.
 
-Exit status: 0 success, 1 internal-consistency failure (a cross-check that
-can only fail on a library bug), 2 usage or precondition error, 3 numerical
-failure (quadrature or a series that cannot reach its tolerance).  All
-floats print with 12 significant digits and rationals as "p/q", so output
-is byte-stable for golden tests.  coeff and mollify import numpy and the
-numerical layers when they run, check imports numpy for its direct series,
-and sum, zeta, table and casimir load neither.
+Exit status: 0 success; 1 a failed check: an internal cross-check that can
+only fail on a library bug, or a check or coeff result that misses its
+acceptance test, such as an unconverged coeff ladder at few levels; 2 usage
+or precondition error; 3 numerical failure (a quadrature that cannot reach
+its tolerance).  All floats print with 12 significant digits and rationals
+as "p/q", so output is byte-stable for golden tests.  coeff and mollify
+import numpy and the numerical layers when they run, check imports numpy
+for its direct series, and sum, zeta, table and casimir load neither.
 """
 
 from __future__ import annotations

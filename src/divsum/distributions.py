@@ -56,7 +56,7 @@ from .extrapolation import (
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction, mollifier
-from .quadrature import default_tolerance, gauss_grid, integrate, panel_integrals
+from .quadrature import TOLERANCE, gauss_grid, integrate, panel_integrals
 
 __all__ = [
     "alternating_kernel",
@@ -70,7 +70,6 @@ __all__ = [
     "jump_average",
     "dirichlet_comb_growth",
     "dirichlet_comb_ladder",
-    "homothety_pairing_check",
     "DEFAULT_EPS_LEVELS",
     "DEFAULT_SCALE_LEVELS",
     "MAX_LEVELS",
@@ -163,7 +162,7 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
     # noise near |phi'''| ulp(pole), far above an absolute 1e-10 for narrow
     # features: the integral is asked for relative to the size of phi''
     scale = float(np.max(np.abs(d2(np.linspace(lo, hi, _PROBE_POINTS))))) * (hi - lo)
-    tol = max(default_tolerance(), _REMAINDER_REL_TOL * scale)
+    tol = max(TOLERANCE, _REMAINDER_REL_TOL * scale)
 
     def f(u):
         # no node lands on u = 0, a breakpoint
@@ -405,6 +404,7 @@ def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
 
 
 _COMB_XI_MAX = 480.0  # spectral cutoff: bump transform tail is < 1e-7 beyond
+_COMB_AGREEMENT_TOL = 1e-6  # absolute; the routes drift apart by about 3e-11 m
 
 
 def _comb_spectral_sum(base: Mollifier, m: int, n_max: int) -> float:
@@ -428,14 +428,14 @@ def _comb_spectral_sum(base: Mollifier, m: int, n_max: int) -> float:
     return float(np.sum(((2.0 * base.value(u) * kernel) @ weights) * half))
 
 
-def dirichlet_comb_growth(m: int, agreement_tol: float = 1e-6) -> float:
+def dirichlet_comb_growth(m: int) -> float:
     """Pairing of the Dirichlet comb sum_n e^{int} with phi_m.
 
     Evaluated two ways: the Poisson-summation closed form 2 pi m phi(0),
     and the truncated spectral sum of the mollifier transform with the
-    cutoff chosen so the neglected tail is far below agreement_tol.  The
-    routes must agree within agreement_tol; the validated closed-form value
-    is returned.  Grows exactly linearly in m.
+    cutoff chosen so the neglected tail is far below _COMB_AGREEMENT_TOL.
+    The routes must agree within _COMB_AGREEMENT_TOL; the validated
+    closed-form value is returned.  Grows exactly linearly in m.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -444,7 +444,7 @@ def dirichlet_comb_growth(m: int, agreement_tol: float = 1e-6) -> float:
     closed = PERIOD * m * phi0
 
     spectral = _comb_spectral_sum(base, m, math.ceil(_COMB_XI_MAX * m))
-    if abs(closed - spectral) > agreement_tol:
+    if abs(closed - spectral) > _COMB_AGREEMENT_TOL:
         raise ConsistencyError(
             "Dirichlet comb routes disagree: "
             f"closed={closed!r} spectral={spectral!r}"
@@ -452,83 +452,9 @@ def dirichlet_comb_growth(m: int, agreement_tol: float = 1e-6) -> float:
     return closed
 
 
-def dirichlet_comb_ladder(levels: int = 8,
-                          agreement_tol: float = 1e-6) -> EpsilonLimit:
+def dirichlet_comb_ladder(levels: int = 8) -> EpsilonLimit:
     """Scale ladder of the comb pairing, m = 1, 2, 4, ..., 2^(levels-1); its
     values 2 pi m phi(0) double at every level, so it is always divergent."""
     scales = _scale_ladder(levels, base=1)
-    values = [complex(dirichlet_comb_growth(m, agreement_tol)) for m in scales]
+    values = [complex(dirichlet_comb_growth(m)) for m in scales]
     return divergent_ladder(scales, values)
-
-
-# ---------------------------------------------------------------------------
-# Homothety
-
-
-def _fourier_transform_batch(phi: TestFunction, mus: np.ndarray) -> tuple:
-    """integral of phi(t) e^{i mu t} dt for a batch of frequencies, and the
-    sum of |w_eff| over the weighted nodes, which scales its rounding error."""
-    sa, sb = _support(phi)
-    width = sb - sa
-    mu_max = float(np.max(np.abs(mus))) if mus.size else 1.0
-    n_panels = max(16, math.ceil(width * mu_max / 3.0))
-    edges = np.linspace(sa, sb, n_panels + 1)
-    t, weights, half = gauss_grid(edges[:-1], edges[1:])
-    t = t.ravel()
-    w_eff = (weights * half[:, None]).ravel() * phi(t)
-    fts = np.exp(1j * mus[:, None] * t[None, :]) @ w_eff
-    return fts, float(np.sum(np.abs(w_eff)))
-
-
-# rounding error of a weighted-node transform, relative to sum |w_eff|
-_TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
-
-
-_LACUNARY_TAIL_TOL = 1e-13
-_LACUNARY_MAX_TERMS = 4096
-
-
-def _lacunary_series_pairing(phi: TestFunction, lam: float) -> complex:
-    """sum over q >= 1 of (-1)^{q-1} q <e^{i lam q t}, phi>, truncated when
-    the terms' spectral decay makes the tail negligible.
-
-    A transform computed from weights w_eff carries a rounding error of
-    about eps * sum |w_eff|, so the terms level off near q times that
-    instead of decaying further; a term below that floor counts as small.
-    """
-    total = 0j
-    small_run = 0
-    q0 = 1
-    block = 64
-    while q0 <= _LACUNARY_MAX_TERMS:
-        qs = np.arange(q0, min(q0 + block, _LACUNARY_MAX_TERMS + 1))
-        fts, mass = _fourier_transform_batch(phi, lam * qs.astype(float))
-        signs = np.where(qs % 2 == 1, 1.0, -1.0)
-        terms = signs * qs * fts
-        for q, term in zip(qs, terms):
-            total += term
-            if abs(term) < max(_LACUNARY_TAIL_TOL * (1.0 + abs(total)),
-                               q * _TRANSFORM_ROUNDING * mass):
-                small_run += 1
-                if small_run >= 3:
-                    return total
-            else:
-                small_run = 0
-        q0 += block
-    raise ArithmeticError("lacunary series tail did not become negligible")
-
-
-def homothety_pairing_check(phi: TestFunction, lam: float,
-                            tol: float = 1e-6) -> bool:
-    """Check the dilation rule <H_lam T, phi> = (1/lam) <T, H_{1/lam} phi>
-    on the alternating-series distribution.
-
-    The left side is evaluated independently through the lacunary Fourier
-    series sum_q (-1)^{q-1} q e^{i lam q t}, the right side through the
-    kernel-and-comb pairing of the dilated test function.
-    """
-    if lam <= 0:
-        raise ValueError("dilation factor must be positive")
-    via_definition = alternating_series_action(phi.dilated(1.0 / lam)) / lam
-    via_series = _lacunary_series_pairing(phi, lam)
-    return abs(via_definition - via_series) <= tol

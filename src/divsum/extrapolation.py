@@ -60,12 +60,6 @@ class EpsilonLimit:
             if not (inc or dec):
                 raise ValueError("ladder parameters must be strictly monotone")
 
-    @property
-    def real_extrapolated(self) -> float:
-        if self.extrapolated is None:
-            raise ValueError("ladder diverged; no extrapolated value")
-        return self.extrapolated.real
-
     def to_json_obj(self) -> dict:
         finite_err = math.isfinite(self.error_estimate)
         return {

@@ -25,14 +25,14 @@ left edge, for callers that read prefix or suffix sums over them.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureError", "default_tolerance", "gauss_grid", "integrate",
+__all__ = ["QuadratureError", "TOLERANCE", "gauss_grid", "integrate",
            "panel_integrals"]
 
+TOLERANCE = 1e-10  # default absolute tolerance
 GAUSS_ORDER = 15
 _MAX_ROUNDS = 44
 # cap on the panels seeded, and on the panels bisected in one round; one
@@ -45,11 +45,6 @@ _REL_FLOOR = 1e-14
 class QuadratureError(ArithmeticError):
     """Refinement cannot reach the requested tolerance: the integrand is not
     finite, the active panels exceed their cap, or the rounds run out."""
-
-
-def default_tolerance() -> float:
-    """Absolute tolerance, overridable via DIVSUM_QUAD_TOL (default 1e-10)."""
-    return float(os.environ.get("DIVSUM_QUAD_TOL", "1e-10"))
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +74,7 @@ def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return values
 
 
-def integrate(f, a: float, b: float, *, tol: float | None = None,
+def integrate(f, a: float, b: float, *, tol: float = TOLERANCE,
               breakpoints=()) -> complex:
     """Integral of a vectorized integrand over [a, b].
 
@@ -93,7 +88,7 @@ def integrate(f, a: float, b: float, *, tol: float | None = None,
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def panel_integrals(f, a: float, b: float, *, tol: float | None = None,
+def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
                     breakpoints=()) -> tuple:
     """The accepted panels of ``integrate``, sorted by left edge: their left
     edges and complex integrals, which sum to its value.  The panels tile
@@ -101,8 +96,6 @@ def panel_integrals(f, a: float, b: float, *, tol: float | None = None,
 
     Empty arrays when b == a; raises as ``integrate`` does.
     """
-    if tol is None:
-        tol = default_tolerance()
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
     if not b > a:

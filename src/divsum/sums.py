@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, i_pow
-
 __all__ = [
     "SumKind",
     "RegularizedSum",
@@ -37,8 +35,6 @@ __all__ = [
     "zeta_negative_oracle",
     "zeta_partial_sum",
     "functional_equation_residual",
-    "ramanujan_identity_check",
-    "derivative_dilation_commutation_check",
 ]
 
 # largest k whose zeta(-k) is a finite float; zeta(-261) overflows.  It also
@@ -190,70 +186,3 @@ def functional_equation_residual(k: int, terms: int = 10**6) -> float:
         sine = (-1) ** ((k + 1) // 2)  # sin(-k pi/2) for odd k
         rhs = 2.0 * sine * scale * zeta_partial_sum(k + 1, terms)
     return abs(lhs - rhs) / max(1.0, abs(lhs))
-
-
-def ramanujan_identity_check(order: int) -> bool:
-    """Coefficient identity behind the shift-and-subtract manipulation.
-
-    For a_n = n, subtracting 4 copies of the sequence spread onto the even
-    positions (4 * (n/2) at even n, 0 at odd n) must give (-1)^{n-1} n.
-    Checked exactly for 1 <= n <= order.
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    for n in range(1, order + 1):
-        dilated = 4 * (n // 2) if n % 2 == 0 else 0
-        if n - dilated != (-1) ** (n - 1) * n:
-            return False
-    return True
-
-
-def _as_integer_dilation(lam) -> int:
-    f = Fraction(lam)
-    if f <= 0 or f.denominator != 1:
-        raise ValueError(
-            "sequence-model dilation requires a positive integer factor"
-        )
-    return f.numerator
-
-
-def derivative_dilation_commutation_check(k: int, lam, order: int) -> bool:
-    """Differentiate-then-dilate equals dilate-then-differentiate (times lam^k).
-
-    Checked exactly on Fourier coefficient sequences: differentiation maps
-    c_n to (i n)^k c_n, dilation by an integer lam spreads c_n onto index
-    lam*n.  Uses the alternating sequence c_n = (-1)^{n-1} n (n >= 1).
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if order < max(k, 1):
-        raise ValueError("order must be >= k")
-    lam_i = _as_integer_dilation(lam)
-
-    def coeff(n: int) -> GaussianRational:
-        if n >= 1:
-            return GaussianRational(Fraction((-1) ** (n - 1) * n))
-        return GaussianRational(Fraction(0))
-
-    zero = GaussianRational(Fraction(0))
-
-    def dilated(n: int) -> GaussianRational:
-        if n % lam_i == 0:
-            return coeff(n // lam_i)
-        return zero
-
-    def deriv_factor(n: int) -> GaussianRational:
-        return i_pow(k) * (Fraction(n) ** k)
-
-    for n in range(-order, order + 1):
-        # (H_lam T)^(k) at index n: (i n)^k applied to the spread sequence
-        lhs = deriv_factor(n) * dilated(n)
-        # lam^k H_lam(T^(k)) at index n: spread of (i q)^k c_q, scaled
-        if n % lam_i == 0:
-            q = n // lam_i
-            rhs = Fraction(lam_i) ** k * (deriv_factor(q) * coeff(q))
-        else:
-            rhs = zero
-        if lhs != rhs:
-            return False
-    return True

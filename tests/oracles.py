@@ -1,0 +1,99 @@
+"""Independent checks of the paper's manipulations, used only by the tests:
+exact identities on coefficient sequences, and the dilation rule through
+the lacunary Fourier series."""
+
+import math
+
+import numpy as np
+
+from divsum.distributions import alternating_series_action
+from divsum.mollifiers import TestFunction
+from divsum.quadrature import gauss_grid
+
+# rounding error of a weighted-node transform, relative to sum |w_eff|
+_TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
+_LACUNARY_TAIL_TOL = 1e-13
+_LACUNARY_MAX_TERMS = 4096
+
+
+def _lacunary_series_pairing(phi: TestFunction, lam: float) -> complex:
+    """sum over q >= 1 of (-1)^{q-1} q <e^{i lam q t}, phi>, truncated when
+    the terms' spectral decay makes the tail negligible.
+
+    Each block of 64 terms integrates on one Gauss grid fine enough for its
+    top frequency.  A transform computed from weights w_eff carries a
+    rounding error of about eps * sum |w_eff|, so the terms level off near
+    q times that instead of decaying further; a term below that floor
+    counts as small.
+    """
+    sa, sb = phi.support
+    total = 0j
+    small_run = 0
+    for q0 in range(1, _LACUNARY_MAX_TERMS + 1, 64):
+        qs = np.arange(q0, min(q0 + 64, _LACUNARY_MAX_TERMS + 1))
+        mus = lam * qs.astype(float)
+        n_panels = max(16, math.ceil((sb - sa) * mus[-1] / 3.0))
+        edges = np.linspace(sa, sb, n_panels + 1)
+        t, weights, half = gauss_grid(edges[:-1], edges[1:])
+        t = t.ravel()
+        w_eff = (weights * half[:, None]).ravel() * phi(t)
+        fts = np.exp(1j * mus[:, None] * t[None, :]) @ w_eff
+        floor = _TRANSFORM_ROUNDING * float(np.sum(np.abs(w_eff)))
+        terms = np.where(qs % 2 == 1, 1.0, -1.0) * qs * fts
+        for q, term in zip(qs, terms):
+            total += term
+            if abs(term) < max(_LACUNARY_TAIL_TOL * (1.0 + abs(total)), q * floor):
+                small_run += 1
+                if small_run >= 3:
+                    return total
+            else:
+                small_run = 0
+    raise ArithmeticError("lacunary series tail did not become negligible")
+
+
+def homothety_pairing_check(phi: TestFunction, lam: float,
+                            tol: float = 1e-6) -> bool:
+    """Check the dilation rule <H_lam T, phi> = (1/lam) <T, H_{1/lam} phi>
+    on the alternating-series distribution, for lam > 0.
+
+    The left side is evaluated independently through the lacunary Fourier
+    series sum_q (-1)^{q-1} q e^{i lam q t}, the right side through the
+    kernel-and-comb pairing of the dilated test function.
+    """
+    via_definition = alternating_series_action(phi.dilated(1.0 / lam)) / lam
+    via_series = _lacunary_series_pairing(phi, lam)
+    return abs(via_definition - via_series) <= tol
+
+
+def ramanujan_identity_check(order: int) -> bool:
+    """Coefficient identity behind the shift-and-subtract manipulation.
+
+    For a_n = n, subtracting 4 copies of the sequence spread onto the even
+    positions (4 * (n/2) at even n, 0 at odd n) must give (-1)^{n-1} n.
+    Checked exactly for 1 <= n <= order.
+    """
+    for n in range(1, order + 1):
+        dilated = 4 * (n // 2) if n % 2 == 0 else 0
+        if n - dilated != (-1) ** (n - 1) * n:
+            return False
+    return True
+
+
+def derivative_dilation_commutation_check(k: int, lam: int, order: int) -> bool:
+    """Differentiate-then-dilate equals lam^k times dilate-then-differentiate
+    on c_n = (-1)^{n-1} n (n >= 1, else 0), exactly for |n| <= order.
+
+    Differentiation maps c_n to (i n)^k c_n and dilation by the integer lam
+    spreads c_q onto index lam*q.  Both sides carry i^k and vanish off the
+    multiples of lam, so the integers n^k c_q and lam^k q^k c_q are compared.
+    """
+
+    def coeff(n: int) -> int:
+        return (-1) ** (n - 1) * n if n >= 1 else 0
+
+    for n in range(-order, order + 1):
+        q, r = divmod(n, lam)
+        # (H_lam T)^(k) against lam^k H_lam(T^(k)) at index n = lam*q
+        if r == 0 and n**k * coeff(q) != lam**k * (q**k * coeff(q)):
+            return False
+    return True

@@ -89,8 +89,6 @@ class TestDivergence:
         assert not rec.converged
         assert rec.extrapolated is None
         assert abs(rec.growth_exponent - 1.0) < 1e-12
-        with pytest.raises(ValueError):
-            rec.real_extrapolated
 
 
 class TestEpsilonLimitRecord:

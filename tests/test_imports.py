@@ -1,11 +1,15 @@
-"""The exact subcommands load only the standard library and the exact layers.
+"""Import graph and public names.
 
-Each command runs in a fresh interpreter, which then reports the modules it
-holds; numpy and the numerical layers must not be among them.
+The exact subcommands load only the standard library and the exact layers,
+and no subcommand loads the Gaussian-rational series that the tests use as
+an oracle.  Each command runs in a fresh interpreter, which then reports
+the modules it holds.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +20,7 @@ import divsum
 
 NUMERIC_MODULES = ("numpy", "divsum.distributions", "divsum.quadrature",
                    "divsum.mollifiers")
+ORACLE_MODULES = ("divsum.exact", "divsum.series")
 
 _PROBE = """
 import json, sys
@@ -25,15 +30,15 @@ sys.stderr.write(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def loaded_after(*argv):
-    """Exit code and the numerical modules loaded by one cold command."""
+def loaded_after(*argv, among=NUMERIC_MODULES):
+    """Exit code and the modules of ``among`` loaded by one cold command."""
     src = str(Path(divsum.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     code, modules = json.loads(proc.stderr.splitlines()[-1])
-    return code, [m for m in NUMERIC_MODULES if m in modules]
+    return code, [m for m in among if m in modules]
 
 
 @pytest.mark.parametrize("argv", [
@@ -50,3 +55,24 @@ def test_ladder_commands_load_them():
     # the probe sees the modules when a command does need them
     assert loaded_after("coeff", "--n", "2", "--levels", "6") == (
         0, list(NUMERIC_MODULES))
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "--k", "3"),
+    ("zeta", "--neg-k", "3"),
+    ("check", "--k", "3"),
+    ("table", "--k-max", "5"),
+    ("casimir", "--d", "1"),
+    ("coeff", "--n", "2", "--levels", "6"),
+    ("mollify", "--target", "S", "--levels", "3"),
+])
+def test_no_command_loads_the_series_oracle(argv):
+    assert loaded_after(*argv, among=ORACLE_MODULES) == (0, [])
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(divsum.__path__)))
+def test_public_names_are_defined(name):
+    # a stale __all__ entry breaks `from divsum.<name> import *`
+    module = importlib.import_module(f"divsum.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -13,8 +13,8 @@ from divsum.quadrature import (
     _REL_FLOOR,
     GAUSS_ORDER,
     QuadratureError,
+    TOLERANCE,
     _panel_values,
-    default_tolerance,
     integrate,
     panel_integrals,
 )
@@ -81,13 +81,8 @@ class TestBasics:
 
 
 class TestTolerance:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DIVSUM_QUAD_TOL", "1e-5")
-        assert default_tolerance() == 1e-5
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("DIVSUM_QUAD_TOL", raising=False)
-        assert default_tolerance() == 1e-10
+    def test_default(self):
+        assert TOLERANCE == 1e-10
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_invalid_tolerance_rejected_before_any_evaluation(self, tol):
