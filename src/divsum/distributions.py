@@ -45,6 +45,7 @@ quadrature error budget is one tolerance, not one per level.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -106,10 +107,15 @@ _POLE_GRADING = (0.0, *(s * 0.5**k for k in range(1, 25) for s in (1.0, -1.0)))
 
 _MAX_FOURIER_INDEX = 32
 
-# a period cell costs about 0.34 ms on one x86 core (mean over the benchmark's
-# alternating-series cells) and the benchmark's widest support spans 4
-# periods; 1e299 cells (a bump dilated by 1e-300) would hang
+# a period cell costs 0.25 to 0.38 ms on a 2-vCPU Intel Xeon (mean over the
+# benchmark's alternating-series cells, best of five passes, six runs) and
+# the benchmark's widest support spans 4 periods; 1e299 cells (a bump
+# dilated by 1e-300) would hang
 _MAX_CELLS = 1024
+# 2*pi to 60 significant digits, off by under 1e-59: reducing a shift s by
+# it is off by under 1e-59 s / (2*pi), under 1e-30 at _MAX_SHIFT
+_TWO_PI = "6.28318530717958647692528676655900576839433879875021164194989"
+_MAX_SHIFT = 1e30
 
 
 def alternating_kernel(t):
@@ -169,8 +175,10 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
         x = u * np.abs(u)
         return -2.0 * np.abs(u) * np.log(np.abs(np.sin(0.5 * x))) * d2(x)
 
-    ua, ub = (math.copysign(math.sqrt(abs(v)), v) for v in (lo, hi))
-    return integrate(f, ua, ub, tol=tol, breakpoints=_POLE_GRADING)
+    # the panels start graded toward the pole and at phi's own grading
+    ua, ub, *grading = (math.copysign(math.sqrt(abs(v)), v)
+                        for v in (lo, hi, *(b - pole for b in phi.breakpoints)))
+    return integrate(f, ua, ub, tol=tol, breakpoints=(*_POLE_GRADING, *grading))
 
 
 def finite_part_action(phi: TestFunction) -> complex:
@@ -262,16 +270,39 @@ def finite_part_action_epsilon(phi: TestFunction,
 # The periodized distributions
 
 
+def _period_reduced(phi: TestFunction) -> TestFunction:
+    """phi with its shift reduced modulo 2*pi into [-pi, pi], exactly
+    before the one rounding to float; shifts past _MAX_SHIFT raise.
+
+    Far from 0 the pole n * PERIOD + pi is off the true one by n times the
+    2.4e-16 error of PERIOD, and rounds to ulp(n * PERIOD): at a shift of
+    1e15 the pairing misses by 0.97.  The distribution is 2*pi-periodic, so
+    the pairing is taken at the reduced shift instead."""
+    shift = phi.shift
+    if not abs(shift) <= _MAX_SHIFT:
+        raise ValueError(f"shift must be finite and at most {_MAX_SHIFT:g} in size")
+    if round(shift / PERIOD) == 0:
+        return phi
+    from fractions import Fraction  # only far shifts pay for the import
+
+    s, two_pi = Fraction(shift), Fraction(_TWO_PI)
+    return replace(phi, shift=float(s - round(s / two_pi) * two_pi))
+
+
 def alternating_series_action(phi: TestFunction) -> complex:
     """Pairing with the 2*pi-periodic distribution whose Fourier series is
     e^{it} - 2 e^{2it} + 3 e^{3it} - ...: the periodized finite-part kernel
     plus i*pi times the derivative-of-delta comb at odd multiples of pi.
+
+    Raises ValueError for a shift past 1e30 or a support over 1024 cells.
     """
+    phi = _period_reduced(phi)
     sa, sb = _support(phi)
     n = math.floor(sa / PERIOD)
     if math.ceil(sb / PERIOD) - n > _MAX_CELLS:
         raise ValueError(f"support must span at most {_MAX_CELLS} period cells")
     total = 0j
+    runs = []  # [lo, hi] of each maximal run of adjacent pole-free cells
     while n * PERIOD < sb:
         cell_lo, cell_hi = n * PERIOD, (n + 1) * PERIOD
         pole = cell_lo + math.pi
@@ -279,10 +310,15 @@ def alternating_series_action(phi: TestFunction) -> complex:
         n += 1
         if lo - _SINGULAR_MARGIN <= pole <= hi + _SINGULAR_MARGIN:
             total += _remainder_cell_action(phi, pole)
+        elif runs and runs[-1][1] == lo:
+            runs[-1][1] = hi  # the kernel is smooth across the cell edge
         else:
-            total += integrate(lambda t: phi(t) * alternating_kernel(t), lo, hi)
+            runs.append([lo, hi])
         if lo <= pole <= hi:  # the cell's one pole carries the delta' term
             total += -1j * math.pi * float(phi.deriv(np.array([pole]))[0])
+    for lo, hi in runs:
+        total += integrate(lambda t: phi(t) * alternating_kernel(t), lo, hi,
+                           breakpoints=phi.breakpoints)
     return total
 
 
@@ -312,7 +348,7 @@ def all_plus_series_action(chi: TestFunction) -> complex:
         x = np.asarray(x, dtype=float)
         return -0.25 * chi(x) / np.sin(0.5 * x) ** 2
 
-    return integrate(f, sa, sb, breakpoints=(0.0,))
+    return integrate(f, sa, sb, breakpoints=(0.0, *chi.breakpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +430,8 @@ def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
     at 0 is a panel breakpoint."""
 
     def pairing(phi: TestFunction) -> complex:
-        return integrate(lambda t: f(t) * phi(t), *phi.support, breakpoints=(0.0,))
+        return integrate(lambda t: f(t) * phi(t), *phi.support,
+                         breakpoints=(0.0, *phi.breakpoints))
 
     return mollified_limit(pairing, vanishing_order, levels)
 

@@ -23,6 +23,13 @@ from .quadrature import integrate
 __all__ = ["Mollifier", "TestFunction", "bump_moment", "mollifier"]
 
 VANISHING_ORDERS = (0, 2, 4)
+# interior edges, in base coordinates, of the panels that bisection accepts
+# for t^p psi(t) paired with the scale ladders' kernels at the default
+# tolerance (p = 0, 2, 4; m = 2 to 1024).  Seeded as breakpoints, they are
+# all evaluated in the first adaptive round instead of being reached one
+# bisection at a time; a step against the p = 4 bump still splits the two
+# outermost panels in a second round
+_BUMP_GRADING = (0.0, *(s * b for b in (0.5, 0.75, 0.875) for s in (1.0, -1.0)))
 
 
 def _bump_jet(t: np.ndarray, order: int) -> list:
@@ -83,7 +90,11 @@ def bump_moment(j: int) -> float:
 class TestFunction:
     """phi(t) = amp * f(lam * (t - shift)) for a base f (a Mollifier, say)
     with numpy-vectorized value, deriv and deriv2 methods that vanish
-    outside ``base_support``.  The map is data: transforms do not nest."""
+    outside ``base_support``.  The map is data: transforms do not nest.
+
+    A base may also offer ``breakpoints``, points in its own coordinate
+    where quadrature panels should have edges; ``breakpoints`` here maps
+    them to t, and is empty for a base without them."""
 
     base: object
     base_support: tuple
@@ -95,6 +106,11 @@ class TestFunction:
     def support(self) -> tuple:
         sa, sb = self.base_support
         return (self.shift + sa / self.lam, self.shift + sb / self.lam)
+
+    @property
+    def breakpoints(self) -> tuple:
+        return tuple(self.shift + b / self.lam
+                     for b in getattr(self.base, "breakpoints", ()))
 
     def local(self, pole: float = 0.0, order: int = 0):
         """x -> phi^(order)(pole + x) for order <= 2.  The offset pole - shift
@@ -153,6 +169,11 @@ class Mollifier:
     @property
     def support(self) -> tuple:
         return (-1.0 / self.scale, 1.0 / self.scale)
+
+    @property
+    def breakpoints(self) -> tuple:
+        """The bump's quadrature grading, in t."""
+        return tuple(b / self.scale for b in _BUMP_GRADING)
 
     def _derivative(self, t, order: int) -> np.ndarray:
         """order-th derivative of m f(m t) / c, f(t) = t^p psi(t)."""

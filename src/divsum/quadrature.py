@@ -5,8 +5,10 @@ sum of its two halves) meets a width-proportional share of the absolute
 tolerance, with a per-panel relative floor so that panels carrying huge but
 accurately-computed contributions terminate.  Known trouble points (kernel
 poles, mollifier support edges, jump locations, oscillation cuts) are
-seeded as panel edges up front through ``breakpoints``; growth toward an
-endpoint, as of 1/x^2 near a truncated pole, is left to bisection.
+seeded as panel edges up front through ``breakpoints``, and so is the
+mollifier's grading (``TestFunction.breakpoints``), the edges bisection
+would reach on a bump, so that a bump pairing converges in round 0; growth
+toward an endpoint, as of 1/x^2 near a truncated pole, is left to bisection.
 
 Evaluation is batched: integrands must accept a 1-D numpy array, and are
 called once per round.  Round 0 evaluates the seeded panels whole together

@@ -31,6 +31,7 @@ from divsum.distributions import (
 from divsum.errors import ConsistencyError
 from divsum.mollifiers import Mollifier, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
+from divsum.quadrature import _panel_values as panel_values
 from divsum.quadrature import integrate
 from oracles import homothety_pairing_check
 
@@ -338,6 +339,36 @@ class TestAlternatingSeriesAction:
         c = alternating_series_action(tf.shifted(-4 * PI))
         assert abs(a - b) < 1e-9 and abs(a - c) < 1e-9
 
+    @pytest.mark.parametrize("k", range(3, 31))
+    def test_far_shift_is_reduced_exactly(self, k):
+        # a float multiple of 2 pi drifts from the true pole: without an exact
+        # reduction the pairing misses by 0.28 at 1e14 and 0.97 at 1e15
+        mpmath = pytest.importorskip("mpmath")
+        a = 10.0**k
+        with mpmath.workdps(50):
+            two_pi = 2 * mpmath.pi
+            r = float(a - mpmath.nint(a / two_pi) * two_pi)
+        tf = mollifier(2, 1)
+        want = alternating_series_action(tf.shifted(r))
+        assert abs(alternating_series_action(tf.shifted(a)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("k", [10**6, 10**9, 10**12, 10**15])
+    def test_far_period_multiple_is_no_shift(self, k):
+        # s is the double nearest 2 pi k, so shifting by s is shifting by
+        # s - 2 pi k, which cancels about 16 leading digits of s
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            s = float(2 * mpmath.pi * k)
+            off = float(s - 2 * mpmath.pi * k)
+        tf = mollifier(2, 1)
+        want = alternating_series_action(tf.shifted(off))
+        assert abs(alternating_series_action(tf.shifted(s)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("a", [1e31, -1e31, math.inf, math.nan])
+    def test_shift_past_the_reduction_bound_is_rejected(self, a):
+        with pytest.raises(ValueError, match="shift"):
+            alternating_series_action(mollifier(2, 1).shifted(a))
+
     def test_wide_support_spanning_cells(self):
         # support (-5, 5) covers both poles at +-pi; check the kernel-and-comb
         # evaluation against the lacunary Fourier series route
@@ -510,6 +541,99 @@ class TestMollifiedLimits:
             assert 1e-5 < misses[-1] < 1e-3
             assert rec.error_estimate < 1e-2 * misses[-1]
         assert abs(misses[0] / misses[1] - 2.0) < 1e-3
+
+
+def _count_integrand_calls(monkeypatch) -> list:
+    """Patch the quadrature's one integrand call site; the list grows by one
+    per adaptive round."""
+    calls = []
+
+    def counted(f, lo, hi):
+        calls.append(lo.size)
+        return panel_values(f, lo, hi)
+
+    monkeypatch.setattr("divsum.quadrature._panel_values", counted)
+    return calls
+
+
+def _without_grading(monkeypatch, compute):
+    with monkeypatch.context() as patch:
+        patch.setattr("divsum.mollifiers._BUMP_GRADING", ())
+        return compute()
+
+
+_HEAVISIDE = lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0)
+_LADDERS = {
+    "S": lambda p, n: mollified_limit(alternating_series_action, p, n),
+    "H2S": lambda p, n: mollified_limit(
+        lambda tf: 0.5 * alternating_series_action(tf.dilated(0.5)), p, n),
+    "T0": lambda p, n: mollified_limit(all_plus_series_action, p, n),
+    "heaviside": lambda p, n: jump_average(_HEAVISIDE, n, p),
+    "sign": lambda p, n: jump_average(np.sign, n, p),
+    "cos": lambda p, n: jump_average(np.cos, n, p),
+}
+
+
+class TestBumpGrading:
+    """The bump's grading is seeded as panel edges: a scale-ladder pairing
+    converges in its first adaptive round, to the value bisection finds."""
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_scale_ladder_takes_one_round_per_level(self, p, monkeypatch):
+        bump_moment(p)  # its cached normalisation is an integral of its own
+        calls = _count_integrand_calls(monkeypatch)
+        mollified_limit(alternating_series_action, p, 10)
+        assert len(calls) <= 10  # 80 by bisection: 4 rounds for each of 2 cells
+
+    @pytest.mark.parametrize("p, most", [(0, 10), (2, 10), (4, 20)])
+    def test_jump_average_takes_one_round_per_level(self, p, most, monkeypatch):
+        # at p = 4 the panels at the support edges are bisected once more
+        bump_moment(p)
+        calls = _count_integrand_calls(monkeypatch)
+        jump_average(np.cos, vanishing_order=p)
+        assert len(calls) <= most  # 40 by bisection, 50 at p = 4
+
+    @pytest.mark.parametrize("target", sorted(_LADDERS))
+    def test_ladders_match_plain_bisection(self, target, monkeypatch):
+        for p in (2, 4) if target == "T0" else (0, 2, 4):
+            for levels in (3, 10, 20):
+                graded = _LADDERS[target](p, levels)
+                plain = _without_grading(
+                    monkeypatch, lambda: _LADDERS[target](p, levels))
+                assert graded.converged == plain.converged
+                pairs = [(a, b) for (_, a), (_, b) in zip(graded.samples, plain.samples)]
+                if plain.extrapolated is not None:
+                    pairs.append((graded.extrapolated, plain.extrapolated))
+                for a, b in pairs:  # the floor is for the sign ladder's zeros
+                    assert abs(a - b) <= 1e-13 * abs(b) + 1e-16, (p, levels)
+
+    def test_alternating_action_matches_plain_bisection(self, monkeypatch):
+        # the benchmark's bumps, spanning 1.5 to 4 periods; the two layouts
+        # differ by up to 1e-13 absolute, within the absolute 1e-10 contract
+        rng = random.Random(20261018)
+        bumps = [mollifier(p, 1).dilated(1.0 / (periods * PI))
+                 .shifted(rng.uniform(-PI, PI)).scaled(rng.uniform(0.5, 2.0))
+                 for p in (0, 2, 4) for periods in (1.5, 2.0, 3.0, 4.0)
+                 for _ in range(3)]
+        graded = [alternating_series_action(tf) for tf in bumps]
+        plain = _without_grading(
+            monkeypatch, lambda: [alternating_series_action(tf) for tf in bumps])
+        for a, b in zip(graded, plain):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    def test_remainder_route_matches_plain_bisection(self, monkeypatch):
+        # narrow bumps across, at and past the pole.  The route's tolerance
+        # is relative to max|phi''| times the span, 1e3 to 1e4 times the value
+        # when the pole is outside, so the layouts agree as each agrees with
+        # the mpmath truth in TestRemainderRouteAgainstMpmath (about 3e-12)
+        bumps = [mollifier(p, 1).dilated(1.0 / hw).shifted(PI + off * hw)
+                 for p in (0, 2, 4) for hw in (0.001, 0.005, 0.02, 0.1, 0.5)
+                 for off in (0.0, 0.5, 0.99, 1.01, 1.5, 3.0)]
+        graded = [finite_part_action(tf) for tf in bumps]
+        plain = _without_grading(
+            monkeypatch, lambda: [finite_part_action(tf) for tf in bumps])
+        for a, b in zip(graded, plain):
+            assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
 
 class TestDirichletComb:

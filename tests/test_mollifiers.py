@@ -1,11 +1,13 @@
 """Mollifier axioms and test-function transforms."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from divsum.mollifiers import Mollifier, bump_moment, mollifier
+from divsum.mollifiers import TestFunction as SmoothTF
 from divsum.quadrature import integrate
 
 
@@ -154,6 +156,19 @@ class TestTransforms:
         tf = mollifier(2, 1).scaled(3.0)
         t = np.linspace(-1, 1, 11)
         assert np.allclose(tf(t), 3 * mollifier(2, 1)(t), atol=0, rtol=0)
+
+    def test_breakpoints_follow_the_map(self):
+        tf = mollifier(2, 4).dilated(2.0).shifted(1.0)
+        grading = (0.0, 0.5, -0.5, 0.75, -0.75, 0.875, -0.875)
+        assert Mollifier(2, 4).breakpoints == tuple(b / 4 for b in grading)
+        assert tf.breakpoints == tuple(1.0 + b / 8 for b in grading)
+        sa, sb = tf.support
+        assert all(sa < b < sb for b in tf.breakpoints)
+
+    def test_base_without_breakpoints_has_none(self):
+        z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+        tf = SmoothTF(SimpleNamespace(value=z, deriv=z, deriv2=z), (0.0, 1.0))
+        assert tf.shifted(2.0).dilated(3.0).breakpoints == ()
 
     def test_rescaled_mollifier(self):
         phi = Mollifier(4, 1).rescaled(8)
