@@ -57,7 +57,7 @@ from .extrapolation import (
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction, mollifier
-from .quadrature import TOLERANCE, gauss_grid, integrate, panel_integrals
+from .quadrature import TOLERANCE, gauss_grid, integrate, panel_integrals, panel_sum
 
 __all__ = [
     "alternating_kernel",
@@ -217,11 +217,8 @@ def _eps_limit(g, finish, lo: float, hi: float, cuts, levels: int,
         a = min(max(eps_list[-1], lo), hi)
         left, values = panel_integrals(g, a, hi,
                                        breakpoints=[*eps_list, *cuts])
-        re, im = values.real.tolist(), values.imag.tolist()
-        for eps in eps_list:
-            k = int(np.searchsorted(left, eps))
-            window = complex(math.fsum(re[k:]), math.fsum(im[k:]))
-            samples.append(finish(eps, window))
+        for eps, k in zip(eps_list, np.searchsorted(left, eps_list).tolist()):
+            samples.append(finish(eps, panel_sum(values[k:])))
     if len(samples) < 3:
         return EpsilonLimit(
             samples=tuple(zip(eps_list, samples)),
@@ -404,6 +401,14 @@ def _scale_ladder(levels: int, base: int = 2):
     return [base * 2**j for j in range(levels)]
 
 
+def _scale_limit(scales, values) -> EpsilonLimit:
+    """A scale ladder's record: divergent, or extrapolated m -> infinity in
+    the powers 1/m^2, 1/m^4, ..."""
+    if detect_divergence(values):
+        return divergent_ladder(scales, values)
+    return extrapolate_ladder(scales, values, first_order=2)
+
+
 def mollified_limit(pairing, vanishing_order: int = 0,
                     levels: int = DEFAULT_SCALE_LEVELS) -> EpsilonLimit:
     """Evaluate pairing(phi_m) on the scale ladder m = 2, 4, 8, ... and
@@ -414,10 +419,8 @@ def mollified_limit(pairing, vanishing_order: int = 0,
     levels) are reported with the fitted power of m instead of a limit.
     """
     scales = _scale_ladder(levels)
-    values = [complex(pairing(mollifier(vanishing_order, m))) for m in scales]
-    if detect_divergence(values):
-        return divergent_ladder(scales, values)
-    return extrapolate_ladder(scales, values, first_order=2)
+    return _scale_limit(
+        scales, [complex(pairing(mollifier(vanishing_order, m))) for m in scales])
 
 
 def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
@@ -426,14 +429,27 @@ def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
     (f(0+) + f(0-)) / 2 in even powers of 1/m when the odd one-sided
     derivatives of f agree at 0 (a step plus an even part: Heaviside, sign,
     cos).  A kink at 0, as in exp(t) H(t), leaves a miss of order
-    |f'(0+) - f'(0-)| / m that the error estimate does not show.  The jump
-    at 0 is a panel breakpoint."""
+    |f'(0+) - f'(0-)| / m that the error estimate does not show.
 
-    def pairing(phi: TestFunction) -> complex:
-        return integrate(lambda t: f(t) * phi(t), *phi.support,
-                         breakpoints=(0.0, *phi.breakpoints))
+    The ladder is one kernel pass: in u = m t every pairing is the integral
+    of f(u / m) phi(u) over [-1, 1], so one adaptive quadrature with a row
+    per m integrates them all on the bump's grading, with the jump at
+    u = 0 a panel breakpoint.  f receives the rows raveled into one 1-D
+    array.  Every m is a power of 2, so u / m is exact and a sample equals
+    the integral of f phi_m over the support of phi_m, to the bit, unless
+    another level needed one of its panels bisected.
+    """
+    scales = _scale_ladder(levels)
+    phi = mollifier(vanishing_order)
+    inv_m = np.array([[1.0 / m] for m in scales])
 
-    return mollified_limit(pairing, vanishing_order, levels)
+    def kernel(u):
+        t = (inv_m * u).ravel()  # f(t) may also be a scalar, as in f(t) * phi(t)
+        return np.broadcast_to(f(t), t.shape).reshape(len(scales), -1) * phi(u)
+
+    _, panels = panel_integrals(kernel, *phi.support,
+                                breakpoints=(0.0, *phi.breakpoints))
+    return _scale_limit(scales, [panel_sum(row) for row in panels])
 
 
 # ---------------------------------------------------------------------------

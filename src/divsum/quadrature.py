@@ -13,15 +13,25 @@ toward an endpoint, as of 1/x^2 near a truncated pole, is left to bisection.
 Evaluation is batched: integrands must accept a 1-D numpy array, and are
 called once per round.  Round 0 evaluates the seeded panels whole together
 with both of their halves; each later round evaluates both halves of every
-panel bisected in the round before.  The final reduction is a correctly
-rounded sum (math.fsum) over the panels, so results are deterministic for a
-given input; a panel's last bit still depends on where its row sits in the
-batch it was evaluated in.
+panel bisected in the round before.  When round 0 accepts every seeded
+panel, as it does for the ladders and bump pairings in ``distributions``,
+the seeded panels are returned at once.  Panel integrals keep the
+integrand's dtype, so real integrands give real panels.  The final
+reduction is a correctly rounded sum (math.fsum) over the panels, so
+results are deterministic for a given input; a panel's last bit still
+depends on where its row sits in the batch it was evaluated in.
+
+An integrand may also return one row of values per parameter, shape
+(rows, nodes): the rows share one panel layout, a panel is bisected while
+any row misses its budget, and a stall reports the worst row's residual.
+A ladder whose levels share their nodes, as the jump ladder does in the
+bump's own coordinate, is then one adaptive pass.
 
 ``gauss_grid`` is the one place the Gauss node and weight layout is built;
 the adaptive panels here and the fixed grids in ``distributions`` use it.
 ``panel_integrals`` hands out the accepted panels themselves, sorted by
-left edge, for callers that read prefix or suffix sums over them.
+left edge, for callers that read prefix or suffix sums over them or sum
+each row; ``panel_sum`` is the correctly rounded sum of one row.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["QuadratureError", "TOLERANCE", "gauss_grid", "integrate",
-           "panel_integrals"]
+           "panel_integrals", "panel_sum"]
 
 TOLERANCE = 1e-10  # default absolute tolerance
 GAUSS_ORDER = 15
@@ -69,16 +79,24 @@ def gauss_grid(lo, hi):
 
 def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     x, weights, half = gauss_grid(lo, hi)
-    v = np.asarray(f(x.ravel())).reshape(x.shape)
-    values = (v @ weights) * half
+    v = np.asarray(f(x.ravel()))
+    values = (v.reshape(*v.shape[:-1], *x.shape) @ weights) * half
     if not np.isfinite(values).all():
         raise QuadratureError("integrand is not finite on a panel")
     return values
 
 
+def panel_sum(values) -> complex:
+    """Correctly rounded sum (math.fsum) of one row of panel values."""
+    if np.iscomplexobj(values):
+        return complex(math.fsum(values.real.tolist()),
+                       math.fsum(values.imag.tolist()))
+    return complex(math.fsum(values.tolist()))
+
+
 def integrate(f, a: float, b: float, *, tol: float = TOLERANCE,
               breakpoints=()) -> complex:
-    """Integral of a vectorized integrand over [a, b].
+    """Integral of a vectorized scalar integrand over [a, b].
 
     Returns a complex value; real integrands come back with zero imaginary
     part.  Raises ValueError unless tol is finite and positive, or when
@@ -87,22 +105,29 @@ def integrate(f, a: float, b: float, *, tol: float = TOLERANCE,
     reach the tolerance within the panel cap and the round limit.
     """
     _, values = panel_integrals(f, a, b, tol=tol, breakpoints=breakpoints)
-    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+    return panel_sum(values)
 
 
 def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
                     breakpoints=()) -> tuple:
     """The accepted panels of ``integrate``, sorted by left edge: their left
-    edges and complex integrals, which sum to its value.  The panels tile
-    [a, b], so each one ends where the next left edge begins.
+    edges and integrals, which sum to its value.  The panels tile [a, b],
+    so each one ends where the next left edge begins.  The integrals have
+    the integrand's dtype: a real integrand gives real panels.
 
-    Empty arrays when b == a; raises as ``integrate`` does.
+    ``f`` may also return one row per parameter, shape (rows, nodes) for
+    nodes x; the integrals then have shape (rows, panels), and a panel is
+    accepted only when every row meets its own budget.  When round 0
+    accepts every seeded panel, those are returned as they are.
+
+    Empty arrays when b == a; raises as ``integrate`` does, reporting a
+    stall with the worst row's residual.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
     if not b > a:
         if b == a:
-            return np.empty(0), np.empty(0, dtype=complex)
+            return np.empty(0), np.empty(0)
         raise ValueError("need b > a")
     total_width = b - a
 
@@ -118,36 +143,41 @@ def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
         n = lo.size
         if whole is None:  # round 0 also evaluates the seeded panels whole
             v = _panel_values(f, np.concatenate([lo, lo, mid]),
-                              np.concatenate([hi, mid, hi])).astype(complex)
-            whole, v = v[:n], v[n:]
+                              np.concatenate([hi, mid, hi]))
+            whole, v = v[..., :n], v[..., n:]
         else:
             v = _panel_values(f, np.concatenate([lo, mid]),
-                              np.concatenate([mid, hi])).astype(complex)
-        left, right = v[:n], v[n:]
+                              np.concatenate([mid, hi]))
+        left, right = v[..., :n], v[..., n:]
         refined = left + right
         err = np.abs(whole - refined)
         budget = np.maximum(tol * (hi - lo) / total_width,
                             _REL_FLOOR * np.abs(refined))
         ok = err <= budget
-        accepted.append((lo[ok], refined[ok]))
+        if ok.ndim > 1:  # rows: every row must meet its budget
+            ok = ok.all(axis=0)
         bad = ~ok
         if not bad.any():
+            if not accepted:  # round 0: the seeded panels, already in order
+                return lo, refined
+            accepted.append((lo, refined))
             break
+        accepted.append((lo[ok], refined[..., ok]))
         if 2 * np.count_nonzero(bad) > _MAX_ACTIVE_PANELS:
             raise QuadratureError(
                 f"more than {_MAX_ACTIVE_PANELS} panels short of tolerance {tol:.3e}"
             )
         lo = np.concatenate([lo[bad], mid[bad]])
         hi = np.concatenate([mid[bad], hi[bad]])
-        whole = np.concatenate([left[bad], right[bad]])
+        whole = np.concatenate([left[..., bad], right[..., bad]], axis=-1)
     else:
-        residual = float(np.sum(np.abs(whole)))
+        residual = float(np.abs(whole).sum(axis=-1).max())
         if residual > 1e3 * tol:
             raise QuadratureError(
                 f"quadrature stalled with error estimate {residual:.3e}"
             )
         accepted.append((lo, whole))
 
-    lo, values = (np.concatenate(v) for v in zip(*accepted))
+    lo, values = (np.concatenate(v, axis=-1) for v in zip(*accepted))
     order = np.argsort(lo)
-    return lo[order], values[order]
+    return lo[order], values[..., order]

@@ -1,6 +1,6 @@
 """Independent checks of the paper's manipulations, used only by the tests:
-exact identities on coefficient sequences, and the dilation rule through
-the lacunary Fourier series."""
+exact identities on coefficient sequences, the dilation rule through
+the lacunary Fourier series, and the jump pairing level by level."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from divsum.distributions import alternating_series_action
 from divsum.mollifiers import TestFunction
-from divsum.quadrature import gauss_grid
+from divsum.quadrature import gauss_grid, integrate
 
 # rounding error of a weighted-node transform, relative to sum |w_eff|
 _TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
@@ -49,6 +49,19 @@ def _lacunary_series_pairing(phi: TestFunction, lam: float) -> complex:
             else:
                 small_run = 0
     raise ArithmeticError("lacunary series tail did not become negligible")
+
+
+def jump_pairing(f):
+    """phi -> <f, phi>: f phi integrated over the support of phi, with the
+    jump at 0 and phi's grading as panel breakpoints.  Paired with phi_m by
+    ``mollified_limit``, it samples the ladder of ``jump_average`` one
+    adaptive quadrature per level."""
+
+    def pairing(phi: TestFunction) -> complex:
+        return integrate(lambda t: f(t) * phi(t), *phi.support,
+                         breakpoints=(0.0, *phi.breakpoints))
+
+    return pairing
 
 
 def homothety_pairing_check(phi: TestFunction, lam: float,

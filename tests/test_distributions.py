@@ -32,8 +32,8 @@ from divsum.errors import ConsistencyError
 from divsum.mollifiers import Mollifier, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
 from divsum.quadrature import _panel_values as panel_values
-from divsum.quadrature import integrate
-from oracles import homothety_pairing_check
+from divsum.quadrature import TOLERANCE, integrate
+from oracles import homothety_pairing_check, jump_pairing
 
 PI = math.pi
 
@@ -585,13 +585,14 @@ class TestBumpGrading:
         mollified_limit(alternating_series_action, p, 10)
         assert len(calls) <= 10  # 80 by bisection: 4 rounds for each of 2 cells
 
-    @pytest.mark.parametrize("p, most", [(0, 10), (2, 10), (4, 20)])
-    def test_jump_average_takes_one_round_per_level(self, p, most, monkeypatch):
-        # at p = 4 the panels at the support edges are bisected once more
+    @pytest.mark.parametrize("p, rounds", [(0, 1), (2, 1), (4, 2)])
+    def test_jump_average_takes_one_round_per_level(self, p, rounds, monkeypatch):
+        # one pass for the whole ladder; at p = 4 the panels at the support
+        # edges are bisected once more
         bump_moment(p)
         calls = _count_integrand_calls(monkeypatch)
         jump_average(np.cos, vanishing_order=p)
-        assert len(calls) <= most  # 40 by bisection, 50 at p = 4
+        assert len(calls) == rounds  # 40 by bisection level by level, 50 at p = 4
 
     @pytest.mark.parametrize("target", sorted(_LADDERS))
     def test_ladders_match_plain_bisection(self, target, monkeypatch):
@@ -634,6 +635,32 @@ class TestBumpGrading:
             monkeypatch, lambda: [finite_part_action(tf) for tf in bumps])
         for a, b in zip(graded, plain):
             assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
+
+
+_KINK = lambda t: np.where(np.asarray(t) > 0, np.exp(t), 0.0)
+
+
+class TestJumpKernelLadder:
+    """The ladder's one pass in u = m t gives the samples of pairing f with
+    phi_m level by level wherever the levels' panel layouts agree."""
+
+    @pytest.mark.parametrize("f", [_HEAVISIDE, np.sign, np.cos, _KINK,
+                                   lambda t: 0.5],
+                             ids=["heaviside", "sign", "cos", "kink", "constant"])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    @pytest.mark.parametrize("levels", [3, 10, 20])
+    def test_matches_the_per_level_pairing(self, f, p, levels):
+        rec = jump_average(f, levels, p)
+        ref = mollified_limit(jump_pairing(f), p, levels)
+        assert rec.converged == ref.converged
+        if f is _KINK and p == 2:
+            # level by level only m = 2 bisects its two edge panels; the pass
+            # bisects them for every m, which moves the other samples by no
+            # more than their accepted error estimates
+            for (_, a), (_, b) in zip(rec.samples, ref.samples):
+                assert abs(a - b) <= TOLERANCE
+        else:
+            assert repr(rec.samples) == repr(ref.samples)
 
 
 class TestDirichletComb:

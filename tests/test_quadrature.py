@@ -240,3 +240,63 @@ class TestOneCallPerRound:
             assert (np.abs(part(values) - part(ref_values))
                     <= 4 * np.spacing(np.abs(part(ref_values)))).all()
         assert len(calls) == rounds
+
+
+def _rows(*fs):
+    return lambda x: np.stack([f(x) for f in fs])
+
+
+class TestRows:
+    """An integrand returning (rows, nodes) shares one panel layout: a panel
+    is bisected when any row misses its budget."""
+
+    def test_two_rows_match_two_scalar_calls_when_layouts_agree(self):
+        f1 = lambda x: np.sin(40 * x) / (1.0 + x)
+        f2 = lambda x: np.cos(40 * x) / (1.0 + x)
+        lo1, v1 = panel_integrals(f1, 0.0, 3.0, breakpoints=(1.0,))
+        lo2, v2 = panel_integrals(f2, 0.0, 3.0, breakpoints=(1.0,))
+        assert lo1.size > 2 and np.array_equal(lo1, lo2)  # bisected alike
+        lo, values = panel_integrals(_rows(f1, f2), 0.0, 3.0, breakpoints=(1.0,))
+        assert values.shape == (2, lo.size)
+        assert np.array_equal(lo, lo1)
+        assert np.array_equal(values[0], v1) and np.array_equal(values[1], v2)
+
+    def test_a_panel_is_bisected_when_one_row_misses_its_budget(self):
+        step = lambda x: np.where(x > 1.0 / math.sqrt(2.0), 1.0, 0.0)
+        smooth_lo, _ = panel_integrals(np.cos, 0.0, 1.0)
+        step_lo, step_values = panel_integrals(step, 0.0, 1.0)
+        assert smooth_lo.size == 1 and step_lo.size > 40
+        lo, values = panel_integrals(_rows(np.cos, step), 0.0, 1.0)
+        assert np.array_equal(lo, step_lo)
+        assert np.array_equal(values[1], step_values)
+        assert abs(math.fsum(values[0]) - math.sin(1.0)) < 1e-15
+
+    def test_a_non_finite_row_raises(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.stack([np.cos(x), np.where(x > 0.3, math.nan, x)])
+
+        with pytest.raises(QuadratureError):
+            panel_integrals(f, 0.0, 1.0)
+        assert len(calls) == 1
+
+    def test_the_stall_residual_is_the_worst_rows(self):
+        # x^-0.9 runs out of rounds; doubling it doubles the residual
+        g = lambda x: x ** -0.9
+        with pytest.raises(QuadratureError) as worst:
+            panel_integrals(lambda x: 2.0 * g(x), 0.0, 1.0)
+        with pytest.raises(QuadratureError) as rows:
+            panel_integrals(_rows(g, lambda x: 2.0 * g(x), g), 0.0, 1.0)
+        assert "stalled" in str(rows.value)
+        assert str(rows.value) == str(worst.value)
+
+    def test_panels_keep_the_integrands_dtype(self):
+        _, real = panel_integrals(np.cos, 0.0, 1.0)
+        _, cplx = panel_integrals(lambda x: np.exp(1j * x), 0.0, 1.0)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        for f in (np.cos, lambda x: np.exp(1j * x)):
+            assert type(integrate(f, 0.0, 1.0)) is complex
+        assert integrate(np.cos, 0.0, 1.0).imag == 0.0
+
