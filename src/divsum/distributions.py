@@ -56,7 +56,7 @@ from .extrapolation import (
     divergent_ladder,
     extrapolate_ladder,
 )
-from .mollifiers import Mollifier, TestFunction, mollifier
+from .mollifiers import Mollifier, TestFunction
 from .quadrature import TOLERANCE, gauss_grid, integrate, panel_integrals, panel_sum
 
 __all__ = [
@@ -419,8 +419,8 @@ def mollified_limit(pairing, vanishing_order: int = 0,
     levels) are reported with the fitted power of m instead of a limit.
     """
     scales = _scale_ladder(levels)
-    return _scale_limit(
-        scales, [complex(pairing(mollifier(vanishing_order, m))) for m in scales])
+    bump = Mollifier(vanishing_order)
+    return _scale_limit(scales, [complex(pairing(bump.rescaled(m))) for m in scales])
 
 
 def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
@@ -440,12 +440,12 @@ def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
     another level needed one of its panels bisected.
     """
     scales = _scale_ladder(levels)
-    phi = mollifier(vanishing_order)
+    phi = Mollifier(vanishing_order)
     inv_m = np.array([[1.0 / m] for m in scales])
 
     def kernel(u):
         t = (inv_m * u).ravel()  # f(t) may also be a scalar, as in f(t) * phi(t)
-        return np.broadcast_to(f(t), t.shape).reshape(len(scales), -1) * phi(u)
+        return np.broadcast_to(f(t), t.shape).reshape(len(scales), -1) * phi.value(u)
 
     _, panels = panel_integrals(kernel, *phi.support,
                                 breakpoints=(0.0, *phi.breakpoints))
@@ -492,7 +492,7 @@ def dirichlet_comb_growth(m: int) -> float:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    base = Mollifier(0, 1)  # needs phi(0) > 0, so no vanishing factor
+    base = Mollifier(0)  # needs phi(0) > 0, so no vanishing factor
     phi0 = float(base.value(np.array([0.0]))[0])
     closed = PERIOD * m * phi0
 

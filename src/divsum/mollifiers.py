@@ -1,9 +1,11 @@
 """Symmetric positive mollifiers and the test functions built from them.
 
 The base profile is the standard bump psi(t) = exp(-1/(1 - t^2)) on
-(-1, 1), zero outside.  A mollifier here is t^p * psi(t) normalized to
-unit mass, where the vanishing order p is 0, 2 or 4 (p >= 2 forces
-phi(0) = phi'(0) = 0), rescaled as phi_m(t) = m * phi(m t).  All
+(-1, 1), zero outside.  A mollifier here is the unit bump t^p * psi(t)
+normalized to unit mass, where the vanishing order p is 0, 2 or 4 (p >= 2
+forces phi(0) = phi'(0) = 0).  Its homothety phi_m(t) = m * phi(m t) is the
+TestFunction with lam = amp = m, so every dilation, shift and amplitude,
+and their chain rule, goes through the one affine map of TestFunction.  All
 evaluators accept numpy arrays and return exact zeros outside the declared
 support.
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,19 +74,12 @@ def _profile(t: np.ndarray, p: int, order: int) -> np.ndarray:
     return out
 
 
-_NORM_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def bump_moment(j: int) -> float:
     """integral of t^j * psi(t) over (-1, 1); zero for odd j by symmetry."""
     if j % 2 == 1:
         return 0.0
-    if j not in _NORM_CACHE:
-        # idempotent under concurrent computation; last write wins harmlessly
-        _NORM_CACHE[j] = integrate(
-            lambda t: t**j * _profile(t, 0, 0), -1.0, 1.0, tol=1e-14
-        ).real
-    return _NORM_CACHE[j]
+    return integrate(lambda t: t**j * _profile(t, 0, 0), -1.0, 1.0, tol=1e-14).real
 
 
 @dataclass(frozen=True)
@@ -113,14 +109,14 @@ class TestFunction:
                      for b in getattr(self.base, "breakpoints", ()))
 
     def local(self, pole: float = 0.0, order: int = 0):
-        """x -> phi^(order)(pole + x) for order <= 2.  The offset pole - shift
-        is formed once, exactly when the shift is within a factor 2 of the
-        pole (Sterbenz), so x is not rounded against the pole."""
+        """x -> phi^(order)(pole + x) for order <= 2, that is
+        amp * lam^order * f^(order)(lam * (pole - shift + x)) by the chain
+        rule.  The offset pole - shift is formed once, exactly when the shift
+        is within a factor 2 of the pole (Sterbenz), so x is not rounded
+        against the pole."""
         f = getattr(self.base, ("value", "deriv", "deriv2")[order])
         off, lam = pole - self.shift, self.lam
         c = self.amp * (1.0, lam, lam * lam)[order]
-        if off == 0.0 and c == 1.0:  # plain or dilated: no idle array ops
-            return f if lam == 1.0 else lambda x: f(lam * np.asarray(x, dtype=float))
         return lambda x: c * f(lam * (off + np.asarray(x, dtype=float)))
 
     def __call__(self, t):
@@ -151,35 +147,28 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class Mollifier:
-    """t^p * psi(t) normalized to unit mass, rescaled by an integer m >= 1."""
+    """The unit bump t^p * psi(t) / C_p on (-1, 1), C_p = bump_moment(p), with
+    its quadrature grading; ``rescaled(m)`` gives phi_m."""
 
     vanishing_order: int = 0
-    scale: int = 1
+    support = (-1.0, 1.0)
 
     def __post_init__(self):
         if self.vanishing_order not in VANISHING_ORDERS:
             raise ValueError(f"vanishing order must be one of {VANISHING_ORDERS}")
-        if self.scale < 1:
-            raise ValueError("scale must be an integer >= 1")
 
     @property
     def norm_const(self) -> float:
         return bump_moment(self.vanishing_order)
 
     @property
-    def support(self) -> tuple:
-        return (-1.0 / self.scale, 1.0 / self.scale)
-
-    @property
     def breakpoints(self) -> tuple:
-        """The bump's quadrature grading, in t."""
-        return tuple(b / self.scale for b in _BUMP_GRADING)
+        """The bump's quadrature grading."""
+        return _BUMP_GRADING
 
     def _derivative(self, t, order: int) -> np.ndarray:
-        """order-th derivative of m f(m t) / c, f(t) = t^p psi(t)."""
-        m, c = self.scale, self.norm_const
-        t = m * np.asarray(t, dtype=float)
-        return m ** (order + 1) * _profile(t, self.vanishing_order, order) / c
+        t = np.asarray(t, dtype=float)
+        return _profile(t, self.vanishing_order, order) / self.norm_const
 
     def value(self, t) -> np.ndarray:
         return self._derivative(t, 0)
@@ -190,13 +179,13 @@ class Mollifier:
     def deriv2(self, t) -> np.ndarray:
         return self._derivative(t, 2)
 
-    def rescaled(self, m: int) -> "Mollifier":
-        return Mollifier(self.vanishing_order, m)
-
-    def as_test_function(self) -> TestFunction:
-        return TestFunction(self, self.support)
+    def rescaled(self, m: float) -> TestFunction:
+        """phi_m(t) = m * phi(m t), of unit mass on (-1/m, 1/m), for 1 <= m < inf."""
+        if not 1 <= m < math.inf:  # also nan
+            raise ValueError("scale must be finite and >= 1")
+        return TestFunction(self, self.support, lam=float(m), amp=float(m))
 
 
 def mollifier(vanishing_order: int = 0, scale: int = 1) -> TestFunction:
-    """Convenience constructor returning the TestFunction directly."""
-    return Mollifier(vanishing_order, scale).as_test_function()
+    """phi_m for the bump of the given vanishing order and m = scale."""
+    return Mollifier(vanishing_order).rescaled(scale)

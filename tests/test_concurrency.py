@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from divsum.distributions import alternating_series_action, mollified_limit
 from divsum.exact import i_pow
-from divsum.mollifiers import _NORM_CACHE
+from divsum.mollifiers import bump_moment
 from divsum.series import derivative_at_zero, generating_function_series
 from divsum.sums import sum_powers, zeta_negative_oracle
 
@@ -22,11 +22,11 @@ def _work(k: int):
 def test_parallel_matches_serial():
     # start from cold caches so lazy initialization races are exercised
     generating_function_series.cache_clear()
-    _NORM_CACHE.clear()
+    bump_moment.cache_clear()
     ks = list(range(1, 17))
     serial = [_work(k) for k in ks]
     generating_function_series.cache_clear()
-    _NORM_CACHE.clear()
+    bump_moment.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(_work, ks))
     assert serial == parallel

@@ -583,7 +583,20 @@ class TestBumpGrading:
         bump_moment(p)  # its cached normalisation is an integral of its own
         calls = _count_integrand_calls(monkeypatch)
         mollified_limit(alternating_series_action, p, 10)
-        assert len(calls) <= 10  # 80 by bisection: 4 rounds for each of 2 cells
+        assert len(calls) == 10  # 80 by bisection: 4 rounds for each of 2 cells
+
+    @pytest.mark.parametrize("target, p, levels, expected", [
+        ("H2S", 0, 10, 10), ("H2S", 2, 10, 10), ("H2S", 4, 10, 20),
+        ("T0", 2, 8, 19), ("T0", 4, 8, 20)])
+    def test_scale_ladder_integrand_calls(self, target, p, levels, expected,
+                                          monkeypatch):
+        # H2S at p = 4 and T0 bisect the outermost panels in a second round
+        # on every level, and T0 in a third from m = 64 (p = 2) or m = 32
+        # (p = 4) on
+        bump_moment(p)
+        calls = _count_integrand_calls(monkeypatch)
+        _LADDERS[target](p, levels)
+        assert len(calls) == expected
 
     @pytest.mark.parametrize("p, rounds", [(0, 1), (2, 1), (4, 2)])
     def test_jump_average_takes_one_round_per_level(self, p, rounds, monkeypatch):
@@ -665,7 +678,7 @@ class TestJumpKernelLadder:
 
 class TestDirichletComb:
     def test_closed_form_value(self):
-        base = Mollifier(0, 1)
+        base = Mollifier(0)
         phi0 = float(base.value(np.array([0.0]))[0])
         assert abs(dirichlet_comb_growth(1) - 2 * PI * phi0) < 1e-12
 
@@ -694,7 +707,7 @@ class TestDirichletComb:
     def test_closed_form_kernel_matches_direct_cosine_sum(self, m):
         # each hat(phi_m)(n) = 2 int_0^1 phi(u) cos(n u / m) du summed term by
         # term, on a 20-point Gauss grid independent of the library's
-        base = Mollifier(0, 1)
+        base = Mollifier(0)
         n_max = math.ceil(_COMB_XI_MAX * m)
         nodes, weights = np.polynomial.legendre.leggauss(20)
         edges = np.linspace(0.0, 1.0, 129)
@@ -707,7 +720,7 @@ class TestDirichletComb:
         assert abs(_comb_spectral_sum(base, m, n_max) - direct) < 1e-10
 
     def test_large_scale_passes_default_tolerance(self):
-        phi0 = float(Mollifier(0, 1).value(np.array([0.0]))[0])
+        phi0 = float(Mollifier(0).value(np.array([0.0]))[0])
         assert dirichlet_comb_growth(512) == 2 * PI * 512 * phi0
 
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from divsum.mollifiers import Mollifier, bump_moment, mollifier
+from divsum.mollifiers import Mollifier, _profile, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
 from divsum.quadrature import integrate
 
@@ -15,22 +15,22 @@ from divsum.quadrature import integrate
 @pytest.mark.parametrize("m", [1, 2, 8, 64])
 class TestAxioms:
     def test_symmetric(self, p, m):
-        phi = Mollifier(p, m)
+        phi = mollifier(p, m)
         t = np.linspace(0.0, 1.2 / m, 57)
         assert np.array_equal(phi.value(t), phi.value(-t))
 
     def test_nonnegative(self, p, m):
-        phi = Mollifier(p, m)
+        phi = mollifier(p, m)
         t = np.linspace(-1.5 / m, 1.5 / m, 211)
         assert np.all(phi.value(t) >= 0.0)
 
     def test_unit_mass(self, p, m):
-        phi = Mollifier(p, m)
+        phi = mollifier(p, m)
         mass = integrate(phi.value, *phi.support, tol=1e-13).real
         assert abs(mass - 1.0) < 1e-10
 
     def test_support_containment_exact(self, p, m):
-        phi = Mollifier(p, m)
+        phi = mollifier(p, m)
         lo, hi = phi.support
         assert (lo, hi) == (-1.0 / m, 1.0 / m)
         outside = np.array([lo - 1e-12, hi + 1e-12, lo, hi, 2.0, -3.0])
@@ -40,7 +40,7 @@ class TestAxioms:
 
     def test_zero_at_infinity(self, p, m):
         # t^p is never formed outside the support, so inf * 0 cannot give nan
-        phi = Mollifier(p, m)
+        phi = mollifier(p, m)
         far = np.array([-np.inf, np.inf])
         for f in (phi.value, phi.deriv, phi.deriv2):
             assert np.array_equal(f(far), np.zeros(2))
@@ -48,27 +48,28 @@ class TestAxioms:
 
 class TestVanishingOrder:
     def test_p_zero_positive_at_origin(self):
-        assert Mollifier(0, 1).value(np.array([0.0]))[0] > 0
+        assert Mollifier(0).value(np.array([0.0]))[0] > 0
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_higher_orders_flat_at_origin(self, p):
-        phi = Mollifier(p, 3)
+        phi = mollifier(p, 3)
         assert phi.value(np.array([0.0]))[0] == 0.0
         assert phi.deriv(np.array([0.0]))[0] == 0.0
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            Mollifier(3, 1)
+            Mollifier(3)
 
-    def test_invalid_scale(self):
+    @pytest.mark.parametrize("m", [0, -1, math.nan, math.inf])
+    def test_invalid_scale(self, m):
         with pytest.raises(ValueError):
-            Mollifier(0, 0)
+            mollifier(0, m)
 
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("p", [0, 2, 4])
     def test_finite_difference(self, p):
-        phi = Mollifier(p, 2)
+        phi = mollifier(p, 2)
         t = np.linspace(-0.45, 0.45, 41)
         h = 1e-6
         fd1 = (phi.value(t + h) - phi.value(t - h)) / (2 * h)
@@ -89,7 +90,7 @@ class TestDerivativeConsistency:
         f = m * (m * x) ** p * sp.exp(-1 / (1 - (m * x) ** 2)) / c
         t = np.array([-0.93, -0.8, -0.66, -0.5, -0.37, -0.21, -0.08, 0.0,
                       0.03, 0.17, 0.31, 0.46, 0.62, 0.77, 0.9]) / m
-        phi = Mollifier(p, m)
+        phi = mollifier(p, m)
         for j, got in enumerate((phi.value(t), phi.deriv(t), phi.deriv2(t))):
             exact = sp.diff(f, x, j)
             for tk, gk in zip(t, got):
@@ -146,12 +147,6 @@ class TestTransforms:
         at_t = (tf.value, tf.deriv, tf.deriv2)[order](t)
         assert np.array_equal(tf.local(math.pi, order)(x), at_t)
 
-    def test_identity_map_evaluates_the_base_directly(self):
-        base = Mollifier(2, 1)
-        tf = base.as_test_function()
-        assert tf.local(0.0, 1) == base.deriv
-        assert tf.shifted(0.5).local(0.5, 2) == base.deriv2
-
     def test_scaled(self):
         tf = mollifier(2, 1).scaled(3.0)
         t = np.linspace(-1, 1, 11)
@@ -160,7 +155,7 @@ class TestTransforms:
     def test_breakpoints_follow_the_map(self):
         tf = mollifier(2, 4).dilated(2.0).shifted(1.0)
         grading = (0.0, 0.5, -0.5, 0.75, -0.75, 0.875, -0.875)
-        assert Mollifier(2, 4).breakpoints == tuple(b / 4 for b in grading)
+        assert mollifier(2, 4).breakpoints == tuple(b / 4 for b in grading)
         assert tf.breakpoints == tuple(1.0 + b / 8 for b in grading)
         sa, sb = tf.support
         assert all(sa < b < sb for b in tf.breakpoints)
@@ -171,5 +166,28 @@ class TestTransforms:
         assert tf.shifted(2.0).dilated(3.0).breakpoints == ()
 
     def test_rescaled_mollifier(self):
-        phi = Mollifier(4, 1).rescaled(8)
-        assert phi.scale == 8 and phi.vanishing_order == 4
+        phi = Mollifier(4).rescaled(8)
+        assert phi.lam == phi.amp == 8.0 and phi.base.vanishing_order == 4
+
+
+class TestRescaling:
+    """phi_m is the unit bump under the TestFunction map lam = amp = m."""
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    @pytest.mark.parametrize("m", [2, 8, 64, 1024, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_the_scaled_profile(self, p, m, k):
+        # m^(k+1) f^(k)(m t) / C_p, multiplied before dividing; for a power
+        # of 2 the two orders round alike
+        t = np.linspace(-1.25, 1.25, 201) / m
+        got = Mollifier(p).rescaled(m).local(0.0, k)(t)
+        want = m ** (k + 1) * _profile(m * t, p, k) / bump_moment(p)
+        if m == 3:
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_is_a_dilation_and_an_amplitude(self, p, m):
+        assert mollifier(p, m) == mollifier(p).dilated(m).scaled(m)
