@@ -96,8 +96,10 @@ _SINGULAR_MARGIN = 0.25
 
 # tolerance of the remainder route relative to max|phi''|, probed at
 # _PROBE_POINTS even steps over the support in the cell, times that span;
-# at an absolute 1e-10 a half-width 0.01 bump built from plain callables
-# inside one of width 2 stalls on rounding (see _remainder_cell_action)
+# at an absolute 1e-10 narrow features stall on rounding: an affine p = 4
+# bump of half-width 0.001 with the pole 1e-5 outside it, and a half-width
+# 0.01 bump built from plain callables inside one of width 2 (see
+# _remainder_cell_action)
 _REMAINDER_REL_TOL = 1e-12
 _PROBE_POINTS = 513
 # breakpoints 0 and +-2^-k in u = sign(x) sqrt|x| grade the remainder
@@ -163,10 +165,11 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
     if not hi > lo:
         return 0j
     d2 = phi.local(pole, 2)
-    # an affine bump rounds x only against pole - shift, but a base given by
-    # plain callables (a sum of bumps, say) sees pole + x, so its phi'' has
-    # noise near |phi'''| ulp(pole), far above an absolute 1e-10 for narrow
-    # features: the integral is asked for relative to the size of phi''
+    # a narrow feature has a large phi'' (up to 1.6e8 on an affine p = 4 bump
+    # of half-width 0.001), whose rounding alone leaves panels short of an
+    # absolute 1e-10; a base given by plain callables (a sum of bumps, say)
+    # also sees pole + x, so its phi'' has noise near |phi'''| ulp(pole):
+    # the integral is asked for relative to the size of phi''
     scale = float(np.max(np.abs(d2(np.linspace(lo, hi, _PROBE_POINTS))))) * (hi - lo)
     tol = max(TOLERANCE, _REMAINDER_REL_TOL * scale)
 
@@ -490,8 +493,8 @@ def dirichlet_comb_growth(m: int) -> float:
     The routes must agree within _COMB_AGREEMENT_TOL; the validated
     closed-form value is returned.  Grows exactly linearly in m.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m < math.inf:  # also nan
+        raise ValueError("m must be finite and >= 1")
     base = Mollifier(0)  # needs phi(0) > 0, so no vanishing factor
     phi0 = float(base.value(np.array([0.0]))[0])
     closed = PERIOD * m * phi0

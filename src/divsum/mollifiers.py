@@ -142,7 +142,10 @@ class TestFunction:
         return replace(self, lam=scale, shift=self.shift / lam)
 
     def scaled(self, amp: float) -> "TestFunction":
-        return replace(self, amp=self.amp * amp)
+        scale = self.amp * amp
+        if not math.isfinite(scale):  # nan, +-inf, and a product that overflows
+            raise ValueError("amplitude must be finite")
+        return replace(self, amp=scale)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ The one pipeline that matters here is building
 as a formal series and reading off its derivatives at 0 exactly.  The
 series of e^{it} has coefficient i^j / j! at t^j; the quotient is formed
 with formal multiplication and reciprocal only (no general composition).
+The coefficients are ``GaussianRational`` values, exact in Q(i) over
+``fractions.Fraction``; powers of i reduce through ``i_pow``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import GaussianRational, i_pow
-
 __all__ = [
+    "GaussianRational",
+    "i_pow",
     "TaylorSeries",
     "constant_series",
     "series_exp_it",
@@ -28,6 +30,90 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 64
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "re", _as_fraction(self.re))
+        object.__setattr__(self, "im", _as_fraction(self.im))
+
+    @staticmethod
+    def from_value(x) -> "GaussianRational":
+        if isinstance(x, GaussianRational):
+            return x
+        return GaussianRational(_as_fraction(x))
+
+    def __add__(self, other) -> "GaussianRational":
+        o = GaussianRational.from_value(other)
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other) -> "GaussianRational":
+        return self + (-GaussianRational.from_value(other))
+
+    def __rsub__(self, other) -> "GaussianRational":
+        return GaussianRational.from_value(other) + (-self)
+
+    def __mul__(self, other) -> "GaussianRational":
+        o = GaussianRational.from_value(other)
+        return GaussianRational(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "GaussianRational":
+        o = GaussianRational.from_value(other)
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return GaussianRational(
+            (self.re * o.re + self.im * o.im) / n,
+            (self.im * o.re - self.re * o.im) / n,
+        )
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+
+# i^k for k = 0, 1, 2, 3; arbitrary integers reduce modulo 4
+_I_CYCLE = (
+    GaussianRational(Fraction(1), Fraction(0)),
+    GaussianRational(Fraction(0), Fraction(1)),
+    GaussianRational(Fraction(-1), Fraction(0)),
+    GaussianRational(Fraction(0), Fraction(-1)),
+)
+
+
+def i_pow(k: int) -> GaussianRational:
+    """Exact i**k for any integer k (negative exponents allowed)."""
+    return _I_CYCLE[k % 4]
+
 
 _ZERO = GaussianRational(Fraction(0))
 _ONE = GaussianRational(Fraction(1))
@@ -88,20 +174,6 @@ class TaylorSeries:
                 acc = acc + a[k] * out[j - k]
             out.append(-inv0 * acc)
         return TaylorSeries(tuple(out))
-
-    def derivative(self) -> "TaylorSeries":
-        if self.order == 0:
-            return TaylorSeries((_ZERO,))
-        return TaylorSeries(
-            tuple(self.coeffs[j] * j for j in range(1, self.order + 1))
-        )
-
-    def to_json_obj(self) -> list:
-        """Exact coefficient list: [{"j": 0, "re": "1/4", "im": "0"}, ...]."""
-        return [
-            {"j": j, "re": str(c.re), "im": str(c.im)}
-            for j, c in enumerate(self.coeffs)
-        ]
 
 
 def constant_series(value, order: int) -> TaylorSeries:

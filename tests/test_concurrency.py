@@ -5,9 +5,8 @@ mollifier normalization constants, which are computed lazily)."""
 from concurrent.futures import ThreadPoolExecutor
 
 from divsum.distributions import alternating_series_action, mollified_limit
-from divsum.exact import i_pow
 from divsum.mollifiers import bump_moment
-from divsum.series import derivative_at_zero, generating_function_series
+from divsum.series import derivative_at_zero, generating_function_series, i_pow
 from divsum.sums import sum_powers, zeta_negative_oracle
 
 

@@ -695,8 +695,10 @@ class TestDirichletComb:
         assert abs(rec.growth_exponent - 1.0) < 0.05
 
     def test_m_guard(self):
-        with pytest.raises(ValueError):
-            dirichlet_comb_growth(0)
+        # nan and inf are input errors too, not a failed float conversion
+        for m in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="m must be"):
+                dirichlet_comb_growth(m)
 
     def test_agreement_guard_trips_on_absurd_tolerance(self, monkeypatch):
         monkeypatch.setattr("divsum.distributions._COMB_AGREEMENT_TOL", 1e-18)

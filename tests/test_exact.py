@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsum.exact import (
-    GaussianRational,
-    Rational,
-    i_pow,
-    parse_gaussian,
-    parse_rational,
-)
+from divsum.series import GaussianRational, i_pow
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=20
@@ -45,12 +39,6 @@ class TestGaussianRational:
         assert gr(1, 2) * 3 == gr(3, 6)
         assert 1 - gr(0, 1) == gr(1, -1)
         assert gr(1) / 4 == gr(Fraction(1, 4))
-
-    def test_conjugate_and_modulus_square(self):
-        z = gr(Fraction(3, 5), Fraction(-2, 7))
-        zz = z * z.conjugate()
-        assert zz.im == 0
-        assert zz.re == Fraction(3, 5) ** 2 + Fraction(2, 7) ** 2
 
 
 class TestIPow:
@@ -94,24 +82,3 @@ class TestFieldAxioms:
         for value in (a + b, a * b, a - b):
             assert math.gcd(value.numerator, value.denominator) == 1
             assert value.denominator > 0
-
-
-class TestParsing:
-    def test_rational_round_trip(self):
-        for s in ("-1/12", "1/120", "0", "7", "-691/2730"):
-            assert str(parse_rational(s)) == s
-
-    def test_rational_is_fraction(self):
-        assert Rational is Fraction
-
-    def test_gaussian_round_trip(self):
-        for z in (gr(Fraction(1, 4), 0), gr(0, 1), gr(Fraction(-1, 12), Fraction(3, 7)),
-                  gr(2, -5), gr(0, 0)):
-            assert parse_gaussian(str(z)) == z
-
-    def test_gaussian_accepts_bare_rational(self):
-        assert parse_gaussian("-1/12") == gr(Fraction(-1, 12))
-
-    def test_gaussian_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_gaussian("one plus i")

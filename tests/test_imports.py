@@ -1,9 +1,9 @@
 """Import graph and public names.
 
 The exact subcommands load only the standard library and the exact layers,
-and no subcommand loads the Gaussian-rational series that the tests use as
-an oracle.  Each command runs in a fresh interpreter, which then reports
-the modules it holds.
+and no subcommand loads ``divsum.series``, the Gaussian-rational series
+(arithmetic included) that the tests use as an oracle.  Each command runs
+in a fresh interpreter, which then reports the modules it holds.
 """
 
 import importlib
@@ -20,7 +20,7 @@ import divsum
 
 NUMERIC_MODULES = ("numpy", "divsum.distributions", "divsum.quadrature",
                    "divsum.mollifiers")
-ORACLE_MODULES = ("divsum.exact", "divsum.series")
+ORACLE_MODULES = ("divsum.series",)
 
 _PROBE = """
 import json, sys

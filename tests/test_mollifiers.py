@@ -152,6 +152,17 @@ class TestTransforms:
         t = np.linspace(-1, 1, 11)
         assert np.allclose(tf(t), 3 * mollifier(2, 1)(t), atol=0, rtol=0)
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_is_rejected(self, amp):
+        # an input error, before any pairing reaches quadrature with it
+        with pytest.raises(ValueError, match="amplitude"):
+            mollifier(0, 1).shifted(math.pi).scaled(amp)
+
+    @pytest.mark.parametrize("amp", [0.0, -2.5])
+    def test_zero_and_negative_amplitudes_are_accepted(self, amp):
+        t = np.linspace(-1, 1, 11)
+        assert np.array_equal(mollifier(2, 1).scaled(amp)(t), amp * mollifier(2, 1)(t))
+
     def test_breakpoints_follow_the_map(self):
         tf = mollifier(2, 4).dilated(2.0).shifted(1.0)
         grading = (0.0, 0.5, -0.5, 0.75, -0.75, 0.875, -0.875)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsum.exact import GaussianRational
 from divsum.series import (
+    GaussianRational,
     TaylorSeries,
     constant_series,
     derivative_at_zero,
@@ -56,9 +56,6 @@ class TestBasicOps:
     def test_reciprocal_needs_nonzero_constant(self):
         with pytest.raises(ZeroDivisionError):
             ts(0, 1).reciprocal()
-
-    def test_derivative(self):
-        assert ts(0, 1, 1).derivative().coeffs == (gr(1), gr(2))
 
     def test_mul(self):
         assert (ts(1, 1) * ts(1, -1)).coeffs == (gr(1), gr(0))
@@ -132,13 +129,3 @@ class TestRingProperties:
         if not s.coeffs[0].is_zero():
             one = constant_series(1, s.order)
             assert s * s.reciprocal() == one
-
-
-class TestSerialization:
-    def test_json_coefficient_shape(self):
-        obj = generating_function_series(2).to_json_obj()
-        assert obj == [
-            {"j": 0, "re": "1/4", "im": "0"},
-            {"j": 1, "re": "0", "im": "0"},
-            {"j": 2, "re": "1/16", "im": "0"},
-        ]

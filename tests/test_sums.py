@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from divsum import sums
-from divsum.exact import i_pow
-from divsum.series import derivative_at_zero, generating_function_series
+from divsum.series import derivative_at_zero, generating_function_series, i_pow
 from divsum.sums import (
     SumKind,
     alternating_sum_powers,
