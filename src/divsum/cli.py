@@ -3,8 +3,8 @@
 Subcommands: sum, zeta, check, coeff, mollify, casimir, table.  Global
 flags --format {text|json|csv} and --quiet.
 
-Exit status: 0 success; 1 a failed check: an internal cross-check that can
-only fail on a library bug, or a check or coeff result that misses its
+Exit status: 0 success; 1 a failed check: a table row whose closed form
+misses the zeta oracle, or a check or coeff result that misses its
 acceptance test, such as an unconverged coeff ladder at few levels; 2 usage
 or precondition error; 3 numerical failure (a quadrature that cannot reach
 its tolerance).  All floats print with 12 significant digits and rationals
@@ -23,7 +23,6 @@ import math
 import sys
 
 from .casimir import CavityConfig, casimir_force, ground_state_energy
-from .errors import ConsistencyError
 from .extrapolation import EpsilonLimit
 from .sums import (
     alternating_sum_powers,
@@ -284,9 +283,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 1
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -49,7 +49,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .extrapolation import (
     EpsilonLimit,
     detect_divergence,
@@ -57,7 +56,7 @@ from .extrapolation import (
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction
-from .quadrature import TOLERANCE, gauss_grid, integrate, panel_integrals, panel_sum
+from .quadrature import TOLERANCE, integrate, panel_integrals, panel_sum
 
 __all__ = [
     "alternating_kernel",
@@ -459,53 +458,21 @@ def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
 # Divergence demonstrations
 
 
-_COMB_XI_MAX = 480.0  # spectral cutoff: bump transform tail is < 1e-7 beyond
-_COMB_AGREEMENT_TOL = 1e-6  # absolute; the routes drift apart by about 3e-11 m
-
-
-def _comb_spectral_sum(base: Mollifier, m: int, n_max: int) -> float:
-    """Truncated spectral sum hat(phi_m)(0) + 2 sum_{n=1}^{n_max} hat(phi_m)(n).
-
-    hat(phi_m)(n) = hat(phi)(n/m) = 2 int_0^1 phi(u) cos(n u / m) du for the
-    even base mollifier.  Summing under the integral, the cosines add up to
-    the Dirichlet kernel
-
-        1 + 2 sum_{n=1}^{N} cos(n h)  =  sin((N + 1/2) h) / sin(h / 2),
-
-    taken at h = u / m on a fixed Gauss grid fine enough for the kernel's
-    frequency of about _COMB_XI_MAX.  No Gauss node sits at u = 0, so the
-    quotient is never 0/0.
-    """
-    n_panels = max(32, math.ceil(_COMB_XI_MAX / 6.0) + 16)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    u, weights, half = gauss_grid(edges[:-1], edges[1:])
-    h = u / m
-    kernel = np.sin((n_max + 0.5) * h) / np.sin(0.5 * h)
-    return float(np.sum(((2.0 * base.value(u) * kernel) @ weights) * half))
-
-
 def dirichlet_comb_growth(m: int) -> float:
-    """Pairing of the Dirichlet comb sum_n e^{int} with phi_m.
+    """Pairing of the Dirichlet comb sum_n e^{int} with phi_m: 2 pi m phi(0).
 
-    Evaluated two ways: the Poisson-summation closed form 2 pi m phi(0),
-    and the truncated spectral sum of the mollifier transform with the
-    cutoff chosen so the neglected tail is far below _COMB_AGREEMENT_TOL.
-    The routes must agree within _COMB_AGREEMENT_TOL; the validated
-    closed-form value is returned.  Grows exactly linearly in m.
+    By Poisson summation the comb is 2 pi sum_k delta_{2 pi k}, so the
+    pairing is 2 pi sum_k phi_m(2 pi k).  phi_m is supported in
+    [-1/m, 1/m], inside (-2 pi, 2 pi) for every m >= 1, so only k = 0
+    meets the support and the sum is 2 pi phi_m(0) = 2 pi m phi(0): exactly
+    linear in m.  The truncated spectral sum of the bump's transform is the
+    independent route, checked against this in the tests.
     """
     if not 1 <= m < math.inf:  # also nan
         raise ValueError("m must be finite and >= 1")
     base = Mollifier(0)  # needs phi(0) > 0, so no vanishing factor
     phi0 = float(base.value(np.array([0.0]))[0])
-    closed = PERIOD * m * phi0
-
-    spectral = _comb_spectral_sum(base, m, math.ceil(_COMB_XI_MAX * m))
-    if abs(closed - spectral) > _COMB_AGREEMENT_TOL:
-        raise ConsistencyError(
-            "Dirichlet comb routes disagree: "
-            f"closed={closed!r} spectral={spectral!r}"
-        )
-    return closed
+    return PERIOD * m * phi0
 
 
 def dirichlet_comb_ladder(levels: int = 8) -> EpsilonLimit:

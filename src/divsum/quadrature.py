@@ -28,7 +28,8 @@ A ladder whose levels share their nodes, as the jump ladder does in the
 bump's own coordinate, is then one adaptive pass.
 
 ``gauss_grid`` is the one place the Gauss node and weight layout is built;
-the adaptive panels here and the fixed grids in ``distributions`` use it.
+the adaptive panels here use it, and so do the fixed grids of the test
+oracles in ``tests/oracles.py``.
 ``panel_integrals`` hands out the accepted panels themselves, sorted by
 left edge, for callers that read prefix or suffix sums over them or sum
 each row; ``panel_sum`` is the correctly rounded sum of one row.
@@ -37,7 +38,6 @@ each row; ``panel_sum`` is the correctly rounded sum of one row.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,17 +52,12 @@ _MAX_ROUNDS = 44
 # (round 0: every seeded panel whole and halved).  Normal use stays below 100
 _MAX_ACTIVE_PANELS = 1 << 14
 _REL_FLOOR = 1e-14
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 class QuadratureError(ArithmeticError):
     """Refinement cannot reach the requested tolerance: the integrand is not
     finite, the active panels exceed their cap, or the rounds run out."""
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule():
-    # built on first use: numpy.polynomial is not needed by exact-only runs
-    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 def gauss_grid(lo, hi):
@@ -71,10 +66,9 @@ def gauss_grid(lo, hi):
     ``lo`` and ``hi`` are arrays of one shape; the nodes of each panel lie
     on a new last axis.  A panel's integral is ``(f(x) @ weights) * half``.
     """
-    nodes, weights = _gauss_rule()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid[..., None] + half[..., None] * nodes, weights, half
+    return mid[..., None] + half[..., None] * _NODES, _WEIGHTS, half
 
 
 def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -97,9 +97,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
 
 # i^k for k = 0, 1, 2, 3; arbitrary integers reduce modulo 4
 _I_CYCLE = (

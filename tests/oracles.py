@@ -1,19 +1,21 @@
 """Independent checks of the paper's manipulations, used only by the tests:
 exact identities on coefficient sequences, the dilation rule through
-the lacunary Fourier series, and the jump pairing level by level."""
+the lacunary Fourier series, the jump pairing level by level, and the
+Dirichlet comb through its truncated spectral sum."""
 
 import math
 
 import numpy as np
 
 from divsum.distributions import alternating_series_action
-from divsum.mollifiers import TestFunction
+from divsum.mollifiers import Mollifier, TestFunction
 from divsum.quadrature import gauss_grid, integrate
 
 # rounding error of a weighted-node transform, relative to sum |w_eff|
 _TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
 _LACUNARY_TAIL_TOL = 1e-13
 _LACUNARY_MAX_TERMS = 4096
+_COMB_XI_MAX = 480.0  # spectral cutoff: bump transform tail is < 1e-7 beyond
 
 
 def _lacunary_series_pairing(phi: TestFunction, lam: float) -> complex:
@@ -62,6 +64,34 @@ def jump_pairing(f):
                          breakpoints=(0.0, *phi.breakpoints))
 
     return pairing
+
+
+def _comb_spectral_sum(base: Mollifier, m: int, n_max: int) -> float:
+    """Truncated spectral sum hat(phi_m)(0) + 2 sum_{n=1}^{n_max} hat(phi_m)(n).
+
+    hat(phi_m)(n) = hat(phi)(n/m) = 2 int_0^1 phi(u) cos(n u / m) du for the
+    even base mollifier.  Summing under the integral, the cosines add up to
+    the Dirichlet kernel
+
+        1 + 2 sum_{n=1}^{N} cos(n h)  =  sin((N + 1/2) h) / sin(h / 2),
+
+    taken at h = u / m on a fixed Gauss grid fine enough for the kernel's
+    frequency of about _COMB_XI_MAX.  No Gauss node sits at u = 0, so the
+    quotient is never 0/0.
+    """
+    n_panels = max(32, math.ceil(_COMB_XI_MAX / 6.0) + 16)
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    u, weights, half = gauss_grid(edges[:-1], edges[1:])
+    h = u / m
+    kernel = np.sin((n_max + 0.5) * h) / np.sin(0.5 * h)
+    return float(np.sum(((2.0 * base.value(u) * kernel) @ weights) * half))
+
+
+def comb_spectral_pairing(m: int) -> float:
+    """<sum_n e^{int}, phi_m> for the p = 0 mollifier, summed over the
+    spectrum |n| <= _COMB_XI_MAX * m instead of through Poisson summation:
+    the reference for ``dirichlet_comb_growth``."""
+    return _comb_spectral_sum(Mollifier(0), m, math.ceil(_COMB_XI_MAX * m))
 
 
 def homothety_pairing_check(phi: TestFunction, lam: float,

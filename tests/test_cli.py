@@ -8,7 +8,6 @@ import pytest
 
 import divsum.cli
 from divsum.cli import main
-from divsum.errors import ConsistencyError
 from divsum.quadrature import QuadratureError
 from divsum.sums import bernoulli_numbers
 
@@ -172,6 +171,13 @@ class TestMollify:
         assert abs(exponent - 1.0) < 0.05
         assert out.rstrip().endswith("sign +")
 
+    @pytest.mark.parametrize("levels", ["16", "20"])
+    def test_target_dirichlet_at_large_scales(self, capsys, levels):
+        # m reaches 2^19; the comb's value is its closed form at every scale
+        code, out, err = run(capsys, "--quiet", "mollify", "--target",
+                             "dirichlet", "--levels", levels)
+        assert (code, out, err) == (0, "diverges exponent 1 sign +\n", "")
+
     def test_target_jump(self, capsys):
         code, out, _ = run(capsys, "--quiet", "mollify", "--target",
                            "jump:heaviside", "--levels", "6")
@@ -312,11 +318,10 @@ class TestDeterminism:
 
 class TestExitStatus:
     @pytest.mark.parametrize("exc,code", [
-        (ConsistencyError("routes disagree"), 1),
+        (ValueError("bad"), 2),
         (QuadratureError("stalled"), 3),
         (ArithmeticError("tail"), 3),
         (ZeroDivisionError("division"), 3),
-        (ValueError("bad"), 2),
     ])
     def test_error_maps_to_exit_code(self, capsys, monkeypatch, exc, code):
         def fail(_):
