@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .sums import sum_powers
 
@@ -35,17 +35,25 @@ SI_HBAR = 1.054571817e-34  # J s
 SI_C = 2.99792458e8        # m / s
 
 
-@dataclass(frozen=True)
-class CavityConfig:
-    d: float
-    c: float = 1.0
-    hbar: float = 1.0
+class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
+    """Wall separation d, speed of light c and hbar, all finite and > 0.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.d) and self.d > 0):
+    A named tuple, so that ``divsum casimir`` need not import
+    ``dataclasses``.  Every constructor validates, ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: float, c: float = 1.0, hbar: float = 1.0):
+        if not (math.isfinite(d) and d > 0):
             raise ValueError("separation d must be finite and > 0")
-        if not all(math.isfinite(v) and v > 0 for v in (self.c, self.hbar)):
+        if not all(math.isfinite(v) and v > 0 for v in (c, hbar)):
             raise ValueError("c and hbar must be finite and > 0")
+        return super().__new__(cls, d, c, hbar)
+
+    @classmethod
+    def _make(cls, iterable) -> "CavityConfig":
+        return cls(*iterable)
 
     @staticmethod
     def si(d: float) -> "CavityConfig":

@@ -8,22 +8,20 @@ misses the zeta oracle, or a check or coeff result that misses its
 acceptance test, such as an unconverged coeff ladder at few levels; 2 usage
 or precondition error; 3 numerical failure (a quadrature that cannot reach
 its tolerance).  All floats print with 12 significant digits and rationals
-as "p/q", so output is byte-stable for golden tests.  coeff and mollify
-import numpy and the numerical layers when they run, check imports numpy
-for its direct series, and sum, zeta, table and casimir load neither.
+as "p/q", so output is byte-stable for golden tests.
+
+Each subcommand imports only what it runs.  At load this module imports
+argparse, math, sys and ``divsum.sums`` (with fractions), which is all that
+sum, zeta, table and an even-k check need.  casimir adds ``divsum.casimir``;
+an odd-k check adds numpy for its direct series; coeff and mollify add
+numpy and the numerical layers.  json is imported only for --format json,
+and csv only for --format csv.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 
-from .casimir import CavityConfig, casimir_force, ground_state_energy
-from .extrapolation import EpsilonLimit
 from .sums import (
     alternating_sum_powers,
     bernoulli_numbers,
@@ -71,8 +69,13 @@ def _emit(args, obj, text, csv_rows=None) -> None:
     prints the lines of ``text``.
     """
     if args.format == "json":
+        import json
+
         print(json.dumps(_round12(obj)))
     elif args.format == "csv":
+        import csv
+        import io
+
         if csv_rows is None:
             records = obj if isinstance(obj, list) else [obj]
             csv_rows = [list(records[0])] + [list(r.values()) for r in records]
@@ -85,9 +88,10 @@ def _emit(args, obj, text, csv_rows=None) -> None:
             print(line)
 
 
-def _emit_ladder(args, limit: EpsilonLimit, extra: dict, tail) -> None:
-    """A ladder: its JSON record plus ``extra``, its samples as CSV, and
-    its samples as text (unless --quiet) followed by the ``tail`` lines."""
+def _emit_ladder(args, limit, extra: dict, tail) -> None:
+    """A ladder (an ``EpsilonLimit``): its JSON record plus ``extra``, its
+    samples as CSV, and its samples as text (unless --quiet) followed by the
+    ``tail`` lines."""
     obj = limit.to_json_obj()
     obj.update(extra)
     rows = [[fmt_float(p), fmt_float(v.real), fmt_float(v.imag)]
@@ -143,7 +147,8 @@ def cmd_coeff(args) -> int:
 _DEFAULT_LEVELS = {"T0": 8, "dirichlet": 8}
 
 
-def _mollify_limit(args) -> EpsilonLimit:
+def _mollify_limit(args):
+    """The ``EpsilonLimit`` of the mollify target."""
     import numpy as np
 
     from . import distributions as dist
@@ -197,6 +202,8 @@ def cmd_mollify(args) -> int:
 
 
 def cmd_casimir(args) -> int:
+    from .casimir import CavityConfig, casimir_force, ground_state_energy
+
     cfg = CavityConfig.si(args.d) if args.units == "si" else CavityConfig(d=args.d)
     energy = ground_state_energy(cfg)
     force = casimir_force(cfg)

@@ -71,7 +71,6 @@ __all__ = [
     "dirichlet_comb_growth",
     "dirichlet_comb_ladder",
     "DEFAULT_EPS_LEVELS",
-    "DEFAULT_SCALE_LEVELS",
     "MAX_LEVELS",
 ]
 

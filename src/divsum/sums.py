@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -55,13 +55,15 @@ class SumKind(str, enum.Enum):
     POWERS_ALTERNATING = "powers_alternating"
 
 
-@dataclass(frozen=True)
-class RegularizedSum:
-    """Exact regularized value of a divergent power sum."""
+class RegularizedSum(namedtuple("RegularizedSum", "value k kind")):
+    """Exact regularized value of a divergent power sum: the Fraction
+    ``value`` assigned to the series of ``kind`` with exponent ``k``.
 
-    value: Fraction
-    k: int
-    kind: SumKind
+    A named tuple, so that the exact subcommands need not import
+    ``dataclasses``; it compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -155,7 +157,10 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     partial = 0.0
     for start in range(1, terms + 1, _SUM_CHUNK):
         n = np.arange(start, min(start + _SUM_CHUNK, terms + 1), dtype=np.float64)
-        partial += float(np.sum(n ** (-s)))
+        # in place, and freed before the next chunk: one chunk-sized buffer
+        # at a time, and the same ufunc as n ** (-s)
+        partial += float(np.sum(np.power(n, -s, out=n)))
+        del n
     tail = terms ** (1.0 - s) / (s - 1.0)
     return partial + tail
 

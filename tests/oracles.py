@@ -1,7 +1,8 @@
 """Independent checks of the paper's manipulations, used only by the tests:
 exact identities on coefficient sequences, the dilation rule through
-the lacunary Fourier series, the jump pairing level by level, and the
-Dirichlet comb through its truncated spectral sum."""
+the lacunary Fourier series, the jump pairing level by level, the
+Dirichlet comb through its truncated spectral sum, and the direct zeta
+series with a fresh array of powers per chunk."""
 
 import math
 
@@ -10,6 +11,7 @@ import numpy as np
 from divsum.distributions import alternating_series_action
 from divsum.mollifiers import Mollifier, TestFunction
 from divsum.quadrature import gauss_grid, integrate
+from divsum.sums import _SUM_CHUNK
 
 # rounding error of a weighted-node transform, relative to sum |w_eff|
 _TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
@@ -106,6 +108,16 @@ def homothety_pairing_check(phi: TestFunction, lam: float,
     via_definition = alternating_series_action(phi.dilated(1.0 / lam)) / lam
     via_series = _lacunary_series_pairing(phi, lam)
     return abs(via_definition - via_series) <= tol
+
+
+def zeta_partial_sum_two_arrays(s: float, terms: int) -> float:
+    """``zeta_partial_sum`` with n ** (-s) in a second array per chunk: the
+    reference for its in-place powers, which must agree bitwise."""
+    partial = 0.0
+    for start in range(1, terms + 1, _SUM_CHUNK):
+        n = np.arange(start, min(start + _SUM_CHUNK, terms + 1), dtype=np.float64)
+        partial += float(np.sum(n ** (-s)))
+    return partial + terms ** (1.0 - s) / (s - 1.0)
 
 
 def ramanujan_identity_check(order: int) -> bool:

@@ -110,3 +110,16 @@ class TestConfig:
         kwargs = {"d": 1.0, field: bad}
         with pytest.raises(ValueError):
             CavityConfig(**kwargs)
+
+    def test_replace_validates(self):
+        cfg = CavityConfig(d=1.0)
+        assert cfg._replace(c=2.0) == CavityConfig(d=1.0, c=2.0, hbar=1.0)
+        with pytest.raises(ValueError):
+            cfg._replace(d=-1.0)
+
+    def test_immutable_record(self):
+        cfg = CavityConfig.si(2.0)
+        assert repr(cfg) == "CavityConfig(d=2.0, c=299792458.0, hbar=1.054571817e-34)"
+        assert hash(cfg) == hash(CavityConfig(2.0, SI_C, SI_HBAR))
+        with pytest.raises(AttributeError):
+            cfg.d = 1.0
