@@ -16,10 +16,18 @@ sum, zeta, table and an even-k check need.  casimir adds ``divsum.casimir``;
 an odd-k check adds numpy for its direct series; coeff and mollify add
 numpy and the numerical layers.  json is imported only for --format json,
 and csv only for --format csv.
+
+``main()`` runs numpy's OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
+is set: no subcommand makes a BLAS call that threads speed up (the largest
+is a 7,200-element matrix-vector product, a jump ladder at 20 levels), and
+the idle worker thread cost about 0.1 s of CPU per process.  For the CLI
+this overrides a setting of OMP_NUM_THREADS alone.  It applies only when
+numpy has not loaded yet; the library API never changes threads.
 """
 
 import argparse
 import math
+import os
 import sys
 
 from .sums import (
@@ -287,6 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, when numpy loads; set later, it would pin
+        # nothing and only leak into the environment of an in-process caller
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

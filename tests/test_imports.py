@@ -3,8 +3,9 @@
 The exact subcommands load only the standard library modules they run and
 the exact layers, and no subcommand loads ``divsum.series``, the
 Gaussian-rational series (arithmetic included) that the tests use as an
-oracle.  Each command runs in a fresh interpreter, which then reports the
-modules it holds.
+oracle.  A cold numerical subcommand runs OpenBLAS on one thread unless the
+caller chose a count.  Each command runs in a fresh interpreter, which then
+reports the modules, threads or environment it holds.
 """
 
 import importlib
@@ -36,11 +37,19 @@ sys.stderr.write(json.dumps([code, modules]))
 """
 
 
-def _run_probe(probe, *argv):
+def _run_probe(probe, *argv, env=None):
+    """The JSON report on the last stderr line of ``probe`` run cold with
+    ``argv``; ``env`` sets variables of its environment, or removes those
+    given as None."""
     src = str(Path(divsum.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    for name, value in (env or {}).items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=full,
                           capture_output=True, text=True, timeout=120)
     return json.loads(proc.stderr.splitlines()[-1])
 
@@ -84,6 +93,43 @@ def test_ladder_commands_load_them():
     # the probe sees the modules when a command does need them
     assert loaded_after("coeff", "--n", "2", "--levels", "6") == (
         0, list(NUMERIC_MODULES))
+
+
+# argv[1] is "numpy" to load numpy before main(), or "cold"; the report is
+# the exit code, the threads held (None without /proc/self/task), the final
+# OPENBLAS_NUM_THREADS and the names of the variables main() changed
+_BLAS_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy":
+    import numpy
+before = dict(os.environ)
+from divsum.cli import main
+code = main(sys.argv[2:])
+after = dict(os.environ)
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+sys.stderr.write(json.dumps([code, threads, after.get("OPENBLAS_NUM_THREADS"), changed]))
+"""
+MOLLIFY_S = ("--quiet", "mollify", "--target", "S", "--p", "2")
+UNSET = {"OPENBLAS_NUM_THREADS": None}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cold_numerical_command_holds_one_thread():
+    assert _run_probe(_BLAS_PROBE, "cold", *MOLLIFY_S, env=UNSET) == [
+        0, 1, "1", ["OPENBLAS_NUM_THREADS"]]
+
+
+def test_caller_thread_count_wins():
+    code, _, value, changed = _run_probe(
+        _BLAS_PROBE, "cold", *MOLLIFY_S, env={"OPENBLAS_NUM_THREADS": "2"})
+    assert (code, value, changed) == (0, "2", [])
+
+
+def test_after_numpy_loads_environment_is_left_alone():
+    code, _, value, changed = _run_probe(_BLAS_PROBE, "numpy", *MOLLIFY_S, env=UNSET)
+    assert (code, value, changed) == (0, None, [])
 
 
 @pytest.mark.parametrize("argv", [
