@@ -137,6 +137,14 @@ def _support(phi: TestFunction) -> tuple:
     return float(sa), float(sb)
 
 
+def _check_levels(levels: int, least: int = 3) -> None:
+    """The depth rule of every public ladder: least <= levels <= MAX_LEVELS."""
+    if levels < least:
+        raise ValueError(f"levels must be >= {least}")
+    if levels > MAX_LEVELS:
+        raise ValueError(f"levels must be <= {MAX_LEVELS}")
+
+
 def _period_support(phi: TestFunction) -> tuple:
     sa, sb = _support(phi)
     if not (0.0 < sa and sb < PERIOD):
@@ -148,9 +156,11 @@ def _period_support(phi: TestFunction) -> tuple:
 # Remainder route: the finite part integrated by parts twice
 
 
-def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
+def _remainder_cell_action(phi: TestFunction, sa: float, sb: float,
+                           pole: float) -> complex:
     """Finite-part pairing over the period cell [pole - pi, pole + pi]:
-    minus the integral of log|sin(x/2)| phi''(pole + x) over the cell.
+    minus the integral of log|sin(x/2)| phi''(pole + x) over the cell, for
+    phi supported in the checked (sa, sb).
 
     Valid for any C^2 function on the closed cell; phi need not vanish at
     the cell edges.  With x = u|u| the integrand is
@@ -158,7 +168,6 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
     shrinks like its width squared and so meets the width-proportional
     budget; in x the log alone never does.
     """
-    sa, sb = _support(phi)
     lo, hi = max(sa - pole, -math.pi), min(sb - pole, math.pi)
     if not hi > lo:
         return 0j
@@ -185,8 +194,7 @@ def _remainder_cell_action(phi: TestFunction, pole: float) -> complex:
 def finite_part_action(phi: TestFunction) -> complex:
     """Finite-part pairing over (0, 2*pi) via the remainder route: minus the
     integral of log|sin(x/2)| phi''(pi + x) over (-pi, pi)."""
-    _period_support(phi)
-    return _remainder_cell_action(phi, math.pi)
+    return _remainder_cell_action(phi, *_period_support(phi), math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +215,6 @@ def _eps_limit(g, finish, lo: float, hi: float, cuts, levels: int,
     left edge is at least its eps.  A ladder with fewer than 3 samples is
     returned unconverged, with its last sample as the value.
     """
-    if levels < 3:
-        raise ValueError("need at least 3 epsilon levels")
-    if levels > MAX_LEVELS:
-        raise ValueError(f"levels must be <= {MAX_LEVELS}")
     eps_list = [EPS_TOP * 0.5**j
                 for j in range(first, min(first + levels, MAX_LEVELS))]
     samples = []
@@ -246,6 +250,7 @@ def finite_part_action_epsilon(phi: TestFunction,
     reported unconverged.
     """
     sa, sb = _period_support(phi)
+    _check_levels(levels)
     f = phi.local(math.pi)
     at_pole = float(f(np.zeros(1))[0])
     # signed distances of the support edges from the pole, positive inside
@@ -307,7 +312,7 @@ def alternating_series_action(phi: TestFunction) -> complex:
         lo, hi = max(sa, cell_lo), min(sb, cell_hi)
         n += 1
         if lo - _SINGULAR_MARGIN <= pole <= hi + _SINGULAR_MARGIN:
-            total += _remainder_cell_action(phi, pole)
+            total += _remainder_cell_action(phi, sa, sb, pole)
         elif runs and runs[-1][1] == lo:
             runs[-1][1] = hi  # the kernel is smooth across the cell edge
         else:
@@ -370,8 +375,7 @@ def fourier_coefficient_numeric(n: int,
     """
     if abs(n) > _MAX_FOURIER_INDEX:
         raise ValueError(f"|n| must be <= {_MAX_FOURIER_INDEX}")
-    if levels < 4:
-        raise ValueError("need at least 4 epsilon levels")
+    _check_levels(levels, 4)
     sign = -1.0 if n % 2 else 1.0
 
     def g(x):
@@ -395,10 +399,7 @@ def fourier_coefficient_numeric(n: int,
 
 
 def _scale_ladder(levels: int, base: int = 2):
-    if levels < 3:
-        raise ValueError("need at least 3 scale levels")
-    if levels > MAX_LEVELS:
-        raise ValueError(f"levels must be <= {MAX_LEVELS}")
+    _check_levels(levels)
     return [base * 2**j for j in range(levels)]
 
 
@@ -424,9 +425,11 @@ def mollified_limit(pairing, vanishing_order: int = 0,
     return _scale_limit(scales, [complex(pairing(bump.rescaled(m))) for m in scales])
 
 
-def jump_average(f, levels: int = DEFAULT_SCALE_LEVELS,
-                 vanishing_order: int = 0) -> EpsilonLimit:
-    """Mollified value at 0 of the regular distribution of f: it tends to
+def jump_average(f, vanishing_order: int = 0,
+                 levels: int = DEFAULT_SCALE_LEVELS) -> EpsilonLimit:
+    """Mollified value at 0 of the regular distribution of f, on the ladder
+    m = 2, 4, 8, ... of the bump of the given vanishing order, with the
+    parameters in the order of ``mollified_limit``.  It tends to
     (f(0+) + f(0-)) / 2 in even powers of 1/m when the odd one-sided
     derivatives of f agree at 0 (a step plus an even part: Heaviside, sign,
     cos).  A kink at 0, as in exp(t) H(t), leaves a miss of order

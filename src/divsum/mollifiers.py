@@ -86,21 +86,22 @@ def bump_moment(j: int) -> float:
 class TestFunction:
     """phi(t) = amp * f(lam * (t - shift)) for a base f (a Mollifier, say)
     with numpy-vectorized value, deriv and deriv2 methods that vanish
-    outside ``base_support``.  The map is data: transforms do not nest.
+    outside its ``support``, a pair (a, b) in its own coordinate.  The map
+    is data: transforms do not nest, and ``support`` here maps the base's
+    to t.
 
     A base may also offer ``breakpoints``, points in its own coordinate
     where quadrature panels should have edges; ``breakpoints`` here maps
     them to t, and is empty for a base without them."""
 
     base: object
-    base_support: tuple
     lam: float = 1.0
     shift: float = 0.0
     amp: float = 1.0
 
     @property
     def support(self) -> tuple:
-        sa, sb = self.base_support
+        sa, sb = self.base.support
         return (self.shift + sa / self.lam, self.shift + sb / self.lam)
 
     @property
@@ -161,17 +162,13 @@ class Mollifier:
             raise ValueError(f"vanishing order must be one of {VANISHING_ORDERS}")
 
     @property
-    def norm_const(self) -> float:
-        return bump_moment(self.vanishing_order)
-
-    @property
     def breakpoints(self) -> tuple:
         """The bump's quadrature grading."""
         return _BUMP_GRADING
 
     def _derivative(self, t, order: int) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return _profile(t, self.vanishing_order, order) / self.norm_const
+        p = self.vanishing_order
+        return _profile(np.asarray(t, dtype=float), p, order) / bump_moment(p)
 
     def value(self, t) -> np.ndarray:
         return self._derivative(t, 0)
@@ -186,7 +183,7 @@ class Mollifier:
         """phi_m(t) = m * phi(m t), of unit mass on (-1/m, 1/m), for 1 <= m < inf."""
         if not 1 <= m < math.inf:  # also nan
             raise ValueError("scale must be finite and >= 1")
-        return TestFunction(self, self.support, lam=float(m), amp=float(m))
+        return TestFunction(self, lam=float(m), amp=float(m))
 
 
 def mollifier(vanishing_order: int = 0, scale: int = 1) -> TestFunction:

@@ -74,8 +74,14 @@ class TestForce:
         assert -2 / sum_powers(1).value == 24
         for d in (1e-9, 0.37, 1.0, 2.5, 1e3):
             for cfg in (CavityConfig(d=d), CavityConfig.si(d)):
-                expected = math.pi * cfg.c * cfg.hbar / (24.0 * cfg.d**2)
+                expected = math.pi * cfg.c * cfg.hbar / (24.0 * (cfg.d * cfg.d))
                 assert casimir_force(cfg) == expected
+
+    def test_square_correctly_rounded(self):
+        # d * d is the correctly rounded square; libm pow can be one ulp off
+        # it (on glibc x86-64 it is here: d**2 = 126126.55044899997)
+        d = 355.143
+        assert casimir_force(CavityConfig(d=d)) == math.pi / (24.0 * (d * d))
 
     @pytest.mark.parametrize("d", [1e-160, 1e-170, 5e-324, 1e200])
     def test_outside_float_range(self, d):

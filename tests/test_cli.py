@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divsum.cli
 from divsum.cli import main
@@ -345,3 +349,46 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+_INDEX = st.integers(-5, 270)
+_LEVELS = st.integers(-2, 8).map(lambda n: [f"--levels={n}"])
+_SEPARATION = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-200, 1e200]),
+    st.floats(),
+)
+_SUBCOMMANDS = st.one_of(
+    st.tuples(_INDEX, st.booleans()).map(
+        lambda a: ["sum", f"--k={a[0]}"] + ["--alternating"] * a[1]),
+    _INDEX.map(lambda k: ["zeta", f"--neg-k={k}"]),
+    st.tuples(_INDEX, st.integers(-5, 10**5)).map(
+        lambda a: ["check", f"--k={a[0]}", f"--terms={a[1]}"]),
+    st.tuples(_INDEX, _LEVELS).map(lambda a: ["coeff", f"--n={a[0]}", *a[1]]),
+    st.tuples(st.sampled_from(divsum.cli._MOLLIFY_TARGETS), st.integers(-1, 5),
+              st.one_of(st.just([]), _LEVELS)).map(
+        lambda a: ["mollify", f"--target={a[0]}", f"--p={a[1]}", *a[2]]),
+    st.tuples(_SEPARATION, st.sampled_from(["natural", "si"])).map(
+        lambda a: ["casimir", f"--d={a[0]!r}", f"--units={a[1]}"]),
+    _INDEX.map(lambda k: ["table", f"--k-max={k}"]),
+)
+
+
+class TestOutcomes:
+    """Every parsed input ends in one of the CLI's outcomes: a result (exit
+    0 or 1), a precondition error (exit 2: nothing on stdout, one ``error:``
+    line on stderr) or a numerical failure (exit 3), never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["text", "json", "csv"]), st.booleans(), _SUBCOMMANDS)
+    def test_exit_status_and_streams(self, fmt, quiet, command):
+        argv = [f"--format={fmt}"] + ["--quiet"] * quiet + command
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert out.getvalue() == "" and len(lines) == 1, argv
+            assert lines[0].startswith("error: "), argv
+        if code == 3:
+            assert lines and lines[0].startswith("numerical failure: "), argv

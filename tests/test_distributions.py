@@ -14,6 +14,7 @@ from divsum.distributions import (
     EPS_TOP,
     MAX_LEVELS,
     _remainder_cell_action,
+    _support,
     all_plus_series_action,
     alternating_kernel,
     alternating_series_action,
@@ -42,7 +43,7 @@ PI = math.pi
 
 def zero_tf(lo=1.0, hi=2.0) -> SmoothTF:
     z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return SmoothTF(SimpleNamespace(value=z, deriv=z, deriv2=z), (lo, hi))
+    return SmoothTF(SimpleNamespace(value=z, deriv=z, deriv2=z, support=(lo, hi)))
 
 
 def slope_bump_at(center: float, half_width: float) -> SmoothTF:
@@ -54,8 +55,9 @@ def slope_bump_at(center: float, half_width: float) -> SmoothTF:
         value=lambda x: x * bump(x),
         deriv=lambda x: bump(x) + x * bump.deriv(x),
         deriv2=lambda x: 2.0 * bump.deriv(x) + x * bump.deriv2(x),
+        support=bump.support,
     )
-    return SmoothTF(slope, bump.support, 1.0 / half_width, center, half_width)
+    return SmoothTF(slope, 1.0 / half_width, center, half_width)
 
 
 class TestKernels:
@@ -193,7 +195,7 @@ class TestRemainderRouteAgainstMpmath:
     def test_alternating_series_cell(self, p, lam, centre, pole):
         tf = mollifier(p, 1).dilated(lam).shifted(centre)
         truth = remainder_truth(p, lam, centre, pole)
-        value = _remainder_cell_action(tf, pole)
+        value = _remainder_cell_action(tf, *tf.support, pole)
         assert abs(value.real - float(truth)) <= 1e-11 * max(1.0, abs(float(truth)))
 
     def test_narrow_feature_inside_wide_support(self):
@@ -205,8 +207,9 @@ class TestRemainderRouteAgainstMpmath:
         narrow = mollifier(2, 1).dilated(100.0).shifted(PI + 0.5)
         both = SimpleNamespace(value=lambda t: wide(t) + narrow(t),
                                deriv=lambda t: wide.deriv(t) + narrow.deriv(t),
-                               deriv2=lambda t: wide.deriv2(t) + narrow.deriv2(t))
-        tf = SmoothTF(both, wide.support)
+                               deriv2=lambda t: wide.deriv2(t) + narrow.deriv2(t),
+                               support=wide.support)
+        tf = SmoothTF(both)
         truth = (remainder_truth(0, 1.0, PI + 0.2, PI)
                  + remainder_truth(2, 100.0, PI + 0.5, PI))
         assert abs(finite_part_action(tf) - float(truth)) < 1e-9
@@ -387,6 +390,15 @@ class TestAlternatingSeriesAction:
             with pytest.raises(ValueError):
                 alternating_series_action(mollifier().dilated(lam))
         assert time.perf_counter() - start < 1.0
+
+    def test_support_checked_once_per_call(self, monkeypatch):
+        # a support over 4 periods meets 5 cells, 4 of them with a pole inside
+        calls = []
+        monkeypatch.setattr("divsum.distributions._support",
+                            lambda phi: calls.append(1) or _support(phi))
+        alternating_series_action(mollifier(2, 1).dilated(0.25 / PI).shifted(0.3))
+        finite_part_action(mollifier(0, 1).shifted(PI))
+        assert len(calls) == 2
 
 
 class TestAllPlusSeriesAction:
@@ -570,9 +582,9 @@ _LADDERS = {
     "H2S": lambda p, n: mollified_limit(
         lambda tf: 0.5 * alternating_series_action(tf.dilated(0.5)), p, n),
     "T0": lambda p, n: mollified_limit(all_plus_series_action, p, n),
-    "heaviside": lambda p, n: jump_average(_HEAVISIDE, n, p),
-    "sign": lambda p, n: jump_average(np.sign, n, p),
-    "cos": lambda p, n: jump_average(np.cos, n, p),
+    "heaviside": lambda p, n: jump_average(_HEAVISIDE, p, n),
+    "sign": lambda p, n: jump_average(np.sign, p, n),
+    "cos": lambda p, n: jump_average(np.cos, p, n),
 }
 
 
@@ -665,7 +677,7 @@ class TestJumpKernelLadder:
     @pytest.mark.parametrize("p", [0, 2, 4])
     @pytest.mark.parametrize("levels", [3, 10, 20])
     def test_matches_the_per_level_pairing(self, f, p, levels):
-        rec = jump_average(f, levels, p)
+        rec = jump_average(f, p, levels)
         ref = mollified_limit(jump_pairing(f), p, levels)
         assert rec.converged == ref.converged
         if f is _KINK and p == 2:

@@ -173,7 +173,7 @@ class TestTransforms:
 
     def test_base_without_breakpoints_has_none(self):
         z = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        tf = SmoothTF(SimpleNamespace(value=z, deriv=z, deriv2=z), (0.0, 1.0))
+        tf = SmoothTF(SimpleNamespace(value=z, deriv=z, deriv2=z, support=(0.0, 1.0)))
         assert tf.shifted(2.0).dilated(3.0).breakpoints == ()
 
     def test_rescaled_mollifier(self):
