@@ -11,10 +11,10 @@ its tolerance).  All floats print with 12 significant digits and rationals
 as "p/q", so output is byte-stable for golden tests.
 
 Each subcommand imports only what it runs.  At load this module imports
-argparse, math, sys and ``divsum.sums`` (with fractions), which is all that
-sum, zeta, table and an even-k check need.  casimir adds ``divsum.casimir``;
-an odd-k check adds numpy for its direct series; coeff and mollify add
-numpy and the numerical layers.  json is imported only for --format json,
+argparse, math, os, sys and ``divsum.sums`` (with fractions), which is all
+that sum, zeta, table and an even-k check need.  casimir adds
+``divsum.casimir``; an odd-k check adds numpy for its direct series; coeff
+and mollify add numpy and the numerical layers.  json is imported only for --format json,
 and csv only for --format csv.
 
 ``main()`` runs numpy's OpenBLAS on one thread unless OPENBLAS_NUM_THREADS

@@ -85,6 +85,7 @@ DEFAULT_SCALE_LEVELS = 10
 # list of m = 2^j before the first sample.
 MAX_LEVELS = 20
 EPS_TOP = 0.5
+_EPS_LADDER = [EPS_TOP * 0.5**j for j in range(MAX_LEVELS)]
 # symmetric eps-windows drop the odd part: remainders run in eps, eps^3, ...
 _EPS_FIRST_ORDER = 1
 
@@ -201,22 +202,17 @@ def finite_part_action(phi: TestFunction) -> complex:
 # Truncated-window route
 
 
-def _eps_limit(g, finish, lo: float, hi: float, cuts, levels: int,
-               first: int = 0) -> EpsilonLimit:
+def _eps_limit(g, finish, lo: float, hi: float, cuts, eps_list) -> EpsilonLimit:
     """Extrapolate finish(eps, integral of g over (eps, pi) intersected
-    with (lo, hi)) on the halving ladder eps = EPS_TOP 2^-j for j = first,
-    first + 1, ...: levels samples, fewer where the ladder would pass
-    MAX_LEVELS.
+    with (lo, hi)) over eps_list, a run of _EPS_LADDER.
 
     g is the even fold f(x) + f(-x) of an integrand f about the pole, and
     vanishes outside (lo, hi).  It is integrated once, over (eps_last, hi)
     clipped to (lo, hi), with every eps and every cut a breakpoint; the
     panels come back sorted, so a sample reads the sum of the panels whose
-    left edge is at least its eps.  A ladder with fewer than 3 samples is
-    returned unconverged, with its last sample as the value.
+    left edge is at least its eps.  extrapolate_ladder decides the outcome:
+    a run of fewer than 3 samples comes back unconverged.
     """
-    eps_list = [EPS_TOP * 0.5**j
-                for j in range(first, min(first + levels, MAX_LEVELS))]
     samples = []
     if eps_list:
         a = min(max(eps_list[-1], lo), hi)
@@ -224,13 +220,6 @@ def _eps_limit(g, finish, lo: float, hi: float, cuts, levels: int,
                                        breakpoints=[*eps_list, *cuts])
         for eps, k in zip(eps_list, np.searchsorted(left, eps_list).tolist()):
             samples.append(finish(eps, panel_sum(values[k:])))
-    if len(samples) < 3:
-        return EpsilonLimit(
-            samples=tuple(zip(eps_list, samples)),
-            extrapolated=samples[-1] if samples else None,
-            error_estimate=math.inf,
-            converged=False,
-        )
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
@@ -258,15 +247,13 @@ def finite_part_action_epsilon(phi: TestFunction,
     # g vanishes outside the support's extent in x = |t - pi|
     lo, hi = max(0.0, -below, -above), min(math.pi, max(below, above))
     delta = min(below, above) if below > 0.0 and above > 0.0 else hi
-    first = 0
-    while first < MAX_LEVELS and EPS_TOP * 0.5**first >= delta:
-        first += 1
 
     def g(x):
         return (f(x) + f(-x)) * centered_kernel(x)
 
     return _eps_limit(g, lambda eps, v: v - at_pole / math.tan(0.5 * eps),
-                      lo, hi, (abs(below), abs(above)), levels, first)
+                      lo, hi, (abs(below), abs(above)),
+                      [eps for eps in _EPS_LADDER if eps < delta][:levels])
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +362,8 @@ def fourier_coefficient_numeric(n: int,
     """
     if abs(n) > _MAX_FOURIER_INDEX:
         raise ValueError(f"|n| must be <= {_MAX_FOURIER_INDEX}")
+    if not float(n).is_integer():  # also nan
+        raise ValueError("n must be an integer")
     _check_levels(levels, 4)
     sign = -1.0 if n % 2 else 1.0
 
@@ -391,7 +380,7 @@ def fourier_coefficient_numeric(n: int,
     def finish(eps, v):
         return (v - sign * n * math.pi) / PERIOD
 
-    return _eps_limit(g, finish, 0.0, math.pi, cuts, levels)
+    return _eps_limit(g, finish, 0.0, math.pi, cuts, _EPS_LADDER[:levels])
 
 
 # ---------------------------------------------------------------------------
@@ -481,5 +470,4 @@ def dirichlet_comb_ladder(levels: int = 8) -> EpsilonLimit:
     """Scale ladder of the comb pairing, m = 1, 2, 4, ..., 2^(levels-1); its
     values 2 pi m phi(0) double at every level, so it is always divergent."""
     scales = _scale_ladder(levels, base=1)
-    values = [complex(dirichlet_comb_growth(m)) for m in scales]
-    return divergent_ladder(scales, values)
+    return _scale_limit(scales, [complex(dirichlet_comb_growth(m)) for m in scales])

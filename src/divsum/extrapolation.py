@@ -41,9 +41,10 @@ class EpsilonLimit:
     parameters: decreasing for an epsilon-ladder, increasing for a
     scale-ladder.  ``extrapolated`` is None when the ladder diverged, in
     which case ``growth_exponent`` carries the fitted power of the
-    parameter, or when an epsilon-ladder has no sample at all.
-    ``error_estimate`` is never below the magnitude of the last Richardson
-    correction.
+    parameter, or when the ladder has no sample at all.  A ladder of one or
+    two samples is unconverged, with its last sample as the value and an
+    infinite ``error_estimate``; otherwise ``error_estimate`` is never below
+    the magnitude of the last Richardson correction.
     """
 
     samples: tuple
@@ -86,11 +87,15 @@ def richardson_extrapolate(values, first_order: int):
     halves or doubles at each level and whose error expansion runs in the
     powers first_order, first_order + 2, ...
 
-    ``values`` are ordered from the coarsest parameter to the finest.
+    ``values`` are ordered from the coarsest parameter to the finest.  One
+    or two samples cannot tell a limit from the first correction, so they
+    give (last sample, inf, False); an empty ladder raises ValueError.
     """
     col = [complex(v) for v in values]
     if len(col) == 0:
         raise ValueError("empty ladder")
+    if len(col) < 3:
+        return col[-1], math.inf, False
     scale = max(1.0, max(abs(v) for v in col))
     noise = _NOISE_REL * scale
     est = col[-1]
@@ -153,8 +158,12 @@ def divergent_ladder(params, values) -> EpsilonLimit:
 
 
 def extrapolate_ladder(params, values, first_order: int) -> EpsilonLimit:
-    """Assemble an EpsilonLimit from ladder samples (convergent branch)."""
-    est, err, converged = richardson_extrapolate(values, first_order)
+    """Assemble an EpsilonLimit from ladder samples (convergent branch).
+
+    Fewer than three samples give an unconverged record with an infinite
+    estimate, and an empty ladder one whose ``extrapolated`` is None."""
+    est, err, converged = (richardson_extrapolate(values, first_order)
+                           if len(values) else (None, math.inf, False))
     return EpsilonLimit(
         samples=tuple((float(p), complex(v)) for p, v in zip(params, values)),
         extrapolated=est,

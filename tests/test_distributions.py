@@ -257,15 +257,16 @@ class TestFinitePartEpsilon:
                     miss = abs(rec.extrapolated - finite_part_action(tf))
                     assert miss <= 1e-9, (half, edge, miss)
 
-    @pytest.mark.parametrize("edge, fit", [(1e-6, 1), (1e-7, 0)])
+    @pytest.mark.parametrize("edge, fit", [(2e-6, 2), (1e-6, 1), (1e-7, 0)])
     def test_too_few_levels_below_the_edge_distance(self, edge, fit):
-        # only eps = EPS_TOP 2^-19 lies below 1e-6, and none below 1e-7
+        # eps = EPS_TOP 2^-18 and 2^-19 lie below 2e-6, only 2^-19 below
+        # 1e-6, and none below 1e-7
         tf = mollifier(0, 1).dilated(10.0).shifted(PI + edge - 0.1)
         rec = finite_part_action_epsilon(tf)
         assert not rec.converged
         assert rec.error_estimate == math.inf
-        deepest = EPS_TOP * 0.5 ** (MAX_LEVELS - 1)
-        assert [eps for eps, _ in rec.samples] == [deepest] * fit
+        fitted = [EPS_TOP * 0.5**j for j in range(MAX_LEVELS - fit, MAX_LEVELS)]
+        assert [eps for eps, _ in rec.samples] == fitted
         assert rec.extrapolated == (rec.samples[-1][1] if fit else None)
 
     @pytest.mark.parametrize("p", [0, 2, 4])
@@ -435,6 +436,20 @@ class TestAllPlusSeriesAction:
         assert abs(a - b) < 1e-6
 
 
+# c_n ladders whose error estimate falls short of the miss (ROADMAP item 3):
+# |n| = 27..32 at 7 levels and |n| = 31, 32 at 8, by factors 1.04 to 1.55;
+# the worst, n = +-32 at 7 levels, misses by 3.35e-7 against 2.16e-7.  The
+# ratios near 1.04 sit close enough to 1 that BLAS rounding may move them,
+# so the marks are not strict.
+_SHORT_ESTIMATES = {(n, 7) for n in range(27, 33)} | {(31, 8), (32, 8)}
+_FOURIER_LADDERS = [
+    pytest.param(n, levels, id=f"{n}-{levels}", marks=[pytest.mark.xfail(
+        reason="estimate is the last correction (ROADMAP item 3)", strict=False)]
+        if (abs(n), levels) in _SHORT_ESTIMATES else [])
+    for levels in range(4, MAX_LEVELS + 1) for n in range(-32, 33)
+]
+
+
 class TestFourierCoefficients:
     @pytest.mark.parametrize("n,expected", [(1, 1.0), (2, -2.0), (0, 0.0), (-3, 0.0)])
     def test_theorem_values(self, n, expected):
@@ -451,6 +466,17 @@ class TestFourierCoefficients:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             fourier_coefficient_numeric(33)
+
+    @pytest.mark.parametrize("n", [2.5, -0.5, 1e-300, math.nan, math.inf])
+    def test_non_integral_index_rejected(self, n):
+        with pytest.raises(ValueError, match="must"):
+            fourier_coefficient_numeric(n)
+
+    @pytest.mark.parametrize("n, same", [(3, np.int64(3)), (2, 2.0), (-5, -5.0)])
+    def test_integral_index_of_any_type(self, n, same):
+        # bit for bit: repr shows every digit of every sample
+        expected = repr(fourier_coefficient_numeric(n))
+        assert repr(fourier_coefficient_numeric(same)) == expected
 
     def test_deepest_ladder(self):
         # MAX_LEVELS itself is checked for every index below
@@ -469,6 +495,14 @@ class TestFourierCoefficients:
             assert rec.extrapolated.imag == 0.0, n
             assert miss <= rec.error_estimate, (n, miss, rec.error_estimate)
             assert miss <= 1e-11, (n, miss)
+
+    @pytest.mark.parametrize("n, levels", _FOURIER_LADDERS)
+    def test_miss_within_error_estimate_at_every_depth(self, n, levels):
+        rec = fourier_coefficient_numeric(n, levels=levels)
+        truth = (-1) ** (n - 1) * n if n >= 1 else 0
+        miss = abs(rec.extrapolated - truth)
+        assert miss <= rec.error_estimate or not rec.converged, (
+            miss, rec.error_estimate)
 
     def test_ladder_is_epsilon_indexed(self):
         rec = fourier_coefficient_numeric(1, levels=5)

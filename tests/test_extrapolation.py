@@ -1,6 +1,7 @@
 """Richardson extrapolation, divergence detection and the ladder record."""
 
 import json
+import math
 
 import pytest
 
@@ -71,6 +72,18 @@ class TestRichardson:
         _, _, converged = richardson_extrapolate(values, 1)
         assert not converged
 
+    @pytest.mark.parametrize("values", [
+        [1.0], [1.0, 1.0], [0.25 + 2e-9, 0.25 + 1e-9], [2.0 + 1j, 3.0 - 1j],
+    ])
+    def test_fewer_than_three_samples_never_converge(self, values):
+        # two samples leave one correction and nothing to judge it by
+        est, err, converged = richardson_extrapolate(values, 1)
+        assert (est, err, converged) == (complex(values[-1]), math.inf, False)
+
+    def test_empty_ladder_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            richardson_extrapolate([], 1)
+
 
 class TestDivergence:
     def test_detect_growth(self):
@@ -125,6 +138,15 @@ class TestEpsilonLimitRecord:
         assert obj["extrapolated"] is None
         assert obj["error_estimate"] is None
         assert abs(obj["growth_exponent"] - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("hs", [[], [0.5], [0.5, 0.25]])
+    def test_short_ladder_record(self, hs):
+        rec = extrapolate_ladder(hs, [0.25 + h for h in hs], 1)
+        assert rec.samples == tuple((h, complex(0.25 + h)) for h in hs)
+        assert rec.extrapolated == (rec.samples[-1][1] if hs else None)
+        assert rec.error_estimate == math.inf
+        assert not rec.converged
+        assert rec.growth_exponent is None
 
     def test_csv_rows(self):
         hs = eps_ladder(3)
