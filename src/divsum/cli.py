@@ -14,8 +14,8 @@ Each subcommand imports only what it runs.  At load this module imports
 argparse, math, os, sys and ``divsum.sums`` (with fractions), which is all
 that sum, zeta, table and an even-k check need.  casimir adds
 ``divsum.casimir``; an odd-k check adds numpy for its direct series; coeff
-and mollify add numpy and the numerical layers.  json is imported only for --format json,
-and csv only for --format csv.
+adds only ``divsum.coefficients`` and ``divsum.extrapolation``; mollify
+adds numpy and the numerical layers.  --format json or csv adds its writer.
 
 ``main()`` runs numpy's OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
 is set: no subcommand makes a BLAS call that threads speed up (the largest
@@ -137,7 +137,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    from .distributions import fourier_coefficient_numeric
+    from .coefficients import fourier_coefficient_numeric
 
     limit = fourier_coefficient_numeric(args.n, levels=args.levels)
     expected = float((-1) ** (args.n - 1) * args.n) if args.n >= 1 else 0.0

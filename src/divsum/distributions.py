@@ -33,13 +33,13 @@ x = u|u|, which turns the log singularity at the pole into the continuous
 
 On the halving ladder eps = 1/2, 1/4, ... the truncated windows are nested,
 and the window (-pi, -eps) u (eps, pi) is symmetric about the pole, so the
-counterterm route and the Fourier coefficients c_n share one ladder pass
-over the even fold g(x) = f(x) + f(-x) on (0, pi].  A single adaptive
-quadrature of g, with every eps a breakpoint, yields panels that never
-straddle a ladder point; each sample is the correctly rounded sum of the
-panels to the right of its eps.  Bisection grades the panels toward the
-pole, and the absolute tolerance is shared over the whole pass: a sample's
-quadrature error budget is one tolerance, not one per level.
+counterterm route is one ladder pass over the even fold
+g(x) = f(x) + f(-x) on (0, pi].  A single adaptive quadrature of g, with
+every eps a breakpoint, yields panels that never straddle a ladder point;
+each sample is the correctly rounded sum of the panels to the right of its
+eps.  Bisection grades the panels toward the pole, and the absolute
+tolerance is shared over the whole pass: a sample's quadrature error
+budget is one tolerance, not one per level.
 """
 
 from __future__ import annotations
@@ -49,8 +49,14 @@ from dataclasses import replace
 
 import numpy as np
 
+# perfbench/ calls and traces the name here; it is not exported
+from .coefficients import fourier_coefficient_numeric  # noqa: F401
 from .extrapolation import (
+    _EPS_FIRST_ORDER,
+    _EPS_LADDER,
+    DEFAULT_EPS_LEVELS,
     EpsilonLimit,
+    _check_levels,
     detect_divergence,
     divergent_ladder,
     extrapolate_ladder,
@@ -65,29 +71,14 @@ __all__ = [
     "finite_part_action_epsilon",
     "alternating_series_action",
     "all_plus_series_action",
-    "fourier_coefficient_numeric",
     "mollified_limit",
     "jump_average",
     "dirichlet_comb_growth",
     "dirichlet_comb_ladder",
-    "DEFAULT_EPS_LEVELS",
-    "MAX_LEVELS",
 ]
 
 PERIOD = 2.0 * math.pi
-DEFAULT_EPS_LEVELS = 10
 DEFAULT_SCALE_LEVELS = 10
-# deepest ladder.  The c_n samples integrate a bounded Fejer form, so their
-# ladders miss by at most 1e-13 from 10 to 20 levels.  The counterterm
-# route still cancels against phi(pi)/tan(eps/2) and loses about one bit
-# per level: unit bumps at the pole miss by up to 1e-12 at 10 levels and
-# 1e-9 at 20.  The scale ladders share the bound, which also caps their
-# list of m = 2^j before the first sample.
-MAX_LEVELS = 20
-EPS_TOP = 0.5
-_EPS_LADDER = [EPS_TOP * 0.5**j for j in range(MAX_LEVELS)]
-# symmetric eps-windows drop the odd part: remainders run in eps, eps^3, ...
-_EPS_FIRST_ORDER = 1
 
 # a pole closer than this to the integration region forces the
 # remainder-form route; farther away the kernel is integrated directly
@@ -105,8 +96,6 @@ _PROBE_POINTS = 513
 # route's panels toward the pole in its first round; going past k = 24
 # saves no round on the benchmark's cells or on bumps of half-width 0.001
 _POLE_GRADING = (0.0, *(s * 0.5**k for k in range(1, 25) for s in (1.0, -1.0)))
-
-_MAX_FOURIER_INDEX = 32
 
 # a period cell costs 0.25 to 0.38 ms on a 2-vCPU Intel Xeon (mean over the
 # benchmark's alternating-series cells, best of five passes, six runs) and
@@ -136,14 +125,6 @@ def _support(phi: TestFunction) -> tuple:
     if not -math.inf < sa < sb < math.inf:
         raise ValueError("test function support must be finite and non-empty")
     return float(sa), float(sb)
-
-
-def _check_levels(levels: int, least: int = 3) -> None:
-    """The depth rule of every public ladder: least <= levels <= MAX_LEVELS."""
-    if levels < least:
-        raise ValueError(f"levels must be >= {least}")
-    if levels > MAX_LEVELS:
-        raise ValueError(f"levels must be <= {MAX_LEVELS}")
 
 
 def _period_support(phi: TestFunction) -> tuple:
@@ -202,27 +183,6 @@ def finite_part_action(phi: TestFunction) -> complex:
 # Truncated-window route
 
 
-def _eps_limit(g, finish, lo: float, hi: float, cuts, eps_list) -> EpsilonLimit:
-    """Extrapolate finish(eps, integral of g over (eps, pi) intersected
-    with (lo, hi)) over eps_list, a run of _EPS_LADDER.
-
-    g is the even fold f(x) + f(-x) of an integrand f about the pole, and
-    vanishes outside (lo, hi).  It is integrated once, over (eps_last, hi)
-    clipped to (lo, hi), with every eps and every cut a breakpoint; the
-    panels come back sorted, so a sample reads the sum of the panels whose
-    left edge is at least its eps.  extrapolate_ladder decides the outcome:
-    a run of fewer than 3 samples comes back unconverged.
-    """
-    samples = []
-    if eps_list:
-        a = min(max(eps_list[-1], lo), hi)
-        left, values = panel_integrals(g, a, hi,
-                                       breakpoints=[*eps_list, *cuts])
-        for eps, k in zip(eps_list, np.searchsorted(left, eps_list).tolist()):
-            samples.append(finish(eps, panel_sum(values[k:])))
-    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
-
-
 def finite_part_action_epsilon(phi: TestFunction,
                                levels: int = DEFAULT_EPS_LEVELS) -> EpsilonLimit:
     """Finite-part pairing over (0, 2*pi) via the counterterm route.
@@ -239,7 +199,7 @@ def finite_part_action_epsilon(phi: TestFunction,
     reported unconverged.
     """
     sa, sb = _period_support(phi)
-    _check_levels(levels)
+    levels = _check_levels(levels)
     f = phi.local(math.pi)
     at_pole = float(f(np.zeros(1))[0])
     # signed distances of the support edges from the pole, positive inside
@@ -247,13 +207,18 @@ def finite_part_action_epsilon(phi: TestFunction,
     # g vanishes outside the support's extent in x = |t - pi|
     lo, hi = max(0.0, -below, -above), min(math.pi, max(below, above))
     delta = min(below, above) if below > 0.0 and above > 0.0 else hi
+    eps_list = [eps for eps in _EPS_LADDER if eps < delta][:levels]
 
     def g(x):
         return (f(x) + f(-x)) * centered_kernel(x)
 
-    return _eps_limit(g, lambda eps, v: v - at_pole / math.tan(0.5 * eps),
-                      lo, hi, (abs(below), abs(above)),
-                      [eps for eps in _EPS_LADDER if eps < delta][:levels])
+    samples = []
+    if eps_list:  # one pass; the panels come back sorted by left edge
+        left, values = panel_integrals(g, min(max(eps_list[-1], lo), hi), hi,
+                                       breakpoints=[*eps_list, abs(below), abs(above)])
+        for eps, k in zip(eps_list, np.searchsorted(left, eps_list).tolist()):
+            samples.append(panel_sum(values[k:]) - at_pole / math.tan(0.5 * eps))
+    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -342,54 +307,11 @@ def all_plus_series_action(chi: TestFunction) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Fourier coefficients
-
-
-def fourier_coefficient_numeric(n: int,
-                                levels: int = DEFAULT_EPS_LEVELS) -> EpsilonLimit:
-    """Numerical Fourier coefficient c_n of the alternating-series
-    distribution: the limit of
-
-      (1/2pi) ( integral over the truncated period window of e^{-int} K(t)
-                - (-1)^n / tan(eps/2)  -  (-1)^n n pi ).
-
-    Converges to (-1)^{n-1} n for n >= 1 and to 0 for n <= 0.  About the
-    pole t = pi the window integral folds to 2 (-1)^n cos(nx) K(x) on
-    (eps, pi), and 1/tan(eps/2) is the integral of 2 K there, so the first
-    two terms are the integral of the Fejer form
-    -(-1)^n (sin(nx/2) / sin(x/2))^2: bounded, real and free of the
-    cancellation of cos(nx) - 1 near the pole.
-    """
-    if abs(n) > _MAX_FOURIER_INDEX:
-        raise ValueError(f"|n| must be <= {_MAX_FOURIER_INDEX}")
-    if not float(n).is_integer():  # also nan
-        raise ValueError("n must be an integer")
-    _check_levels(levels, 4)
-    sign = -1.0 if n % 2 else 1.0
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return -sign * (np.sin(0.5 * n * x) / np.sin(0.5 * x)) ** 2
-
-    # pre-split oscillatory panels so the error estimator never aliases
-    cuts = []
-    if abs(n) >= 4:
-        step = 6.0 / abs(n)
-        cuts = list(np.arange(step, math.pi, step))
-
-    def finish(eps, v):
-        return (v - sign * n * math.pi) / PERIOD
-
-    return _eps_limit(g, finish, 0.0, math.pi, cuts, _EPS_LADDER[:levels])
-
-
-# ---------------------------------------------------------------------------
 # Mollified limits
 
 
 def _scale_ladder(levels: int, base: int = 2):
-    _check_levels(levels)
-    return [base * 2**j for j in range(levels)]
+    return [base * 2**j for j in range(_check_levels(levels))]
 
 
 def _scale_limit(scales, values) -> EpsilonLimit:

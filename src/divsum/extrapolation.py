@@ -25,12 +25,38 @@ __all__ = [
     "detect_divergence",
     "extrapolate_ladder",
     "divergent_ladder",
+    "DEFAULT_EPS_LEVELS",
+    "MAX_LEVELS",
 ]
+
+DEFAULT_EPS_LEVELS = 10
+# deepest ladder of every kind.  The closed-form c_n samples have no
+# counterterm: their ladders miss by under 2e-13 from 10 to 20 levels.
+# The counterterm route cancels against phi(pi)/tan(eps/2) and loses about
+# one bit per level: unit bumps at the pole miss by up to 1e-12 at 10
+# levels and 1e-9 at 20.  The scale ladders share the bound, which also
+# caps their list of m = 2^j before the first sample.
+MAX_LEVELS = 20
+EPS_TOP = 0.5
+_EPS_LADDER = [EPS_TOP * 0.5**j for j in range(MAX_LEVELS)]
+_EPS_FIRST_ORDER = 1  # the symmetric window leaves eps, eps^3, ...
 
 _NOISE_REL = 5e-14
 _CONTRACT_REL = 1e-7
 _DIVERGENCE_FACTOR = 1.5
 _DIVERGENCE_WINDOW = 3
+
+
+def _check_levels(levels, least: int = 3) -> int:
+    """The depth rule of every public ladder, least <= levels <= MAX_LEVELS
+    for an integral levels of any numeric type; returns it as an int."""
+    if levels < least:
+        raise ValueError(f"levels must be >= {least}")
+    if levels > MAX_LEVELS:
+        raise ValueError(f"levels must be <= {MAX_LEVELS}")
+    if not float(levels).is_integer():  # also nan, which compares False
+        raise ValueError("levels must be an integer")
+    return int(levels)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def integrate(f, a: float, b: float, *, tol: float = TOLERANCE,
     """Integral of a vectorized scalar integrand over [a, b].
 
     Returns a complex value; real integrands come back with zero imaginary
-    part.  Raises ValueError unless tol is finite and positive, or when
+    part.  Raises ValueError unless tol > 0 and a <= b are finite, or when
     the breakpoints seed more than _MAX_ACTIVE_PANELS panels, and
     QuadratureError if a panel value is not finite or bisection cannot
     reach the tolerance within the panel cap and the round limit.
@@ -119,10 +119,10 @@ def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
-    if not b > a:
-        if b == a:
-            return np.empty(0), np.empty(0)
-        raise ValueError("need b > a")
+    if not -math.inf < a <= b < math.inf:  # also nan
+        raise ValueError("need finite bounds a <= b")
+    if b == a:
+        return np.empty(0), np.empty(0)
     total_width = b - a
 
     edges = np.array(sorted({a, b, *(float(p) for p in breakpoints if a < p < b)}))

@@ -146,7 +146,7 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     index order in chunks of _SUM_CHUNK, so memory stays bounded; N is
     capped at _MAX_TERMS, which bounds the time.
     """
-    if s <= 1:
+    if not s > 1:  # also nan
         raise ValueError("direct summation needs s > 1")
     if terms < 10:
         raise ValueError("need at least 10 terms")

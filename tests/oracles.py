@@ -1,16 +1,23 @@
 """Independent checks of the paper's manipulations, used only by the tests:
 exact identities on coefficient sequences, the dilation rule through
 the lacunary Fourier series, the jump pairing level by level, the
-Dirichlet comb through its truncated spectral sum, and the direct zeta
-series with a fresh array of powers per chunk."""
+Dirichlet comb through its truncated spectral sum, the c_n ladder through
+adaptive quadrature of the Fejer form, and the direct zeta series with a
+fresh array of powers per chunk."""
 
 import math
 
 import numpy as np
 
 from divsum.distributions import alternating_series_action
+from divsum.extrapolation import (
+    _EPS_FIRST_ORDER,
+    _EPS_LADDER,
+    EpsilonLimit,
+    extrapolate_ladder,
+)
 from divsum.mollifiers import Mollifier, TestFunction
-from divsum.quadrature import gauss_grid, integrate
+from divsum.quadrature import gauss_grid, integrate, panel_integrals, panel_sum
 from divsum.sums import _SUM_CHUNK
 
 # rounding error of a weighted-node transform, relative to sum |w_eff|
@@ -94,6 +101,32 @@ def comb_spectral_pairing(m: int) -> float:
     spectrum |n| <= _COMB_XI_MAX * m instead of through Poisson summation:
     the reference for ``dirichlet_comb_growth``."""
     return _comb_spectral_sum(Mollifier(0), m, math.ceil(_COMB_XI_MAX * m))
+
+
+def fourier_coefficient_quadrature(n: int, levels: int) -> EpsilonLimit:
+    """The c_n ladder of ``fourier_coefficient_numeric`` with each sample's
+    Fejer integral by adaptive quadrature instead of its closed form.
+
+    The Fejer form -(-1)^n (sin(nx/2) / sin(x/2))^2 is integrated once over
+    (eps_last, pi), with every eps a breakpoint and the panels pre-split
+    every 6/|n| so the error estimator never aliases; a sample is the
+    correctly rounded sum of the panels to the right of its eps.
+    """
+    sign = -1.0 if n % 2 else 1.0
+
+    def g(x):
+        return -sign * (np.sin(0.5 * n * x) / np.sin(0.5 * x)) ** 2
+
+    cuts = []
+    if abs(n) >= 4:
+        step = 6.0 / abs(n)
+        cuts = list(np.arange(step, math.pi, step))
+    eps_list = _EPS_LADDER[:levels]
+    left, values = panel_integrals(g, eps_list[-1], math.pi,
+                                   breakpoints=[*eps_list, *cuts])
+    samples = [(panel_sum(values[k:]) - sign * n * math.pi) / (2.0 * math.pi)
+               for k in np.searchsorted(left, eps_list).tolist()]
+    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
 def homothety_pairing_check(phi: TestFunction, lam: float,

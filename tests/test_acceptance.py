@@ -14,6 +14,7 @@ import numpy as np
 
 from divsum.casimir import CavityConfig, casimir_force, ground_state_energy
 from divsum.cli import main
+from divsum.coefficients import fourier_coefficient_numeric
 from divsum.distributions import (
     all_plus_series_action,
     alternating_series_action,
@@ -21,7 +22,6 @@ from divsum.distributions import (
     dirichlet_comb_ladder,
     finite_part_action,
     finite_part_action_epsilon,
-    fourier_coefficient_numeric,
     jump_average,
     mollified_limit,
 )

@@ -1,11 +1,12 @@
 """Import graph and public names.
 
 The exact subcommands load only the standard library modules they run and
-the exact layers, and no subcommand loads ``divsum.series``, the
-Gaussian-rational series (arithmetic included) that the tests use as an
-oracle.  A cold numerical subcommand runs OpenBLAS on one thread unless the
-caller chose a count.  Each command runs in a fresh interpreter, which then
-reports the modules, threads or environment it holds.
+the exact layers, coeff loads no numpy, and no subcommand loads
+``divsum.series``, the Gaussian-rational series (arithmetic included) that
+the tests use as an oracle.  A cold numerical subcommand runs OpenBLAS on
+one thread unless the caller chose a count.  Each command runs in a fresh
+interpreter, which then reports the modules, threads or environment it
+holds.
 """
 
 import importlib
@@ -91,8 +92,13 @@ def test_cli_module_alone_skips_casimir():
 
 def test_ladder_commands_load_them():
     # the probe sees the modules when a command does need them
-    assert loaded_after("coeff", "--n", "2", "--levels", "6") == (
+    assert loaded_after("mollify", "--target", "S", "--levels", "3") == (
         0, list(NUMERIC_MODULES))
+
+
+def test_coeff_skips_numerical_layers():
+    # c_n is a closed Fejer sum: coeff adds coefficients and extrapolation
+    assert loaded_after("coeff", "--n", "2", "--levels", "6") == (0, [])
 
 
 # argv[1] is "numpy" to load numpy before main(), or "cold"; the report is

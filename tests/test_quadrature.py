@@ -45,6 +45,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             integrate(np.sin, 2.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                      (0.0, -math.inf), (math.inf, 0.0),
+                                      (math.nan, 1.0), (0.0, math.nan)])
+    def test_non_finite_bound_rejected_before_any_evaluation(self, a, b):
+        calls = []
+        with pytest.raises(ValueError, match="finite"):
+            panel_integrals(lambda x: calls.append(x) or np.exp(-x * x), a, b)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(lambda x: calls.append(x) or np.exp(-x * x), a, b)
+        assert calls == []
+
     def test_oscillatory(self):
         v = integrate(lambda x: np.sin(40 * x), 0.0, math.pi)
         exact = (1 - math.cos(40 * math.pi)) / 40

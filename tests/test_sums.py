@@ -180,6 +180,11 @@ class TestZetaPartialSum:
         with pytest.raises(ValueError, match="terms"):
             zeta_partial_sum(2.0, sums._MAX_TERMS + 1)
 
+    @pytest.mark.parametrize("s", [1.0, 0.5, -math.inf, math.nan])
+    def test_exponent_must_exceed_one(self, s):
+        with pytest.raises(ValueError, match="s > 1"):
+            zeta_partial_sum(s, 100)
+
     def test_default_terms_single_sum(self):
         # 10^6 terms fit one chunk: the same single np.sum as unchunked code
         n = np.arange(1, 10**6 + 1, dtype=np.float64)
