@@ -19,6 +19,7 @@ import math
 import sys
 from collections import namedtuple
 
+from ._checks import integer
 from .sums import sum_powers
 
 __all__ = [
@@ -62,9 +63,7 @@ class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
 
 def mode_wavenumber(n: int, cfg: CavityConfig) -> float:
     """k_n = n pi / d for mode index n >= 1."""
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    return n * math.pi / cfg.d
+    return integer(n, "mode index", 1, math.inf) * math.pi / cfg.d
 
 
 def angular_frequency(n: int, cfg: CavityConfig) -> float:

@@ -16,13 +16,6 @@ that sum, zeta, table and an even-k check need.  casimir adds
 ``divsum.casimir``; an odd-k check adds numpy for its direct series; coeff
 adds only ``divsum.coefficients`` and ``divsum.extrapolation``; mollify
 adds numpy and the numerical layers.  --format json or csv adds its writer.
-
-``main()`` runs numpy's OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
-is set: no subcommand makes a BLAS call that threads speed up (the largest
-is a 7,200-element matrix-vector product, a jump ladder at 20 levels), and
-the idle worker thread cost about 0.1 s of CPU per process.  For the CLI
-this overrides a setting of OMP_NUM_THREADS alone.  It applies only when
-numpy has not loaded yet; the library API never changes threads.
 """
 
 import argparse
@@ -30,6 +23,7 @@ import math
 import os
 import sys
 
+from ._checks import integer
 from .sums import (
     alternating_sum_powers,
     bernoulli_numbers,
@@ -221,11 +215,10 @@ def cmd_casimir(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if not 1 <= args.k_max <= 100:
-        raise ValueError("k-max must satisfy 1 <= k-max <= 100")
-    bernoulli = bernoulli_numbers(args.k_max + 1)
+    k_max = integer(args.k_max, "k-max", 1, 100)
+    bernoulli = bernoulli_numbers(k_max + 1)
     rows = []
-    for k in range(1, args.k_max + 1):
+    for k in range(1, k_max + 1):
         closed = sum_powers(k).value
         oracle = -bernoulli[k + 1] / (k + 1)  # zeta(-k)
         rows.append({"k": k, "sum": str(closed), "zeta": str(oracle),
@@ -295,11 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:
-        # OpenBLAS reads this once, when numpy loads; set later, it would pin
-        # nothing and only leak into the environment of an in-process caller
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    """Run one subcommand and return its exit status.
+
+    OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS is set: no BLAS
+    call here gains from threads, and the idle worker cost about 0.1 s of
+    CPU per process (for the CLI this overrides OMP_NUM_THREADS alone).
+    OpenBLAS reads the variable when numpy loads, so it is set only before
+    then, and removed after a command that loaded no numpy.  The library
+    API never changes threads.
+    """
     args = build_parser().parse_args(argv)
+    pinned = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if pinned:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return args.func(args)
     except ArithmeticError as exc:
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if pinned and "numpy" not in sys.modules:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 
+from ._checks import integer
 from .extrapolation import (
     _EPS_FIRST_ORDER,
     _EPS_LADDER,
     DEFAULT_EPS_LEVELS,
+    MAX_LEVELS,
     EpsilonLimit,
-    _check_levels,
     extrapolate_ladder,
 )
 
@@ -36,12 +37,8 @@ def fourier_coefficient_numeric(n: int,
 
       -(-1)^n (|n| (pi - eps) - 2 sum_{k=1}^{|n|-1} (|n| - k) sin(k eps) / k).
     """
-    if abs(n) > _MAX_FOURIER_INDEX:
-        raise ValueError(f"|n| must be <= {_MAX_FOURIER_INDEX}")
-    if not float(n).is_integer():  # also nan
-        raise ValueError("n must be an integer")
-    eps_list = _EPS_LADDER[:_check_levels(levels, 4)]
-    n = int(n)
+    n = integer(n, "n", -_MAX_FOURIER_INDEX, _MAX_FOURIER_INDEX)
+    eps_list = _EPS_LADDER[:integer(levels, "levels", 4, MAX_LEVELS)]
     sign = -1.0 if n % 2 else 1.0
     m = abs(n)
     samples = []

@@ -49,16 +49,16 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._checks import integer
 # perfbench/ calls and traces the name here; it is not exported
 from .coefficients import fourier_coefficient_numeric  # noqa: F401
 from .extrapolation import (
     _EPS_FIRST_ORDER,
     _EPS_LADDER,
     DEFAULT_EPS_LEVELS,
+    MAX_LEVELS,
     EpsilonLimit,
-    _check_levels,
-    detect_divergence,
-    divergent_ladder,
+    _scale_limit,
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction
@@ -199,7 +199,7 @@ def finite_part_action_epsilon(phi: TestFunction,
     reported unconverged.
     """
     sa, sb = _period_support(phi)
-    levels = _check_levels(levels)
+    levels = integer(levels, "levels", 3, MAX_LEVELS)
     f = phi.local(math.pi)
     at_pole = float(f(np.zeros(1))[0])
     # signed distances of the support edges from the pole, positive inside
@@ -311,15 +311,7 @@ def all_plus_series_action(chi: TestFunction) -> complex:
 
 
 def _scale_ladder(levels: int, base: int = 2):
-    return [base * 2**j for j in range(_check_levels(levels))]
-
-
-def _scale_limit(scales, values) -> EpsilonLimit:
-    """A scale ladder's record: divergent, or extrapolated m -> infinity in
-    the powers 1/m^2, 1/m^4, ..."""
-    if detect_divergence(values):
-        return divergent_ladder(scales, values)
-    return extrapolate_ladder(scales, values, first_order=2)
+    return [base * 2**j for j in range(integer(levels, "levels", 3, MAX_LEVELS))]
 
 
 def mollified_limit(pairing, vanishing_order: int = 0,

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import integer
+
 __all__ = [
     "EpsilonLimit",
     "richardson_extrapolate",
@@ -45,18 +47,6 @@ _NOISE_REL = 5e-14
 _CONTRACT_REL = 1e-7
 _DIVERGENCE_FACTOR = 1.5
 _DIVERGENCE_WINDOW = 3
-
-
-def _check_levels(levels, least: int = 3) -> int:
-    """The depth rule of every public ladder, least <= levels <= MAX_LEVELS
-    for an integral levels of any numeric type; returns it as an int."""
-    if levels < least:
-        raise ValueError(f"levels must be >= {least}")
-    if levels > MAX_LEVELS:
-        raise ValueError(f"levels must be <= {MAX_LEVELS}")
-    if not float(levels).is_integer():  # also nan, which compares False
-        raise ValueError("levels must be an integer")
-    return int(levels)
 
 
 @dataclass(frozen=True)
@@ -111,12 +101,13 @@ class EpsilonLimit:
 def richardson_extrapolate(values, first_order: int):
     """(estimate, error_estimate, converged) from a ladder whose parameter
     halves or doubles at each level and whose error expansion runs in the
-    powers first_order, first_order + 2, ...
+    powers first_order >= 1, first_order + 2, ...
 
     ``values`` are ordered from the coarsest parameter to the finest.  One
     or two samples cannot tell a limit from the first correction, so they
     give (last sample, inf, False); an empty ladder raises ValueError.
     """
+    first_order = integer(first_order, "first_order", 1, math.inf)
     col = [complex(v) for v in values]
     if len(col) == 0:
         raise ValueError("empty ladder")
@@ -181,6 +172,14 @@ def divergent_ladder(params, values) -> EpsilonLimit:
         converged=False,
         growth_exponent=fit_power_growth(params, values),
     )
+
+
+def _scale_limit(scales, values) -> EpsilonLimit:
+    """A scale ladder's record: divergent, or extrapolated m -> infinity in
+    the powers 1/m^2, 1/m^4, ..."""
+    if detect_divergence(values):
+        return divergent_ladder(scales, values)
+    return extrapolate_ladder(scales, values, first_order=2)
 
 
 def extrapolate_ladder(params, values, first_order: int) -> EpsilonLimit:

@@ -26,6 +26,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from ._checks import integer
+
 __all__ = [
     "SumKind",
     "RegularizedSum",
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 # largest k whose zeta(-k) is a finite float; zeta(-261) overflows.  It also
-# bounds the exact oracle, whose Bernoulli table costs about k^3.5
+# bounds the Bernoulli table B_0..B_n, at n = k + 1, which costs about n^3.5
 _MAX_FLOAT_NEG_K = 260
 
 # largest k of the exact power sums, whose recurrence costs about k^3
@@ -78,12 +80,10 @@ def _alternating_value(k: int) -> Fraction:
     """f^{(k-1)}(0) / i^{k-1} = (-1)^{(k-1)/2} T_k / 2^{k+1}; 0 for even k.
 
     T_k comes from the Knuth-Buckholtz recurrence (Math. Comp. 21, 1967):
-    after the passes below, t[n] = T_{2n-1}.  Rejects k outside
+    after the passes below, t[n] = T_{2n-1}.  The callers check
     1 <= k <= 200; k = 0 is the series 1 + 1 + 1 + ..., for which the
     method is not defined.
     """
-    if not 1 <= k <= _MAX_SUM_K:
-        raise ValueError(f"k must satisfy 1 <= k <= {_MAX_SUM_K}")
     if k % 2 == 0:
         return Fraction(0)
     n = (k + 1) // 2
@@ -98,6 +98,7 @@ def _alternating_value(k: int) -> Fraction:
 
 def sum_powers(k: int) -> RegularizedSum:
     """Exact value assigned to 1^k + 2^k + 3^k + ... for 1 <= k <= 200."""
+    k = integer(k, "k", 1, _MAX_SUM_K)
     value = _alternating_value(k) / (1 - 2 ** (k + 1))
     return RegularizedSum(value=value, k=k, kind=SumKind.POWERS_ALL_PLUS)
 
@@ -107,20 +108,20 @@ def alternating_sum_powers(k: int) -> RegularizedSum:
 
     Equals (1 - 2^{k+1}) times ``sum_powers(k)``.
     """
+    k = integer(k, "k", 1, _MAX_SUM_K)
     return RegularizedSum(value=_alternating_value(k), k=k,
                           kind=SumKind.POWERS_ALTERNATING)
 
 
 def bernoulli_numbers(n: int) -> tuple:
-    """Bernoulli numbers B_0..B_n via sum_{j<=m} C(m+1, j) B_j = 0.
+    """Bernoulli numbers B_0..B_n, 0 <= n <= 261, via sum_{j<=m} C(m+1, j) B_j = 0.
 
     The recurrence fixes B_1 = -1/2; odd indices >= 3 vanish.  It runs in
     integers: by von Staudt-Clausen every denominator divides the product
     D of the primes <= n + 1, so D B_m is an integer and the division by
     m + 1 is exact.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = integer(n, "n", 0, _MAX_FLOAT_NEG_K + 1)
     denom = math.prod(p for p in range(2, n + 2)
                       if all(p % q for q in range(2, math.isqrt(p) + 1)))
     nums = [denom]
@@ -132,8 +133,7 @@ def bernoulli_numbers(n: int) -> tuple:
 
 def zeta_negative_oracle(k: int) -> Fraction:
     """zeta(-k) = -B_{k+1} / (k+1), exact, for integer 1 <= k <= 260."""
-    if not 1 <= k <= _MAX_FLOAT_NEG_K:
-        raise ValueError(f"k must satisfy 1 <= k <= {_MAX_FLOAT_NEG_K}")
+    k = integer(k, "k", 1, _MAX_FLOAT_NEG_K)
     table = bernoulli_numbers(k + 1)
     return -table[k + 1] / (k + 1)
 
@@ -148,10 +148,7 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     """
     if not s > 1:  # also nan
         raise ValueError("direct summation needs s > 1")
-    if terms < 10:
-        raise ValueError("need at least 10 terms")
-    if terms > _MAX_TERMS:
-        raise ValueError(f"terms must be <= {_MAX_TERMS}")
+    terms = integer(terms, "terms", 10, _MAX_TERMS)
     import numpy as np  # the exact routes in this module need no arrays
 
     partial = 0.0
@@ -171,13 +168,11 @@ def functional_equation_residual(k: int, terms: int = 10**6) -> float:
     The right-hand side uses the direct series for zeta(k+1), keeping the
     check independent of the Bernoulli table behind ``zeta_negative_oracle``.
     The residual is relative once |zeta(-k)| > 1 (odd k >= 17), so one
-    tolerance serves every k whose zeta(-k) is a finite float; the oracle
-    rejects any other k.
+    tolerance serves every k whose zeta(-k) is a finite float,
+    1 <= k <= 260; any other k is rejected.
     """
-    if terms < 10:
-        raise ValueError("terms must be >= 10")
-    if terms > _MAX_TERMS:
-        raise ValueError(f"terms must be <= {_MAX_TERMS}")
+    terms = integer(terms, "terms", 10, _MAX_TERMS)
+    k = integer(k, "k", 1, _MAX_FLOAT_NEG_K)
     lhs = float(zeta_negative_oracle(k))
     if k % 2 == 0:
         rhs = 0.0  # sin(-k pi/2) = 0 exactly

@@ -14,6 +14,7 @@ import divsum.cli
 from divsum.cli import main
 from divsum.quadrature import QuadratureError
 from divsum.sums import bernoulli_numbers
+from test_imports import _BLAS_PROBE, UNSET, _run_probe
 
 
 def run(capsys, *argv):
@@ -55,7 +56,7 @@ class TestSum:
     def test_k_zero_usage_error(self, capsys):
         code, _, err = run(capsys, "sum", "--k", "0")
         assert code == 2
-        assert "1 <= k <= 200" in err
+        assert err == "error: k must be >= 1\n"
 
     @pytest.mark.parametrize("alternating", [False, True])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -292,6 +293,11 @@ class TestTable:
     def test_invalid_k_max(self, capsys):
         assert run(capsys, "table", "--k-max", "0")[0] == 2
 
+    @pytest.mark.parametrize("k_max,bound", [("0", ">= 1"), ("101", "<= 100")])
+    def test_k_max_bounds_message(self, capsys, k_max, bound):
+        assert run(capsys, "table", "--k-max", k_max) == (
+            2, "", f"error: k-max must be {bound}\n")
+
     def test_one_bernoulli_table(self, capsys, monkeypatch):
         sizes = []
 
@@ -335,6 +341,17 @@ class TestExitStatus:
         got, out, err = run(capsys, "zeta", "--neg-k", "3")
         assert got == code and out == ""
         assert str(exc) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--quiet", "coeff", "--n", "2"),
+    ("--quiet", "sum", "--k", "1"),
+])
+def test_command_without_numpy_leaves_environment_alone(argv):
+    # main() pins OpenBLAS before the command and, when the command loaded
+    # no numpy, takes the pin back: the caller's environment is unchanged
+    code, _, value, changed = _run_probe(_BLAS_PROBE, "cold", *argv, env=UNSET)
+    assert (code, value, changed) == (0, None, [])
 
 
 class TestUsageErrors:

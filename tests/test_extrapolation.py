@@ -7,6 +7,7 @@ import pytest
 
 from divsum.extrapolation import (
     EpsilonLimit,
+    _scale_limit,
     detect_divergence,
     divergent_ladder,
     extrapolate_ladder,
@@ -83,6 +84,26 @@ class TestRichardson:
     def test_empty_ladder_raises(self):
         with pytest.raises(ValueError, match="empty"):
             richardson_extrapolate([], 1)
+
+    @pytest.mark.parametrize("first_order", [0, -1])
+    def test_first_order_below_one_raises(self, first_order):
+        # 0 divided by 2**0 - 1 and -1 reported a converged estimate
+        with pytest.raises(ValueError, match="first_order must be >= 1"):
+            richardson_extrapolate([1.5, 1.25, 1.125, 1.0625], first_order)
+
+
+class TestScaleLimit:
+    def test_growing_ladder_is_divergent(self):
+        scales = [1, 2, 4, 8]
+        assert _scale_limit(scales, [3.0 * m for m in scales]) == divergent_ladder(
+            scales, [3.0 * m for m in scales])
+
+    def test_ladder_in_inverse_squares_is_extrapolated(self):
+        scales = [2, 4, 8, 16, 32]
+        values = [0.25 + 1.0 / m**2 for m in scales]
+        limit = _scale_limit(scales, values)
+        assert limit == extrapolate_ladder(scales, values, first_order=2)
+        assert limit.converged and abs(limit.extrapolated - 0.25) < 1e-12
 
 
 class TestDivergence:

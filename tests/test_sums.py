@@ -1,6 +1,7 @@
 """Closed-form regularized sums against the Bernoulli/zeta oracles."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -102,6 +103,14 @@ class TestBernoulli:
         oracle = fraction_bernoulli(261)
         for n in (0, 1, 2, 3, 4, 5, 30, 261):
             assert bernoulli_numbers(n) == oracle[: n + 1]
+
+    @pytest.mark.parametrize("n", [262, 1200, 10**9])
+    def test_table_past_zeta_minus_260_rejected_at_once(self, n):
+        # unbounded, n = 1200 took seconds and the cost grows like n^3.5
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="n must be <= 261"):
+            bernoulli_numbers(n)
+        assert time.perf_counter() - start < 0.02
 
     def test_base_values(self):
         table = bernoulli_numbers(12)
