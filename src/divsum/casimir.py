@@ -62,13 +62,19 @@ class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
 
 
 def mode_wavenumber(n: int, cfg: CavityConfig) -> float:
-    """k_n = n pi / d for mode index n >= 1."""
-    return integer(n, "mode index", 1, math.inf) * math.pi / cfg.d
+    """k_n = n pi / d for mode index n >= 1, in the float range."""
+    n = integer(n, "mode index", 1, math.inf)
+    try:
+        wavenumber = n * math.pi / cfg.d
+    except OverflowError:  # an int index too large to become a float
+        wavenumber = math.inf
+    return _in_float_range(wavenumber, cfg)
 
 
 def angular_frequency(n: int, cfg: CavityConfig) -> float:
-    """omega_n = c k_n (the dispersion relation c = omega_n / k_n)."""
-    return cfg.c * mode_wavenumber(n, cfg)
+    """omega_n = c k_n (the dispersion relation c = omega_n / k_n), in the
+    float range."""
+    return _in_float_range(cfg.c * mode_wavenumber(n, cfg), cfg)
 
 
 def _in_float_range(value: float, cfg: CavityConfig) -> float:

@@ -186,7 +186,9 @@ def extrapolate_ladder(params, values, first_order: int) -> EpsilonLimit:
     """Assemble an EpsilonLimit from ladder samples (convergent branch).
 
     Fewer than three samples give an unconverged record with an infinite
-    estimate, and an empty ladder one whose ``extrapolated`` is None."""
+    error estimate, and an empty ladder one whose ``extrapolated`` is None.
+    ``first_order`` is checked for every length, the empty ladder included."""
+    first_order = integer(first_order, "first_order", 1, math.inf)
     est, err, converged = (richardson_extrapolate(values, first_order)
                            if len(values) else (None, math.inf, False))
     return EpsilonLimit(

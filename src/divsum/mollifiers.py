@@ -99,6 +99,13 @@ class TestFunction:
     shift: float = 0.0
     amp: float = 1.0
 
+    def __post_init__(self):
+        # every constructor checks, ``replace`` and the transforms included
+        if not (math.isfinite(self.lam) and self.lam > 0):  # also nan
+            raise ValueError("dilation factor must be finite and > 0")
+        if not math.isfinite(self.amp):
+            raise ValueError("amplitude must be finite")
+
     @property
     def support(self) -> tuple:
         sa, sb = self.base.support
@@ -137,16 +144,11 @@ class TestFunction:
 
     def dilated(self, lam: float) -> "TestFunction":
         """Homothetic image: t maps to value(lam * t); support scales by 1/lam."""
-        scale = self.lam * lam
-        if not scale > 0:  # also nan, and a product that underflows to 0
-            raise ValueError("dilation factor must be positive")
-        return replace(self, lam=scale, shift=self.shift / lam)
+        # the new factor is checked before shift / lam can divide by zero
+        return replace(replace(self, lam=self.lam * lam), shift=self.shift / lam)
 
     def scaled(self, amp: float) -> "TestFunction":
-        scale = self.amp * amp
-        if not math.isfinite(scale):  # nan, +-inf, and a product that overflows
-            raise ValueError("amplitude must be finite")
-        return replace(self, amp=scale)
+        return replace(self, amp=self.amp * amp)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,11 @@ _MAX_FLOAT_NEG_K = 260
 # largest k of the exact power sums, whose recurrence costs about k^3
 _MAX_SUM_K = 200
 
+# the terms are summed chunk by chunk, and each chunk as the pieces of at
+# most _SUM_LEAF terms that numpy's pairwise summation splits it into, so
+# one 512 KiB buffer is live at a time
 _SUM_CHUNK = 1 << 20
+_SUM_LEAF = 1 << 16
 # more terms buy nothing (the check's residual is already at its rounding
 # floor at 10**6) and cost about a second per 10**8
 _MAX_TERMS = 10**8
@@ -142,22 +146,35 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     """zeta(s) for s > 1 by direct summation plus the integral tail bound.
 
     sum_{n<=N} n^{-s} + N^{1-s}/(s-1); the neglected remainder is below
-    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The terms are summed in
-    index order in chunks of _SUM_CHUNK, so memory stays bounded; N is
-    capped at _MAX_TERMS, which bounds the time.
+    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The chunk sums of
+    _SUM_CHUNK terms are added in index order.  Each chunk sum is the one
+    np.sum over the chunk would give, bit for bit, evaluated piece by piece
+    down numpy's pairwise tree, so that no piece holds more than _SUM_LEAF
+    terms.  N is capped at _MAX_TERMS, which bounds the time.
     """
     if not s > 1:  # also nan
         raise ValueError("direct summation needs s > 1")
     terms = integer(terms, "terms", 10, _MAX_TERMS)
     import numpy as np  # the exact routes in this module need no arrays
 
+    def tree_sum(start: int, count: int) -> float:
+        """sum of n^{-s} for start <= n < start + count, as np.sum adds it."""
+        if count <= _SUM_LEAF:
+            # in place: the same ufunc as n ** (-s) in one buffer
+            n = np.arange(start, start + count, dtype=np.float64)
+            return float(np.sum(np.power(n, -s, out=n)))
+        # numpy's add-reduce over a contiguous float64 array is pairwise_sum,
+        # which splits any count above its 128-term block at half the count
+        # rounded down to a multiple of its 8-way unroll and adds the two
+        # halves' sums: a fixed tree, so the pieces reproduce its sum exactly
+        # (the bitwise tests hold this to one np.sum over the whole chunk)
+        half = count // 2
+        half -= half % 8
+        return tree_sum(start, half) + tree_sum(start + half, count - half)
+
     partial = 0.0
     for start in range(1, terms + 1, _SUM_CHUNK):
-        n = np.arange(start, min(start + _SUM_CHUNK, terms + 1), dtype=np.float64)
-        # in place, and freed before the next chunk: one chunk-sized buffer
-        # at a time, and the same ufunc as n ** (-s)
-        partial += float(np.sum(np.power(n, -s, out=n)))
-        del n
+        partial += tree_sum(start, min(_SUM_CHUNK, terms + 1 - start))
     tail = terms ** (1.0 - s) / (s - 1.0)
     return partial + tail
 

@@ -33,6 +33,15 @@ class TestModes:
         with pytest.raises(ValueError):
             mode_wavenumber(0, CavityConfig(d=1.0))
 
+    @pytest.mark.parametrize("call", [
+        lambda: mode_wavenumber(1e308, CavityConfig(d=1.0)),   # inf k_n
+        lambda: mode_wavenumber(10**400, CavityConfig(d=1.0)),  # no float n
+        lambda: angular_frequency(1, CavityConfig(d=5e-324)),   # inf k_1
+    ], ids=["index-1e308", "index-10**400", "d-5e-324"])
+    def test_outside_float_range(self, call):
+        with pytest.raises(ValueError, match="float range"):
+            call()
+
 
 class TestEnergy:
     def test_natural_units_value(self):

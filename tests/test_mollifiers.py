@@ -130,6 +130,26 @@ class TestTransforms:
         with pytest.raises(ValueError):
             mollifier().dilated(-1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_dilation_factor_is_checked_on_construction(self, lam):
+        # lam = inf was accepted by dilated
+        with pytest.raises(ValueError, match="dilation factor"):
+            SmoothTF(Mollifier(0), lam=lam)
+        with pytest.raises(ValueError, match="dilation factor"):
+            mollifier(0, 1).shifted(1.0).dilated(lam)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
+    def test_amplitude_is_checked_on_construction(self, amp):
+        # built directly, it reached quadrature and raised QuadratureError
+        with pytest.raises(ValueError, match="amplitude"):
+            SmoothTF(Mollifier(0), amp=amp)
+
+    def test_transforms_check_their_products(self):
+        with pytest.raises(ValueError, match="dilation factor"):
+            mollifier().dilated(1e-200).dilated(1e-200)  # underflows to 0
+        with pytest.raises(ValueError, match="amplitude"):
+            mollifier().scaled(1e200).scaled(1e200)  # overflows to inf
+
     def test_shifts_add_before_evaluating(self):
         f = mollifier(2, 1)
         a, b = f.shifted(0.1).shifted(0.2), f.shifted(0.1 + 0.2)

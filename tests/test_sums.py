@@ -195,11 +195,14 @@ class TestZetaPartialSum:
             zeta_partial_sum(s, 100)
 
     def test_default_terms_single_sum(self):
-        # 10^6 terms fit one chunk: the same single np.sum as unchunked code
-        n = np.arange(1, 10**6 + 1, dtype=np.float64)
-        for s in (2.0, 4.0, 13.0):
-            expected = float(np.sum(n ** (-s))) + 1e6 ** (1.0 - s) / (s - 1.0)
-            assert zeta_partial_sum(s, 10**6) == expected
+        # up to 2^20 terms fit one chunk: the pieces of numpy's pairwise tree
+        # add up to the same single np.sum as unchunked code, on either side
+        # of the 128-term block, the 2^16-term leaf and the 8-way unroll
+        for terms in (127, 129, 65537, 100003, 10**6, 2**20):
+            n = np.arange(1, terms + 1, dtype=np.float64)
+            for s in (2.0, 4.0, 13.0):
+                expected = float(np.sum(n ** (-s))) + terms ** (1.0 - s) / (s - 1.0)
+                assert zeta_partial_sum(s, terms) == expected, (s, terms)
 
     # 2**20 + 7 and 3 * 10**6 terms span several chunks
     @pytest.mark.parametrize("terms", [10, 10**6, 2**20 + 7, 3 * 10**6])
@@ -209,7 +212,7 @@ class TestZetaPartialSum:
                 == zeta_partial_sum_two_arrays(s, terms).hex())
 
     def test_chunked_sum_bounded_memory(self):
-        chunk_bytes = 8 * 2**20
+        leaf_bytes = 8 * sums._SUM_LEAF
         terms = 4 * 2**20 + 3
         tracemalloc.start()
         try:
@@ -217,7 +220,7 @@ class TestZetaPartialSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * chunk_bytes  # one chunk buffer at a time
+        assert peak < 1.5 * leaf_bytes  # one leaf buffer at a time
         n = np.arange(1, terms + 1, dtype=np.float64)
         expected = float(np.sum(n ** -2.0)) + terms ** -1.0
         assert abs(got - expected) <= 1e-15 * expected
