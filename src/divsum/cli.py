@@ -11,11 +11,13 @@ its tolerance).  All floats print with 12 significant digits and rationals
 as "p/q", so output is byte-stable for golden tests.
 
 Each subcommand imports only what it runs.  At load this module imports
-argparse, math, os, sys and ``divsum.sums`` (with fractions), which is all
-that sum, zeta, table and an even-k check need.  casimir adds
-``divsum.casimir``; an odd-k check adds numpy for its direct series; coeff
-adds only ``divsum.coefficients`` and ``divsum.extrapolation``; mollify
-adds numpy and the numerical layers.  --format json or csv adds its writer.
+argparse, math, os and sys.  sum, zeta, table and an even-k check add
+``divsum.sums`` (with fractions and decimal); casimir adds
+``divsum.casimir``, which loads ``divsum.sums``; an odd-k check adds numpy
+for its direct series.  coeff and ``mollify --target dirichlet``, closed
+forms, add only ``divsum.coefficients`` and ``divsum.extrapolation``; the
+other mollify targets add numpy and the numerical layers.  --format json
+or csv adds its writer.
 """
 
 import argparse
@@ -24,13 +26,6 @@ import os
 import sys
 
 from ._checks import integer
-from .sums import (
-    alternating_sum_powers,
-    bernoulli_numbers,
-    functional_equation_residual,
-    sum_powers,
-    zeta_negative_oracle,
-)
 
 CHECK_TOLERANCE = 1e-8
 COEFF_TOLERANCE = 1e-6
@@ -107,18 +102,24 @@ def _emit_ladder(args, limit, extra: dict, tail) -> None:
 
 
 def cmd_sum(args) -> int:
+    from .sums import alternating_sum_powers, sum_powers
+
     result = alternating_sum_powers(args.k) if args.alternating else sum_powers(args.k)
     _emit(args, result.to_json_obj(), [result.value])
     return 0
 
 
 def cmd_zeta(args) -> int:
+    from .sums import zeta_negative_oracle
+
     value = zeta_negative_oracle(args.neg_k)
     _emit(args, {"neg_k": args.neg_k, "value": str(value)}, [value])
     return 0
 
 
 def cmd_check(args) -> int:
+    from .sums import functional_equation_residual
+
     residual = functional_equation_residual(args.k, args.terms)
     passed = residual < CHECK_TOLERANCE
     status = "pass" if passed else "fail"
@@ -150,11 +151,8 @@ _DEFAULT_LEVELS = {"T0": 8, "dirichlet": 8}
 
 
 def _mollify_limit(args):
-    """The ``EpsilonLimit`` of the mollify target."""
-    import numpy as np
-
-    from . import distributions as dist
-
+    """The ``EpsilonLimit`` of the mollify target; the comb, a closed form,
+    loads no numpy."""
     target = args.target
     p = args.p
     if target == "dirichlet" and p != 0:
@@ -162,6 +160,15 @@ def _mollify_limit(args):
     levels = args.levels
     if levels is None:
         levels = _DEFAULT_LEVELS.get(target, 10)
+    if target == "dirichlet":
+        from .coefficients import dirichlet_comb_ladder
+
+        return dirichlet_comb_ladder(levels)
+
+    import numpy as np
+
+    from . import distributions as dist
+
     if target == "S":
         return dist.mollified_limit(dist.alternating_series_action, p, levels)
     if target == "H2S":
@@ -171,8 +178,6 @@ def _mollify_limit(args):
         )
     if target == "T0":
         return dist.mollified_limit(dist.all_plus_series_action, p, levels)
-    if target == "dirichlet":
-        return dist.dirichlet_comb_ladder(levels)
     jump_functions = {
         "jump:heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
         "jump:sign": lambda t: np.sign(np.asarray(t)),
@@ -215,6 +220,8 @@ def cmd_casimir(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .sums import bernoulli_numbers, sum_powers
+
     k_max = integer(args.k_max, "k-max", 1, 100)
     bernoulli = bernoulli_numbers(k_max + 1)
     rows = []

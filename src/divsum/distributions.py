@@ -50,14 +50,19 @@ from dataclasses import replace
 import numpy as np
 
 from ._checks import integer
-# perfbench/ calls and traces the name here; it is not exported
-from .coefficients import fourier_coefficient_numeric  # noqa: F401
+# perfbench/ calls and traces these names here; they are not exported
+from .coefficients import (  # noqa: F401
+    dirichlet_comb_growth,
+    dirichlet_comb_ladder,
+    fourier_coefficient_numeric,
+)
 from .extrapolation import (
     _EPS_FIRST_ORDER,
     _EPS_LADDER,
     DEFAULT_EPS_LEVELS,
     MAX_LEVELS,
     EpsilonLimit,
+    _scale_ladder,
     _scale_limit,
     extrapolate_ladder,
 )
@@ -73,8 +78,6 @@ __all__ = [
     "all_plus_series_action",
     "mollified_limit",
     "jump_average",
-    "dirichlet_comb_growth",
-    "dirichlet_comb_ladder",
 ]
 
 PERIOD = 2.0 * math.pi
@@ -310,10 +313,6 @@ def all_plus_series_action(chi: TestFunction) -> complex:
 # Mollified limits
 
 
-def _scale_ladder(levels: int, base: int = 2):
-    return [base * 2**j for j in range(integer(levels, "levels", 3, MAX_LEVELS))]
-
-
 def mollified_limit(pairing, vanishing_order: int = 0,
                     levels: int = DEFAULT_SCALE_LEVELS) -> EpsilonLimit:
     """Evaluate pairing(phi_m) on the scale ladder m = 2, 4, 8, ... and
@@ -357,31 +356,3 @@ def jump_average(f, vanishing_order: int = 0,
     _, panels = panel_integrals(kernel, *phi.support,
                                 breakpoints=(0.0, *phi.breakpoints))
     return _scale_limit(scales, [panel_sum(row) for row in panels])
-
-
-# ---------------------------------------------------------------------------
-# Divergence demonstrations
-
-
-def dirichlet_comb_growth(m: int) -> float:
-    """Pairing of the Dirichlet comb sum_n e^{int} with phi_m: 2 pi m phi(0).
-
-    By Poisson summation the comb is 2 pi sum_k delta_{2 pi k}, so the
-    pairing is 2 pi sum_k phi_m(2 pi k).  phi_m is supported in
-    [-1/m, 1/m], inside (-2 pi, 2 pi) for every m >= 1, so only k = 0
-    meets the support and the sum is 2 pi phi_m(0) = 2 pi m phi(0): exactly
-    linear in m.  The truncated spectral sum of the bump's transform is the
-    independent route, checked against this in the tests.
-    """
-    if not 1 <= m < math.inf:  # also nan
-        raise ValueError("m must be finite and >= 1")
-    base = Mollifier(0)  # needs phi(0) > 0, so no vanishing factor
-    phi0 = float(base.value(np.array([0.0]))[0])
-    return PERIOD * m * phi0
-
-
-def dirichlet_comb_ladder(levels: int = 8) -> EpsilonLimit:
-    """Scale ladder of the comb pairing, m = 1, 2, 4, ..., 2^(levels-1); its
-    values 2 pi m phi(0) double at every level, so it is always divergent."""
-    scales = _scale_ladder(levels, base=1)
-    return _scale_limit(scales, [complex(dirichlet_comb_growth(m)) for m in scales])

@@ -10,13 +10,17 @@ powers 1/m^2, 1/m^4, ...  The caller passes the leading power
 ``first_order``; stage k eliminates the power ``first_order + 2k``.
 
 Divergent ladders are a reported outcome, not an error: the fitted power
-of the parameter is recorded instead of an extrapolant.
+of the parameter is recorded instead of an extrapolant.  So is a ladder
+with a non-finite sample (an infinity or a nan): it is unconverged, with
+an infinite error estimate, and its noise floor comes from finite samples
+only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._checks import integer
 
@@ -49,8 +53,9 @@ _DIVERGENCE_FACTOR = 1.5
 _DIVERGENCE_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class EpsilonLimit:
+class EpsilonLimit(namedtuple(
+        "EpsilonLimit",
+        "samples extrapolated error_estimate converged growth_exponent")):
     """Record of one extrapolated limit process.
 
     ``samples`` holds (parameter, value) pairs with strictly monotone
@@ -61,21 +66,29 @@ class EpsilonLimit:
     two samples is unconverged, with its last sample as the value and an
     infinite ``error_estimate``; otherwise ``error_estimate`` is never below
     the magnitude of the last Richardson correction.
+
+    A named tuple, so that the closed-form commands need not import
+    ``dataclasses``; it compares equal to the plain tuple of its fields.
+    Every constructor validates, ``_replace`` included.
     """
 
-    samples: tuple
-    extrapolated: complex | None
-    error_estimate: float
-    converged: bool
-    growth_exponent: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        params = [p for p, _ in self.samples]
+    def __new__(cls, samples: tuple, extrapolated: complex | None,
+                error_estimate: float, converged: bool,
+                growth_exponent: float | None = None):
+        params = [p for p, _ in samples]
         if len(params) >= 2:
             inc = all(q > p for p, q in zip(params, params[1:]))
             dec = all(q < p for p, q in zip(params, params[1:]))
             if not (inc or dec):
                 raise ValueError("ladder parameters must be strictly monotone")
+        return super().__new__(cls, samples, extrapolated, error_estimate,
+                               converged, growth_exponent)
+
+    @classmethod
+    def _make(cls, iterable) -> "EpsilonLimit":
+        return cls(*iterable)
 
     def to_json_obj(self) -> dict:
         finite_err = math.isfinite(self.error_estimate)
@@ -104,14 +117,15 @@ def richardson_extrapolate(values, first_order: int):
     powers first_order >= 1, first_order + 2, ...
 
     ``values`` are ordered from the coarsest parameter to the finest.  One
-    or two samples cannot tell a limit from the first correction, so they
-    give (last sample, inf, False); an empty ladder raises ValueError.
+    or two samples cannot tell a limit from the first correction, and a
+    non-finite sample leaves no noise floor to judge one by, so these give
+    (last sample, inf, False); an empty ladder raises ValueError.
     """
     first_order = integer(first_order, "first_order", 1, math.inf)
     col = [complex(v) for v in values]
     if len(col) == 0:
         raise ValueError("empty ladder")
-    if len(col) < 3:
+    if len(col) < 3 or not all(map(cmath.isfinite, col)):
         return col[-1], math.inf, False
     scale = max(1.0, max(abs(v) for v in col))
     noise = _NOISE_REL * scale
@@ -138,7 +152,11 @@ def richardson_extrapolate(values, first_order: int):
 
 
 def fit_power_growth(params, values) -> float:
-    """Least-squares slope of log|value| vs log(parameter), last 5 samples."""
+    """Least-squares slope of log|value| vs log(parameter), last 5 samples;
+    the parameters must be distinct, finite and > 0."""
+    params = list(params)
+    if not all(0 < p < math.inf for p in params) or len(set(params)) < len(params):
+        raise ValueError("growth fit needs distinct, finite parameters > 0")
     pts = [(p, abs(complex(v))) for p, v in zip(params, values) if abs(complex(v)) > 0]
     if len(pts) < 2:
         raise ValueError("need at least two nonzero samples to fit growth")
@@ -172,6 +190,11 @@ def divergent_ladder(params, values) -> EpsilonLimit:
         converged=False,
         growth_exponent=fit_power_growth(params, values),
     )
+
+
+def _scale_ladder(levels: int, base: int = 2) -> list:
+    """The scale ladder m = base, 2 base, 4 base, ... of ``levels`` levels."""
+    return [base * 2**j for j in range(integer(levels, "levels", 3, MAX_LEVELS))]
 
 
 def _scale_limit(scales, values) -> EpsilonLimit:

@@ -9,19 +9,18 @@ and their chain rule, goes through the one affine map of TestFunction.  All
 evaluators accept numpy arrays and return exact zeros outside the declared
 support.
 
-Normalization constants have no closed form; they are computed once per
-p by quadrature and cached.
+Normalization constants have no closed form; they are tabulated, for
+p = 0, 2 and 4, in the numpy-free ``divsum.coefficients``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import integrate
+from .coefficients import _BUMP_MASSES
 
 __all__ = ["Mollifier", "TestFunction", "bump_moment", "mollifier"]
 
@@ -74,12 +73,16 @@ def _profile(t: np.ndarray, p: int, order: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def bump_moment(j: int) -> float:
-    """integral of t^j * psi(t) over (-1, 1); zero for odd j by symmetry."""
+    """integral of t^j * psi(t) over (-1, 1): the tabulated mass C_j for
+    j = 0, 2, 4, and zero for odd j by symmetry; any other j raises
+    ValueError."""
+    if j in _BUMP_MASSES:
+        return _BUMP_MASSES[j]
     if j % 2 == 1:
         return 0.0
-    return integrate(lambda t: t**j * _profile(t, 0, 0), -1.0, 1.0, tol=1e-14).real
+    raise ValueError(f"bump moments are tabulated for j in {VANISHING_ORDERS} "
+                     f"and odd j, got {j!r}")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,19 @@ _MAX_ROUNDS = 44
 # (round 0: every seeded panel whole and halved).  Normal use stays below 100
 _MAX_ACTIVE_PANELS = 1 << 14
 _REL_FLOOR = 1e-14
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+# the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1], to the bit of
+# numpy.polynomial.legendre.leggauss(15), whose import it saves.  The rule
+# is symmetric: its nodes and weights from the middle node 0 outward
+_HALF_NODES = [float.fromhex(h) for h in (
+    "0x0.0p+0", "0x1.9c0ba62ef04b5p-3", "0x1.939c69257d6b6p-2",
+    "0x1.245676f08f3a4p-1", "0x1.72e6e181ab3c4p-1", "0x1.b248221fffd63p-1",
+    "0x1.dfe24c4f8b447p-1", "0x1.f9da27c32e6d0p-1")]
+_HALF_WEIGHTS = [float.fromhex(h) for h in (
+    "0x1.9ee1575f9c980p-3", "0x1.96633f1fd02cfp-3", "0x1.7d41fa76dc267p-3",
+    "0x1.5484f30a86ed3p-3", "0x1.1dd73b4963165p-3", "0x1.b6ec9635f1120p-4",
+    "0x1.2038260b5d03ap-4", "0x1.f7dc7227a2908p-6")]
+_NODES = np.array([-x for x in _HALF_NODES[:0:-1]] + _HALF_NODES)
+_WEIGHTS = np.array(_HALF_WEIGHTS[:0:-1] + _HALF_WEIGHTS)
 
 
 class QuadratureError(ArithmeticError):

@@ -2,8 +2,9 @@
 exact identities on coefficient sequences, the dilation rule through
 the lacunary Fourier series, the jump pairing level by level, the
 Dirichlet comb through its truncated spectral sum, the c_n ladder through
-adaptive quadrature of the Fejer form, and the direct zeta series with a
-fresh array of powers per chunk."""
+adaptive quadrature of the Fejer form, the bump masses through adaptive
+quadrature, and the direct zeta series with a fresh array of powers per
+chunk."""
 
 import math
 
@@ -16,7 +17,7 @@ from divsum.extrapolation import (
     EpsilonLimit,
     extrapolate_ladder,
 )
-from divsum.mollifiers import Mollifier, TestFunction
+from divsum.mollifiers import Mollifier, TestFunction, _profile
 from divsum.quadrature import gauss_grid, integrate, panel_integrals, panel_sum
 from divsum.sums import _SUM_CHUNK
 
@@ -25,6 +26,12 @@ _TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
 _LACUNARY_TAIL_TOL = 1e-13
 _LACUNARY_MAX_TERMS = 4096
 _COMB_XI_MAX = 480.0  # spectral cutoff: bump transform tail is < 1e-7 beyond
+
+
+def bump_moment_quadrature(j: int) -> float:
+    """integral of t^j psi(t) over (-1, 1) by adaptive quadrature at
+    tolerance 1e-14: the route that gave the tabulated masses C_0, C_2, C_4."""
+    return integrate(lambda t: t**j * _profile(t, 0, 0), -1.0, 1.0, tol=1e-14).real
 
 
 def _lacunary_series_pairing(phi: TestFunction, lam: float) -> complex:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divsum.cli
+import divsum.sums
 from divsum.cli import main
 from divsum.quadrature import QuadratureError
 from divsum.sums import bernoulli_numbers
@@ -305,7 +306,7 @@ class TestTable:
             sizes.append(n)
             return bernoulli_numbers(n)
 
-        monkeypatch.setattr(divsum.cli, "bernoulli_numbers", counted)
+        monkeypatch.setattr(divsum.sums, "bernoulli_numbers", counted)
         assert run(capsys, "table", "--k-max", "30")[0] == 0
         assert sizes == [31]
 
@@ -337,7 +338,7 @@ class TestExitStatus:
         def fail(_):
             raise exc
 
-        monkeypatch.setattr(divsum.cli, "zeta_negative_oracle", fail)
+        monkeypatch.setattr(divsum.sums, "zeta_negative_oracle", fail)
         got, out, err = run(capsys, "zeta", "--neg-k", "3")
         assert got == code and out == ""
         assert str(exc) in err and "Traceback" not in err

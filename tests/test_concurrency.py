@@ -1,11 +1,10 @@
 """Reentrancy: all operations are pure over immutable values, so concurrent
-callers must see exactly the serial results (including the cached series and
-mollifier normalization constants, which are computed lazily)."""
+callers must see exactly the serial results (including the cached series,
+which is computed lazily)."""
 
 from concurrent.futures import ThreadPoolExecutor
 
 from divsum.distributions import alternating_series_action, mollified_limit
-from divsum.mollifiers import bump_moment
 from divsum.series import derivative_at_zero, generating_function_series, i_pow
 from divsum.sums import sum_powers, zeta_negative_oracle
 
@@ -21,11 +20,9 @@ def _work(k: int):
 def test_parallel_matches_serial():
     # start from cold caches so lazy initialization races are exercised
     generating_function_series.cache_clear()
-    bump_moment.cache_clear()
     ks = list(range(1, 17))
     serial = [_work(k) for k in ks]
     generating_function_series.cache_clear()
-    bump_moment.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(_work, ks))
     assert serial == parallel

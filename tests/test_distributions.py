@@ -640,7 +640,6 @@ class TestBumpGrading:
 
     @pytest.mark.parametrize("p", [0, 2, 4])
     def test_scale_ladder_takes_one_round_per_level(self, p, monkeypatch):
-        bump_moment(p)  # its cached normalisation is an integral of its own
         calls = _count_integrand_calls(monkeypatch)
         mollified_limit(alternating_series_action, p, 10)
         assert len(calls) == 10  # 80 by bisection: 4 rounds for each of 2 cells
@@ -653,7 +652,6 @@ class TestBumpGrading:
         # H2S at p = 4 and T0 bisect the outermost panels in a second round
         # on every level, and T0 in a third from m = 64 (p = 2) or m = 32
         # (p = 4) on
-        bump_moment(p)
         calls = _count_integrand_calls(monkeypatch)
         _LADDERS[target](p, levels)
         assert len(calls) == expected
@@ -662,7 +660,6 @@ class TestBumpGrading:
     def test_jump_average_takes_one_round_per_level(self, p, rounds, monkeypatch):
         # one pass for the whole ladder; at p = 4 the panels at the support
         # edges are bisected once more
-        bump_moment(p)
         calls = _count_integrand_calls(monkeypatch)
         jump_average(np.cos, vanishing_order=p)
         assert len(calls) == rounds  # 40 by bisection level by level, 50 at p = 4
@@ -781,6 +778,19 @@ class TestDirichletComb:
             with pytest.raises(ValueError, match="m must be"):
                 dirichlet_comb_growth(m)
 
+    @pytest.mark.parametrize("m", [1e308, pytest.param(10**400, id="10**400"),
+                                   2.9e307])
+    def test_pairing_past_the_float_range_raises(self, m):
+        # 1e308 returned inf, and an int past the float range raised
+        # OverflowError
+        with pytest.raises(ValueError, match="outside the float range"):
+            dirichlet_comb_growth(m)
+
+    def test_largest_pairing_in_the_float_range(self):
+        phi0 = float(Mollifier(0).value(np.array([0.0]))[0])
+        m = 2.0e307
+        assert dirichlet_comb_growth(m) == 2 * PI * m * phi0
+
     def test_closed_form_matches_spectral_sum_at_every_cli_scale(self):
         # every m that `mollify --target dirichlet --levels <= 20` reaches;
         # the routes differ by a constant 6.0e-12 relative, the spectral
@@ -807,8 +817,11 @@ class TestDirichletComb:
         assert abs(comb_spectral_pairing(m) - direct) < 1e-10
 
     def test_large_scale_passes_default_tolerance(self):
+        # phi(0) = exp(-1) / C_0 without numpy, to the bit of the mollifier's,
+        # at every m that `mollify --target dirichlet` reaches
         phi0 = float(Mollifier(0).value(np.array([0.0]))[0])
-        assert dirichlet_comb_growth(512) == 2 * PI * 512 * phi0
+        for m in [2**j for j in range(20)]:
+            assert dirichlet_comb_growth(m) == 2 * PI * m * phi0, m
 
 
 class TestHomothety:

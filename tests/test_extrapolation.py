@@ -85,6 +85,17 @@ class TestRichardson:
         with pytest.raises(ValueError, match="empty"):
             richardson_extrapolate([], 1)
 
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0, 3.0, math.inf], [1.0, 2.0, math.inf, 4.0],
+        [1.0, 2.0, 3.0, math.nan], [complex(1, math.inf), 2.0, 3.0, 4.0],
+    ])
+    def test_non_finite_sample_never_converges(self, values):
+        # an infinite sample made the noise floor infinite: [1, 2, 3, inf]
+        # gave (inf, inf, True) and [1, 2, inf, 4] gave (4, inf, True)
+        est, err, converged = richardson_extrapolate(values, 1)
+        assert (err, converged) == (math.inf, False)
+        assert est == complex(values[-1]) or math.isnan(abs(est))
+
     @pytest.mark.parametrize("first_order", [0, -1])
     def test_first_order_below_one_raises(self, first_order):
         # 0 divided by 2**0 - 1 and -1 reported a converged estimate
@@ -116,6 +127,13 @@ class TestDivergence:
         values = [-3.0 * m**2 for m in ms]
         assert abs(fit_power_growth(ms, values) - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("params", [
+        [1, 1], [2, 4, 4], [0, 1], [-1, 1], [1, math.inf], [math.nan, 1]])
+    def test_fit_needs_distinct_positive_parameters(self, params):
+        # [1, 1] divided by a zero spread of log parameters
+        with pytest.raises(ValueError, match="distinct, finite parameters > 0"):
+            fit_power_growth(params, [1.0 + j for j in range(len(params))])
+
     def test_divergent_ladder_record(self):
         ms = [2, 4, 8, 16]
         values = [5.0 * m for m in ms]
@@ -134,6 +152,20 @@ class TestEpsilonLimitRecord:
                 error_estimate=0.0,
                 converged=True,
             )
+
+    def test_every_constructor_checks_monotonicity(self):
+        rec = extrapolate_ladder([0.5, 0.25, 0.125], [1.0, 1.0, 1.0], 1)
+        bad = ((1.0, 0j), (3.0, 0j), (2.0, 0j))
+        with pytest.raises(ValueError, match="strictly monotone"):
+            rec._replace(samples=bad)
+        with pytest.raises(ValueError, match="strictly monotone"):
+            EpsilonLimit._make((bad, 0j, 0.0, True, None))
+        assert rec._replace(converged=False).converged is False
+
+    def test_record_equals_the_tuple_of_its_fields(self):
+        rec = divergent_ladder([2, 4, 8], [1.0, 4.0, 16.0])
+        assert rec == (rec.samples, None, math.inf, False, rec.growth_exponent)
+        assert EpsilonLimit((), None, math.inf, False).growth_exponent is None
 
     def test_error_estimate_dominates_last_correction(self):
         hs = eps_ladder(8)

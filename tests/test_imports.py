@@ -1,12 +1,12 @@
 """Import graph and public names.
 
 The exact subcommands load only the standard library modules they run and
-the exact layers, coeff loads no numpy, and no subcommand loads
-``divsum.series``, the Gaussian-rational series (arithmetic included) that
-the tests use as an oracle.  A cold numerical subcommand runs OpenBLAS on
-one thread unless the caller chose a count.  Each command runs in a fresh
-interpreter, which then reports the modules, threads or environment it
-holds.
+the exact layers, coeff and the Dirichlet comb load no numpy, and no
+subcommand loads ``divsum.series``, the Gaussian-rational series
+(arithmetic included) that the tests use as an oracle.  A cold numerical
+subcommand runs OpenBLAS on one thread unless the caller chose a count.
+Each command runs in a fresh interpreter, which then reports the modules,
+threads or environment it holds.
 """
 
 import importlib
@@ -26,6 +26,8 @@ NUMERIC_MODULES = ("numpy", "divsum.distributions", "divsum.quadrature",
 ORACLE_MODULES = ("divsum.series",)
 # beside NUMERIC_MODULES, what an exact subcommand in text format never runs
 UNUSED_BY_EXACT = ("dataclasses", "inspect", "json", "csv", "divsum.extrapolation")
+# what the closed-form commands, coeff and the Dirichlet comb, never run
+UNUSED_BY_CLOSED_FORMS = NUMERIC_MODULES + ("dataclasses", "fractions", "decimal")
 
 # the module list is taken before json is imported for the report
 _PROBE = """
@@ -98,7 +100,14 @@ def test_ladder_commands_load_them():
 
 def test_coeff_skips_numerical_layers():
     # c_n is a closed Fejer sum: coeff adds coefficients and extrapolation
-    assert loaded_after("coeff", "--n", "2", "--levels", "6") == (0, [])
+    assert loaded_after("coeff", "--n", "2", "--levels", "6",
+                        among=UNUSED_BY_CLOSED_FORMS) == (0, [])
+
+
+def test_dirichlet_comb_skips_numerical_layers():
+    # the comb pairing is 2 pi m phi(0): it too adds only those two
+    assert loaded_after("mollify", "--target", "dirichlet",
+                        among=UNUSED_BY_CLOSED_FORMS) == (0, [])
 
 
 # argv[1] is "numpy" to load numpy before main(), or "cold"; the report is
@@ -146,6 +155,7 @@ def test_after_numpy_loads_environment_is_left_alone():
     ("casimir", "--d", "1"),
     ("coeff", "--n", "2", "--levels", "6"),
     ("mollify", "--target", "S", "--levels", "3"),
+    ("mollify", "--target", "dirichlet"),
 ])
 def test_no_command_loads_the_series_oracle(argv):
     assert loaded_after(*argv, among=ORACLE_MODULES) == (0, [])

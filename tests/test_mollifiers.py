@@ -9,6 +9,7 @@ import pytest
 from divsum.mollifiers import Mollifier, _profile, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
 from divsum.quadrature import integrate
+from oracles import bump_moment_quadrature
 
 
 @pytest.mark.parametrize("p", [0, 2, 4])
@@ -103,10 +104,32 @@ class TestMoments:
         assert abs(bump_moment(0) - 0.4439938161680793) < 1e-12
 
     def test_odd_moment_zero(self):
-        assert bump_moment(3) == 0.0
+        for j in (1, 3, 5, -3, 7.0):
+            assert bump_moment(j) == 0.0, j
 
     def test_moment_ratio_positive(self):
         assert bump_moment(2) / bump_moment(4) > 1.0
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_table_is_the_quadrature_moment(self, p):
+        # the tabulated masses keep the bits the adaptive quadrature gave
+        assert bump_moment(p).hex() == bump_moment_quadrature(p).hex()
+
+    @pytest.mark.parametrize("p, ulps_low", [(0, 0), (2, 1), (4, 2)])
+    def test_table_against_mpmath(self, p, ulps_low):
+        # C_0 is correctly rounded, C_2 is 1 ulp low and C_4 2 ulps low
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.quad(lambda t: t**p * mpmath.exp(-1 / (1 - t * t)),
+                                [-1, 0, 1])
+            rounded = float(exact)
+        c = bump_moment(p)
+        assert (rounded - c) / math.ulp(c) == ulps_low
+
+    @pytest.mark.parametrize("j", [6, -2, 2.5, 1e300])
+    def test_untabulated_moment_raises(self, j):
+        with pytest.raises(ValueError, match="tabulated"):
+            bump_moment(j)
 
 
 class TestTransforms:

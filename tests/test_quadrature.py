@@ -14,6 +14,8 @@ from divsum.quadrature import (
     GAUSS_ORDER,
     QuadratureError,
     TOLERANCE,
+    _NODES,
+    _WEIGHTS,
     _panel_values,
     integrate,
     panel_integrals,
@@ -21,6 +23,11 @@ from divsum.quadrature import (
 
 
 class TestBasics:
+    def test_rule_is_numpys_to_the_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+        assert _NODES.tobytes() == nodes.tobytes()
+        assert _WEIGHTS.tobytes() == weights.tobytes()
+
     def test_polynomial_exact(self):
         v = integrate(lambda x: x**3 - 2 * x + 1, -1.0, 2.0)
         assert abs(v.real - (15.0 / 4 - 3 + 3)) < 1e-13
