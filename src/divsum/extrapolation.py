@@ -11,9 +11,10 @@ powers 1/m^2, 1/m^4, ...  The caller passes the leading power
 
 Divergent ladders are a reported outcome, not an error: the fitted power
 of the parameter is recorded instead of an extrapolant.  So is a ladder
-with a non-finite sample (an infinity or a nan): it is unconverged, with
-an infinite error estimate, and its noise floor comes from finite samples
-only.
+with a non-finite sample (an infinity or a nan): it is never divergent but
+unconverged, with its last sample as the value and an infinite error
+estimate, and its noise floor comes from finite samples only.  A record's
+JSON form writes every infinity and nan as null.
 """
 
 from __future__ import annotations
@@ -91,24 +92,30 @@ class EpsilonLimit(namedtuple(
         return cls(*iterable)
 
     def to_json_obj(self) -> dict:
-        finite_err = math.isfinite(self.error_estimate)
+        """The record in JSON types, with None (null) for every infinity and
+        nan, which JSON cannot hold."""
         return {
             "samples": [
-                {"parameter": p, "re": v.real, "im": v.imag}
+                {"parameter": _finite(p), "re": _finite(v.real), "im": _finite(v.imag)}
                 for p, v in self.samples
             ],
             "extrapolated": None if self.extrapolated is None else {
-                "re": self.extrapolated.real,
-                "im": self.extrapolated.imag,
+                "re": _finite(self.extrapolated.real),
+                "im": _finite(self.extrapolated.imag),
             },
-            "error_estimate": self.error_estimate if finite_err else None,
+            "error_estimate": _finite(self.error_estimate),
             "converged": self.converged,
-            "growth_exponent": self.growth_exponent,
+            "growth_exponent": _finite(self.growth_exponent),
         }
 
     def to_csv_rows(self) -> list:
         return [[repr(float(p)), repr(v.real), repr(v.imag)]
                 for p, v in self.samples]
+
+
+def _finite(x):
+    """x, or None when x is None, an infinity or a nan."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def richardson_extrapolate(values, first_order: int):
@@ -118,18 +125,20 @@ def richardson_extrapolate(values, first_order: int):
 
     ``values`` are ordered from the coarsest parameter to the finest.  One
     or two samples cannot tell a limit from the first correction, and a
-    non-finite sample leaves no noise floor to judge one by, so these give
-    (last sample, inf, False); an empty ladder raises ValueError.
+    non-finite sample, or a tableau that overflows, leaves no noise floor to
+    judge one by, so these give (last sample, inf, False); an empty ladder
+    raises ValueError.
     """
     first_order = integer(first_order, "first_order", 1, math.inf)
     col = [complex(v) for v in values]
     if len(col) == 0:
         raise ValueError("empty ladder")
+    last = col[-1]
     if len(col) < 3 or not all(map(cmath.isfinite, col)):
-        return col[-1], math.inf, False
+        return last, math.inf, False
     scale = max(1.0, max(abs(v) for v in col))
     noise = _NOISE_REL * scale
-    est = col[-1]
+    est = last
     corr_prev = math.inf
     for order in range(first_order, first_order + 2 * (len(col) - 1), 2):
         step = abs(col[-1] - col[-2])
@@ -147,6 +156,9 @@ def richardson_extrapolate(values, first_order: int):
         est = new
         corr_prev = corr
     err = max(corr_prev, noise * 0.1)
+    if not math.isfinite(err):
+        # the tableau left the float range: judged as a non-finite sample
+        return last, math.inf, False
     converged = err <= max(_CONTRACT_REL * scale, 1e-12)
     return est, err, converged
 
@@ -155,13 +167,15 @@ def fit_power_growth(params, values) -> float:
     """Least-squares slope of log|value| vs log(parameter), last 5 samples;
     the parameters must be distinct, finite and > 0."""
     params = list(params)
-    if not all(0 < p < math.inf for p in params) or len(set(params)) < len(params):
+    # distinct parameters may still share a logarithm, 1e300 and its successor
+    logs = [math.log(p) for p in params if 0 < p < math.inf]
+    if len(set(logs)) < len(params):
         raise ValueError("growth fit needs distinct, finite parameters > 0")
-    pts = [(p, abs(complex(v))) for p, v in zip(params, values) if abs(complex(v)) > 0]
+    pts = [(x, abs(complex(v))) for x, v in zip(logs, values) if abs(complex(v)) > 0]
     if len(pts) < 2:
         raise ValueError("need at least two nonzero samples to fit growth")
     pts = pts[-5:]
-    xs = [math.log(p) for p, _ in pts]
+    xs = [x for x, _ in pts]
     ys = [math.log(v) for _, v in pts]
     n = len(xs)
     mx = sum(xs) / n
@@ -172,10 +186,11 @@ def fit_power_growth(params, values) -> float:
 
 
 def detect_divergence(values) -> bool:
-    """Magnitudes growing monotonically by >= _DIVERGENCE_FACTOR across the
-    last _DIVERGENCE_WINDOW levels."""
+    """Finite magnitudes growing monotonically by >= _DIVERGENCE_FACTOR
+    across the last _DIVERGENCE_WINDOW levels.  A non-finite sample anywhere
+    leaves the growth unfitted: such a ladder is not divergent."""
     mags = [abs(complex(v)) for v in values]
-    if len(mags) < _DIVERGENCE_WINDOW:
+    if len(mags) < _DIVERGENCE_WINDOW or not all(map(math.isfinite, mags)):
         return False
     tail = mags[-_DIVERGENCE_WINDOW:]
     return all(b >= _DIVERGENCE_FACTOR * a and a > 0

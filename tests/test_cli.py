@@ -104,7 +104,8 @@ class TestZetaAndCheck:
         assert code == 0
         assert out.splitlines()[-1] == "pass"
 
-    @pytest.mark.parametrize("k", [29, 30, 64, 170, 171, 200])
+    # a small k beside the large ones, each at the default terms
+    @pytest.mark.parametrize("k", [7, 29, 30, 64, 170, 171, 200])
     def test_check_large_k_passes(self, capsys, k):
         code, out, _ = run(capsys, "check", "--k", str(k))
         lines = out.splitlines()
@@ -244,6 +245,8 @@ class TestCasimir:
         code, out, _ = run(capsys, "casimir", "--d", "2")
         assert code == 0
         assert out.splitlines()[1] == f"force {math.pi / 96:.12g}"
+        assert run(capsys, "casimir", "--d", "1")[:2] == (
+            0, "energy -0.1308996939\nforce 0.1308996939\n")
 
     def test_invalid_d(self, capsys):
         assert run(capsys, "casimir", "--d", "0")[0] == 2
@@ -252,7 +255,8 @@ class TestCasimir:
         for d in ("1e-160", "1e-170", "5e-324", "1e200"):
             for units in ("natural", "si"):
                 code, out, err = run(capsys, "casimir", "--d", d, "--units", units)
-                assert code == 2 and out == "" and "float range" in err
+                assert code == 2 and out == "" and err.startswith("error: ")
+                assert "float range" in err
 
     @pytest.mark.parametrize("d", ["inf", "nan"])
     @pytest.mark.parametrize("units", ["natural", "si"])
@@ -319,12 +323,14 @@ class TestDeterminism:
             ("--format", "csv", "mollify", "--target", "S", "--levels", "5"),
             ("--format", "json", "casimir", "--d", "1.5"),
             ("--format", "csv", "table", "--k-max", "10"),
+            ("--format", "json", "mollify", "--target", "H2S", "--p", "2",
+             "--levels", "4"),
         ],
     )
     def test_byte_identical_reruns(self, capsys, argv):
-        _, first, _ = run(capsys, *argv)
+        code, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
-        assert first == second
+        assert code == 0 and first == second
 
 
 class TestExitStatus:

@@ -1,5 +1,6 @@
 """Pairings with the singular kernels, combs and their limit processes."""
 
+import json
 import math
 import random
 import time
@@ -180,12 +181,14 @@ class TestRemainderRouteAgainstMpmath:
         (0, 200.0, 0.0055),         # pole 0.0005 outside the support
         (2, 100.0, 0.011),          # pole 0.001 outside the support
         (4, 1000.0, 1.01e-3),       # pole 1e-5 outside a half-width 0.001 bump
+        (0, 20.0, 0.05),            # pole on the left support edge
     ])
     def test_finite_part_action(self, p, lam, offset):
-        truth = remainder_truth(p, lam, PI + offset, PI)
+        truth = float(remainder_truth(p, lam, PI + offset, PI))
         value = finite_part_action(mollifier(p, 1).dilated(lam).shifted(PI + offset))
         assert value.imag == 0.0
-        assert abs(value.real - float(truth)) <= 1e-11 * max(1.0, abs(float(truth)))
+        # relative 1e-11, and never past 1e-9 where the value reaches 6350
+        assert abs(value.real - truth) <= min(1e-9, 1e-11 * max(1.0, abs(truth)))
 
     @pytest.mark.parametrize("p, lam, centre, pole", [
         (0, 0.25, PI, PI),                  # support (pi - 4, pi + 4) > cell
@@ -277,9 +280,9 @@ class TestFinitePartEpsilon:
         tf = mollifier(p, 1).dilated(20.0).shifted(PI + side * (0.05 + gap))
         rec = finite_part_action_epsilon(tf)
         assert rec.samples[0][0] < 0.1 + gap
-        if rec.converged:
-            miss = abs(rec.extrapolated - finite_part_action(tf))
-            assert miss <= rec.error_estimate, (miss, rec.error_estimate)
+        assert rec.converged
+        miss = abs(rec.extrapolated - finite_part_action(tf))
+        assert miss <= rec.error_estimate, (miss, rec.error_estimate)
 
     def test_second_order_zero_at_pole_gives_improper_integral(self):
         # phi(pi) = phi'(pi) = 0: the counterterm vanishes at every eps and
@@ -355,7 +358,8 @@ class TestAlternatingSeriesAction:
             r = float(a - mpmath.nint(a / two_pi) * two_pi)
         tf = mollifier(2, 1)
         want = alternating_series_action(tf.shifted(r))
-        assert abs(alternating_series_action(tf.shifted(a)) - want) <= 1e-12 * abs(want)
+        assert (abs(alternating_series_action(tf.shifted(a)) - want)
+                <= 1e-12 * min(1.0, abs(want)))
 
     @pytest.mark.parametrize("k", [10**6, 10**9, 10**12, 10**15])
     def test_far_period_multiple_is_no_shift(self, k):
@@ -556,10 +560,19 @@ class TestMollifiedLimits:
     def test_alternating_action_sums_to_quarter(self, p):
         rec = mollified_limit(alternating_series_action, p)
         assert rec.converged
-        assert abs(rec.extrapolated - 0.25) < 1e-6
+        assert abs(rec.extrapolated - 0.25) < 1e-12
         # eliminating 1/m^2, 1/m^4, ... already pins the limit from m <= 16
         short = mollified_limit(alternating_series_action, p, levels=4)
         assert abs(short.extrapolated - 0.25) < 1e-10
+
+    @pytest.mark.parametrize("tail", [math.inf, -math.inf, math.nan])
+    def test_non_finite_pairing_is_unconverged(self, tail):
+        # an infinite pairing grew by >= 1.5x and was fitted as divergence,
+        # with growth_exponent nan
+        rec = mollified_limit(lambda phi: phi.lam if phi.lam < 32 else tail, 0, 5)
+        assert (rec.error_estimate, rec.converged, rec.growth_exponent) == (
+            math.inf, False, None)
+        json.dumps(rec.to_json_obj(), allow_nan=False)
 
     def test_divergent_all_plus_ladder(self):
         rec = mollified_limit(all_plus_series_action, 4, levels=8)
@@ -577,8 +590,9 @@ class TestMollifiedLimits:
         assert rec.converged and abs(rec.extrapolated) < 1e-6
 
     def test_jump_cos(self):
-        rec = jump_average(np.cos)
-        assert rec.converged and abs(rec.extrapolated - 1.0) < 1e-6
+        for p in (0, 2, 4):
+            rec = jump_average(np.cos, vanishing_order=p)
+            assert rec.converged and abs(rec.extrapolated - 1.0) < 1e-12, p
 
     @pytest.mark.parametrize("p", [0, 2, 4])
     def test_jump_step_plus_smooth(self, p):

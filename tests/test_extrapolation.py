@@ -1,11 +1,16 @@
 """Richardson extrapolation, divergence detection and the ladder record."""
 
+import cmath
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsum.extrapolation import (
+    MAX_LEVELS,
     EpsilonLimit,
     _scale_limit,
     detect_divergence,
@@ -88,6 +93,8 @@ class TestRichardson:
     @pytest.mark.parametrize("values", [
         [1.0, 2.0, 3.0, math.inf], [1.0, 2.0, math.inf, 4.0],
         [1.0, 2.0, 3.0, math.nan], [complex(1, math.inf), 2.0, 3.0, 4.0],
+        # finite samples whose tableau overflows: it gave (nan, nan, False)
+        [1e308, -1e308, 1e308, -1e308],
     ])
     def test_non_finite_sample_never_converges(self, values):
         # an infinite sample made the noise floor infinite: [1, 2, 3, inf]
@@ -121,6 +128,8 @@ class TestDivergence:
     def test_detect_growth(self):
         assert detect_divergence([1.0, 2.1, 4.4, 9.0])
         assert not detect_divergence([1.0, 1.2, 1.3, 1.35])
+        # an infinite tail grew too, and its fitted exponent was nan
+        assert not detect_divergence([1.0, 2.1, 4.4, math.inf])
 
     def test_fit_exponent(self):
         ms = [2, 4, 8, 16, 32]
@@ -128,9 +137,11 @@ class TestDivergence:
         assert abs(fit_power_growth(ms, values) - 2.0) < 1e-12
 
     @pytest.mark.parametrize("params", [
-        [1, 1], [2, 4, 4], [0, 1], [-1, 1], [1, math.inf], [math.nan, 1]])
+        [1, 1], [2, 4, 4], [0, 1], [-1, 1], [1, math.inf], [math.nan, 1],
+        [1e300, math.nextafter(1e300, math.inf)]])
     def test_fit_needs_distinct_positive_parameters(self, params):
-        # [1, 1] divided by a zero spread of log parameters
+        # [1, 1] divided by a zero spread of log parameters, and so did two
+        # distinct parameters with one logarithm
         with pytest.raises(ValueError, match="distinct, finite parameters > 0"):
             fit_power_growth(params, [1.0 + j for j in range(len(params))])
 
@@ -192,6 +203,15 @@ class TestEpsilonLimitRecord:
         assert obj["error_estimate"] is None
         assert abs(obj["growth_exponent"] - 2.0) < 1e-9
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_writes_non_finite_as_null(self, bad):
+        # a nan last sample was the extrapolant, and json.dumps wrote NaN
+        rec = extrapolate_ladder([1, 0.5, 0.25, 0.125], [1.0, 2.0, 3.0, bad], 1)
+        obj = json.loads(json.dumps(rec.to_json_obj(), allow_nan=False))
+        assert obj["samples"][-1] == {"parameter": 0.125, "re": None, "im": 0.0}
+        assert obj["extrapolated"] == {"re": None, "im": 0.0}
+        assert (obj["error_estimate"], obj["converged"]) == (None, False)
+
     @pytest.mark.parametrize("hs", [[], [0.5], [0.5, 0.25]])
     def test_short_ladder_record(self, hs):
         rec = extrapolate_ladder(hs, [0.25 + h for h in hs], 1)
@@ -207,3 +227,44 @@ class TestEpsilonLimitRecord:
         rows = rec.to_csv_rows()
         assert len(rows) == 3
         assert rows[0][0] == "0.5"
+
+
+# a ladder of any length up to MAX_LEVELS takes well under a millisecond
+TIME_BOUND_S = 1.0
+_SAMPLES = st.lists(
+    st.one_of(st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 5e-324])),
+    max_size=MAX_LEVELS)
+LADDERS = {
+    "epsilon": lambda values: extrapolate_ladder(
+        eps_ladder(len(values)), values, 1),
+    "scale": lambda values: _scale_limit(
+        [2.0 * 2**j for j in range(len(values))], values),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LADDERS))
+@settings(max_examples=300, deadline=None)
+@given(values=_SAMPLES)
+def test_any_samples_give_one_outcome(kind, values):
+    """Samples with nan, +-inf and +-1e308 give a ValueError or a record
+    that is finite, unconverged with an infinite estimate, or divergent with
+    a finite exponent; its JSON form holds no NaN or Infinity."""
+    start = time.perf_counter()
+    try:
+        rec = LADDERS[kind](values)
+    except ValueError:
+        rec = None
+    assert time.perf_counter() - start < TIME_BOUND_S, values
+    if rec is None:
+        return
+    json.dumps(rec.to_json_obj(), allow_nan=False)
+    if rec.growth_exponent is not None:
+        assert rec.extrapolated is None and not rec.converged
+        assert math.isfinite(rec.growth_exponent), values
+    elif rec.error_estimate == math.inf:
+        assert not rec.converged, values
+    else:  # a non-finite sample would have left the estimate infinite
+        assert all(cmath.isfinite(v) for _, v in rec.samples), values
+        assert math.isfinite(rec.error_estimate), values
+        assert cmath.isfinite(rec.extrapolated), values

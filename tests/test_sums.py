@@ -197,12 +197,20 @@ class TestZetaPartialSum:
     def test_default_terms_single_sum(self):
         # up to 2^20 terms fit one chunk: the pieces of numpy's pairwise tree
         # add up to the same single np.sum as unchunked code, on either side
-        # of the 128-term block, the 2^16-term leaf and the 8-way unroll
+        # of the 128-term block, the 2^16-term leaf and the 8-way unroll,
+        # with one leaf buffer at a time
         for terms in (127, 129, 65537, 100003, 10**6, 2**20):
             n = np.arange(1, terms + 1, dtype=np.float64)
             for s in (2.0, 4.0, 13.0):
                 expected = float(np.sum(n ** (-s))) + terms ** (1.0 - s) / (s - 1.0)
-                assert zeta_partial_sum(s, terms) == expected, (s, terms)
+                tracemalloc.start()
+                try:
+                    got = zeta_partial_sum(s, terms)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert got == expected, (s, terms)
+                assert peak < 1.5 * 8 * sums._SUM_LEAF, (s, terms, peak)
 
     # 2**20 + 7 and 3 * 10**6 terms span several chunks
     @pytest.mark.parametrize("terms", [10, 10**6, 2**20 + 7, 3 * 10**6])
