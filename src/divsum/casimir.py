@@ -19,7 +19,7 @@ import math
 import sys
 from collections import namedtuple
 
-from ._checks import integer
+from ._checks import integer, real
 from .sums import sum_powers
 
 __all__ = [
@@ -37,7 +37,7 @@ SI_C = 2.99792458e8        # m / s
 
 
 class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
-    """Wall separation d, speed of light c and hbar, all finite and > 0.
+    """Wall separation d, speed of light c and hbar: finite reals > 0, as floats.
 
     A named tuple, so that ``divsum casimir`` need not import
     ``dataclasses``.  Every constructor validates, ``_replace`` included.
@@ -46,11 +46,8 @@ class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
     __slots__ = ()
 
     def __new__(cls, d: float, c: float = 1.0, hbar: float = 1.0):
-        if not (math.isfinite(d) and d > 0):
-            raise ValueError("separation d must be finite and > 0")
-        if not all(math.isfinite(v) and v > 0 for v in (c, hbar)):
-            raise ValueError("c and hbar must be finite and > 0")
-        return super().__new__(cls, d, c, hbar)
+        return super().__new__(cls, *(real(v, name, 0, strict=True)
+                                      for name, v in zip(cls._fields, (d, c, hbar))))
 
     @classmethod
     def _make(cls, iterable) -> "CavityConfig":

@@ -189,10 +189,8 @@ def _mollify_limit(args):
 
 def cmd_mollify(args) -> int:
     limit = _mollify_limit(args)
-    sign = 0
-    if limit.samples:
-        last = limit.samples[-1][1].real
-        sign = (last > 0) - (last < 0)
+    last = limit.samples[-1][1].real  # every mollify ladder has >= 3 levels
+    sign = (last > 0) - (last < 0)
     if limit.converged and limit.extrapolated is not None:
         tail = [f"extrapolant {fmt_float(limit.extrapolated.real)} "
                 f"{fmt_float(limit.extrapolated.imag)}",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from ._checks import integer
+from ._checks import integer, real
 from .extrapolation import (
     _EPS_FIRST_ORDER,
     _EPS_LADDER,
@@ -70,7 +70,7 @@ def fourier_coefficient_numeric(n: int,
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
-def dirichlet_comb_growth(m: int) -> float:
+def dirichlet_comb_growth(m: float) -> float:
     """Pairing of the Dirichlet comb sum_n e^{int} with phi_m: 2 pi m phi(0).
 
     By Poisson summation the comb is 2 pi sum_k delta_{2 pi k}, so the
@@ -81,15 +81,11 @@ def dirichlet_comb_growth(m: int) -> float:
     vanishing factor.  The truncated spectral sum of the bump's transform
     is the independent route, checked against this in the tests.
 
-    Raises ValueError unless 1 <= m < inf, or when the pairing, formed as
+    Raises ValueError unless m is a finite real >= 1, or when the pairing,
     (2 pi m) phi(0), leaves the float range: for m past about 2.86e307.
     """
-    if not 1 <= m < math.inf:  # also nan
-        raise ValueError("m must be finite and >= 1")
-    try:
-        value = _TWO_PI * m * _BUMP_AT_ZERO
-    except OverflowError:  # an int m too large to become a float
-        value = math.inf
+    m = real(m, "m", 1)
+    value = _TWO_PI * m * _BUMP_AT_ZERO
     if not math.isfinite(value):
         raise ValueError(f"comb pairing at m={m!r} is outside the float range")
     return value

@@ -49,7 +49,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import integer, real
 # perfbench/ calls and traces these names here; they are not exported
 from .coefficients import (  # noqa: F401
     dirichlet_comb_growth,
@@ -154,8 +154,6 @@ def _remainder_cell_action(phi: TestFunction, sa: float, sb: float,
     budget; in x the log alone never does.
     """
     lo, hi = max(sa - pole, -math.pi), min(sb - pole, math.pi)
-    if not hi > lo:
-        return 0j
     d2 = phi.local(pole, 2)
     # a narrow feature has a large phi'' (up to 1.6e8 on an affine p = 4 bump
     # of half-width 0.001), whose rounding alone leaves panels short of an
@@ -236,9 +234,7 @@ def _period_reduced(phi: TestFunction) -> TestFunction:
     2.4e-16 error of PERIOD, and rounds to ulp(n * PERIOD): at a shift of
     1e15 the pairing misses by 0.97.  The distribution is 2*pi-periodic, so
     the pairing is taken at the reduced shift instead."""
-    shift = phi.shift
-    if not abs(shift) <= _MAX_SHIFT:
-        raise ValueError(f"shift must be finite and at most {_MAX_SHIFT:g} in size")
+    shift = real(phi.shift, "shift", -_MAX_SHIFT, _MAX_SHIFT)
     if round(shift / PERIOD) == 0:
         return phi
     from fractions import Fraction  # only far shifts pay for the import

@@ -159,7 +159,7 @@ def richardson_extrapolate(values, first_order: int):
     if not math.isfinite(err):
         # the tableau left the float range: judged as a non-finite sample
         return last, math.inf, False
-    converged = err <= max(_CONTRACT_REL * scale, 1e-12)
+    converged = err <= _CONTRACT_REL * scale
     return est, err, converged
 
 
@@ -185,25 +185,33 @@ def fit_power_growth(params, values) -> float:
     return sxy / sxx
 
 
+def _growing_run(mags) -> int:
+    """The number of trailing magnitudes, at most 5, that each are at least
+    _DIVERGENCE_FACTOR times the one before them, which is > 0."""
+    run = 1
+    while run < min(5, len(mags)) and mags[-run] >= _DIVERGENCE_FACTOR * mags[-run - 1] > 0:
+        run += 1
+    return run
+
+
 def detect_divergence(values) -> bool:
     """Finite magnitudes growing monotonically by >= _DIVERGENCE_FACTOR
     across the last _DIVERGENCE_WINDOW levels.  A non-finite sample anywhere
     leaves the growth unfitted: such a ladder is not divergent."""
     mags = [abs(complex(v)) for v in values]
-    if len(mags) < _DIVERGENCE_WINDOW or not all(map(math.isfinite, mags)):
-        return False
-    tail = mags[-_DIVERGENCE_WINDOW:]
-    return all(b >= _DIVERGENCE_FACTOR * a and a > 0
-               for a, b in zip(tail, tail[1:]))
+    return all(map(math.isfinite, mags)) and _growing_run(mags) >= _DIVERGENCE_WINDOW
 
 
 def divergent_ladder(params, values) -> EpsilonLimit:
+    """The record of a divergent ladder, its growth fitted over its growing
+    run of at most 5 samples, whose last 3 ``detect_divergence`` judges."""
+    run = _growing_run([abs(complex(v)) for v in values])
     return EpsilonLimit(
         samples=tuple((float(p), complex(v)) for p, v in zip(params, values)),
         extrapolated=None,
         error_estimate=math.inf,
         converged=False,
-        growth_exponent=fit_power_growth(params, values),
+        growth_exponent=fit_power_growth(list(params)[-run:], list(values)[-run:]),
     )
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import integer, real
 from .coefficients import _BUMP_MASSES
 
 __all__ = ["Mollifier", "TestFunction", "bump_moment", "mollifier"]
@@ -103,11 +104,11 @@ class TestFunction:
     amp: float = 1.0
 
     def __post_init__(self):
-        # every constructor checks, ``replace`` and the transforms included
-        if not (math.isfinite(self.lam) and self.lam > 0):  # also nan
-            raise ValueError("dilation factor must be finite and > 0")
-        if not math.isfinite(self.amp):
-            raise ValueError("amplitude must be finite")
+        # every constructor checks and keeps floats, ``replace`` included
+        lam = real(self.lam, "dilation factor", 0, strict=True)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "shift", real(self.shift, "shift"))
+        object.__setattr__(self, "amp", real(self.amp, "amplitude"))
 
     @property
     def support(self) -> tuple:
@@ -143,15 +144,15 @@ class TestFunction:
 
     def shifted(self, a: float) -> "TestFunction":
         """Translate by a: t maps to value(t - a)."""
-        return replace(self, shift=self.shift + a)
+        return replace(self, shift=self.shift + real(a, "shift"))
 
     def dilated(self, lam: float) -> "TestFunction":
         """Homothetic image: t maps to value(lam * t); support scales by 1/lam."""
-        # the new factor is checked before shift / lam can divide by zero
-        return replace(replace(self, lam=self.lam * lam), shift=self.shift / lam)
+        lam = real(lam, "dilation factor", 0, strict=True)
+        return replace(self, lam=self.lam * lam, shift=self.shift / lam)
 
     def scaled(self, amp: float) -> "TestFunction":
-        return replace(self, amp=self.amp * amp)
+        return replace(self, amp=self.amp * real(amp, "amplitude"))
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,10 @@ class Mollifier:
     support = (-1.0, 1.0)
 
     def __post_init__(self):
-        if self.vanishing_order not in VANISHING_ORDERS:
+        p = integer(self.vanishing_order, "vanishing order", -math.inf, math.inf)
+        if p not in VANISHING_ORDERS:
             raise ValueError(f"vanishing order must be one of {VANISHING_ORDERS}")
+        object.__setattr__(self, "vanishing_order", p)
 
     @property
     def breakpoints(self) -> tuple:
@@ -186,9 +189,8 @@ class Mollifier:
 
     def rescaled(self, m: float) -> TestFunction:
         """phi_m(t) = m * phi(m t), of unit mass on (-1/m, 1/m), for 1 <= m < inf."""
-        if not 1 <= m < math.inf:  # also nan
-            raise ValueError("scale must be finite and >= 1")
-        return TestFunction(self, lam=float(m), amp=float(m))
+        m = real(m, "scale", 1)
+        return TestFunction(self, lam=m, amp=m)
 
 
 def mollifier(vanishing_order: int = 0, scale: int = 1) -> TestFunction:

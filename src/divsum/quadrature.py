@@ -41,6 +41,8 @@ import math
 
 import numpy as np
 
+from ._checks import real
+
 __all__ = ["QuadratureError", "TOLERANCE", "gauss_grid", "integrate",
            "panel_integrals", "panel_sum"]
 
@@ -52,6 +54,9 @@ _MAX_ROUNDS = 44
 # (round 0: every seeded panel whole and halved).  Normal use stays below 100
 _MAX_ACTIVE_PANELS = 1 << 14
 _REL_FLOOR = 1e-14
+# bound on |a| and |b|, far inside the float range: a panel midpoint
+# overflows past about 9e307, and a bounded integrand's panel errors before
+_MAX_BOUND = 1e300
 # the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1], to the bit of
 # numpy.polynomial.legendre.leggauss(15), whose import it saves.  The rule
 # is symmetric: its nodes and weights from the middle node 0 outward
@@ -105,10 +110,11 @@ def integrate(f, a: float, b: float, *, tol: float = TOLERANCE,
     """Integral of a vectorized scalar integrand over [a, b].
 
     Returns a complex value; real integrands come back with zero imaginary
-    part.  Raises ValueError unless tol > 0 and a <= b are finite, or when
-    the breakpoints seed more than _MAX_ACTIVE_PANELS panels, and
-    QuadratureError if a panel value is not finite or bisection cannot
-    reach the tolerance within the panel cap and the round limit.
+    part.  Raises ValueError unless tol > 0 and a <= b are finite reals of
+    size at most 1e300, or when the breakpoints seed more than
+    _MAX_ACTIVE_PANELS panels, and QuadratureError if a panel value is not
+    finite or bisection cannot reach the tolerance within the panel cap and
+    the round limit.
     """
     _, values = panel_integrals(f, a, b, tol=tol, breakpoints=breakpoints)
     return panel_sum(values)
@@ -129,10 +135,9 @@ def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
     Empty arrays when b == a; raises as ``integrate`` does, reporting a
     stall with the worst row's residual.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
-    if not -math.inf < a <= b < math.inf:  # also nan
-        raise ValueError("need finite bounds a <= b")
+    tol = real(tol, "tol", 0, strict=True)
+    a = real(a, "a", -_MAX_BOUND, _MAX_BOUND)
+    b = real(b, "b", a, _MAX_BOUND)
     if b == a:
         return np.empty(0), np.empty(0)
     total_width = b - a

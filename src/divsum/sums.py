@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from ._checks import integer
+from ._checks import integer, real
 
 __all__ = [
     "SumKind",
@@ -152,8 +152,7 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     down numpy's pairwise tree, so that no piece holds more than _SUM_LEAF
     terms.  N is capped at _MAX_TERMS, which bounds the time.
     """
-    if not s > 1:  # also nan
-        raise ValueError("direct summation needs s > 1")
+    s = real(s, "s", 1, strict=True)
     terms = integer(terms, "terms", 10, _MAX_TERMS)
     import numpy as np  # the exact routes in this module need no arrays
 

@@ -6,7 +6,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsum.extrapolation import (
@@ -155,6 +155,22 @@ class TestDivergence:
         with pytest.raises(ValueError, match="distinct, finite parameters > 0"):
             fit_power_growth(params, [1.0 + j for j in range(len(params))])
 
+    def test_growth_is_fitted_over_the_run_that_diverges(self):
+        # the last three samples grow by >= 1.5x, and the fit sees only them:
+        # over all four the huge first sample gave an exponent of -298.4
+        rec = _scale_limit([2, 4, 8, 16], [1e300, 1.0, 2.0, 3.0])
+        assert rec.growth_exponent == fit_power_growth([4, 8, 16], [1.0, 2.0, 3.0])
+        assert 0.79 < rec.growth_exponent < 0.8
+
+    def test_growth_fit_keeps_at_most_five_samples(self):
+        ms = [2.0 * 2**j for j in range(8)]
+        values = [m**3 for m in ms]
+        assert divergent_ladder(ms, values).growth_exponent == fit_power_growth(
+            ms[-5:], values[-5:])
+        values[4] = 1.0  # the growing run is now the last four samples
+        assert divergent_ladder(ms, values).growth_exponent == fit_power_growth(
+            ms[-4:], values[-4:])
+
     def test_divergent_ladder_record(self):
         ms = [2, 4, 8, 16]
         values = [5.0 * m for m in ms]
@@ -247,6 +263,7 @@ LADDERS = {
 @pytest.mark.parametrize("kind", sorted(LADDERS))
 @settings(max_examples=300, deadline=None)
 @given(values=_SAMPLES)
+@example(values=[1e300, 1.0, 2.0, 3.0])  # a divergent tail after a huge sample
 def test_any_samples_give_one_outcome(kind, values):
     """Samples with nan, +-inf and +-1e308 give a ValueError or a record
     that is finite, unconverged with an infinite estimate, or divergent with
@@ -263,6 +280,7 @@ def test_any_samples_give_one_outcome(kind, values):
     if rec.growth_exponent is not None:
         assert rec.extrapolated is None and not rec.converged
         assert math.isfinite(rec.growth_exponent), values
+        assert rec.growth_exponent > 0, values  # the fitted run grows
     elif rec.error_estimate == math.inf:
         assert not rec.converged, values
     else:  # a non-finite sample would have left the estimate infinite

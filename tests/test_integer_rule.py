@@ -27,7 +27,7 @@ from divsum.distributions import (
     mollified_limit,
 )
 from divsum.extrapolation import extrapolate_ladder, richardson_extrapolate
-from divsum.mollifiers import mollifier
+from divsum.mollifiers import Mollifier, mollifier
 from divsum.sums import (
     alternating_sum_powers,
     bernoulli_numbers,
@@ -70,6 +70,14 @@ CALLS = {
         "first_order", lambda v: richardson_extrapolate([1.5, 1.25, 1.125, 1.0625], v)),
     "extrapolate_ladder(first_order)": (
         "first_order", lambda v: extrapolate_ladder([], [], v)),
+    # the record's repr tells the int 2 from 2.0 and np.int64(2)
+    "Mollifier(vanishing_order)": ("vanishing order", lambda v: repr(Mollifier(v))),
+    "mollifier(vanishing_order)": (
+        "vanishing order", lambda v: repr(mollifier(v, 2))),
+    "mollified_limit(vanishing_order)": (
+        "vanishing order", lambda v: mollified_limit(_pairing, v, 3)),
+    "jump_average(vanishing_order)": (
+        "vanishing order", lambda v: jump_average(np.cos, v, 3)),
 }
 # terms are drawn at most 10**5: 10**8 accepted terms take about a second
 TERMS_CALLS = {
@@ -81,7 +89,7 @@ TERMS_CALLS = {
 _OUT_OF_RANGE = "is outside the float range"
 
 _ODD = [math.nan, math.inf, -math.inf, 10**400, -10**400, 2.5, -0.5,
-        np.float64(3.0), np.float64(3.5), np.bool_(True)]
+        np.float64(3.0), np.float64(3.5), np.bool_(True), "3", None, 3j]
 
 
 def _values(ints, floats):
@@ -92,7 +100,7 @@ def _values(ints, floats):
 def _integral(value) -> bool:
     try:
         return int(value) == value
-    except (ValueError, OverflowError):  # nan, inf
+    except (ValueError, OverflowError, TypeError):  # nan, inf, "3", None, 3j
         return False
 
 
