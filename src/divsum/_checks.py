@@ -12,7 +12,7 @@ def _number(value, name: str):
     return value
 
 
-def integer(value, name: str, least, most) -> int:
+def integer(value, name: str, least=-math.inf, most=math.inf) -> int:
     """``value`` as an int, for an integral value of any numeric type with
     least <= value <= most; any other value raises ValueError naming it."""
     if _number(value, name) < least:
@@ -20,7 +20,11 @@ def integer(value, name: str, least, most) -> int:
     if value > most:
         raise ValueError(f"{name} must be <= {most}")
     # int-like (np.int64 too) is integral, and float() would overflow a huge one
-    if not (hasattr(value, "__index__") or float(value).is_integer()):
+    try:
+        integral = hasattr(value, "__index__") or float(value).is_integer()
+    except OverflowError:  # a Fraction past the float range
+        integral = int(value) == value
+    if not integral:
         raise ValueError(f"{name} must be an integer")
     return int(value)
 

@@ -60,7 +60,7 @@ class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
 
 def mode_wavenumber(n: int, cfg: CavityConfig) -> float:
     """k_n = n pi / d for mode index n >= 1, in the float range."""
-    n = integer(n, "mode index", 1, math.inf)
+    n = integer(n, "mode index", 1)
     try:
         wavenumber = n * math.pi / cfg.d
     except OverflowError:  # an int index too large to become a float

@@ -129,7 +129,7 @@ def richardson_extrapolate(values, first_order: int):
     judge one by, so these give (last sample, inf, False); an empty ladder
     raises ValueError.
     """
-    first_order = integer(first_order, "first_order", 1, math.inf)
+    first_order = integer(first_order, "first_order", 1)
     col = [complex(v) for v in values]
     if len(col) == 0:
         raise ValueError("empty ladder")
@@ -234,7 +234,7 @@ def extrapolate_ladder(params, values, first_order: int) -> EpsilonLimit:
     Fewer than three samples give an unconverged record with an infinite
     error estimate, and an empty ladder one whose ``extrapolated`` is None.
     ``first_order`` is checked for every length, the empty ladder included."""
-    first_order = integer(first_order, "first_order", 1, math.inf)
+    first_order = integer(first_order, "first_order", 1)
     est, err, converged = (richardson_extrapolate(values, first_order)
                            if len(values) else (None, math.inf, False))
     return EpsilonLimit(

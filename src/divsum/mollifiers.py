@@ -78,12 +78,12 @@ def bump_moment(j: int) -> float:
     """integral of t^j * psi(t) over (-1, 1): the tabulated mass C_j for
     j = 0, 2, 4, and zero for odd j by symmetry; any other j raises
     ValueError."""
+    j = integer(j, "j")
     if j in _BUMP_MASSES:
         return _BUMP_MASSES[j]
     if j % 2 == 1:
         return 0.0
-    raise ValueError(f"bump moments are tabulated for j in {VANISHING_ORDERS} "
-                     f"and odd j, got {j!r}")
+    raise ValueError(f"j must be tabulated: one of {VANISHING_ORDERS} or odd")
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,14 @@ class TestFunction:
                      for b in getattr(self.base, "breakpoints", ()))
 
     def local(self, pole: float = 0.0, order: int = 0):
-        """x -> phi^(order)(pole + x) for order <= 2, that is
+        """x -> phi^(order)(pole + x) for order 0, 1 or 2 and a finite pole, that is
         amp * lam^order * f^(order)(lam * (pole - shift + x)) by the chain
         rule.  The offset pole - shift is formed once, exactly when the shift
         is within a factor 2 of the pole (Sterbenz), so x is not rounded
         against the pole."""
+        order = integer(order, "order", 0, 2)
         f = getattr(self.base, ("value", "deriv", "deriv2")[order])
-        off, lam = pole - self.shift, self.lam
+        off, lam = real(pole, "pole") - self.shift, self.lam
         c = self.amp * (1.0, lam, lam * lam)[order]
         return lambda x: c * f(lam * (off + np.asarray(x, dtype=float)))
 
@@ -164,7 +165,7 @@ class Mollifier:
     support = (-1.0, 1.0)
 
     def __post_init__(self):
-        p = integer(self.vanishing_order, "vanishing order", -math.inf, math.inf)
+        p = integer(self.vanishing_order, "vanishing order")
         if p not in VANISHING_ORDERS:
             raise ValueError(f"vanishing order must be one of {VANISHING_ORDERS}")
         object.__setattr__(self, "vanishing_order", p)
@@ -193,6 +194,6 @@ class Mollifier:
         return TestFunction(self, lam=m, amp=m)
 
 
-def mollifier(vanishing_order: int = 0, scale: int = 1) -> TestFunction:
+def mollifier(vanishing_order: int = 0, scale: float = 1) -> TestFunction:
     """phi_m for the bump of the given vanishing order and m = scale."""
     return Mollifier(vanishing_order).rescaled(scale)

@@ -162,7 +162,7 @@ def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
         left, right = v[..., :n], v[..., n:]
         refined = left + right
         err = np.abs(whole - refined)
-        budget = np.maximum(tol * (hi - lo) / total_width,
+        budget = np.maximum(tol * ((hi - lo) / total_width),
                             _REL_FLOOR * np.abs(refined))
         ok = err <= budget
         if ok.ndim > 1:  # rows: every row must meet its budget

@@ -14,12 +14,14 @@ import numpy as np
 
 from divsum.casimir import CavityConfig, casimir_force, ground_state_energy
 from divsum.cli import main
-from divsum.coefficients import fourier_coefficient_numeric
+from divsum.coefficients import (
+    dirichlet_comb_growth,
+    dirichlet_comb_ladder,
+    fourier_coefficient_numeric,
+)
 from divsum.distributions import (
     all_plus_series_action,
     alternating_series_action,
-    dirichlet_comb_growth,
-    dirichlet_comb_ladder,
     finite_part_action,
     finite_part_action_epsilon,
     jump_average,

@@ -10,7 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from divsum.coefficients import fourier_coefficient_numeric
+from divsum.coefficients import (
+    dirichlet_comb_growth,
+    dirichlet_comb_ladder,
+    fourier_coefficient_numeric,
+)
 from divsum.distributions import (
     _remainder_cell_action,
     _support,
@@ -18,8 +22,6 @@ from divsum.distributions import (
     alternating_kernel,
     alternating_series_action,
     centered_kernel,
-    dirichlet_comb_growth,
-    dirichlet_comb_ladder,
     finite_part_action,
     finite_part_action_epsilon,
     jump_average,

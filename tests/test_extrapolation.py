@@ -155,6 +155,11 @@ class TestDivergence:
         with pytest.raises(ValueError, match="distinct, finite parameters > 0"):
             fit_power_growth(params, [1.0 + j for j in range(len(params))])
 
+    def test_fit_needs_two_nonzero_samples(self):
+        # one nonzero sample, at distinct parameters: the other message
+        with pytest.raises(ValueError, match="^need at least two nonzero samples"):
+            fit_power_growth([1, 2, 4], [0, 0, 1])
+
     def test_growth_is_fitted_over_the_run_that_diverges(self):
         # the last three samples grow by >= 1.5x, and the fit sees only them:
         # over all four the huge first sample gave an exponent of -298.4
