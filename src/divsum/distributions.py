@@ -154,7 +154,7 @@ def _remainder_cell_action(phi: TestFunction, sa: float, sb: float,
     budget; in x the log alone never does.
     """
     lo, hi = max(sa - pole, -math.pi), min(sb - pole, math.pi)
-    d2 = phi.local(pole, 2)
+    d2 = phi._local(pole, 2)
     # a narrow feature has a large phi'' (up to 1.6e8 on an affine p = 4 bump
     # of half-width 0.001), whose rounding alone leaves panels short of an
     # absolute 1e-10; a base given by plain callables (a sum of bumps, say)
@@ -201,7 +201,7 @@ def finite_part_action_epsilon(phi: TestFunction,
     """
     sa, sb = _period_support(phi)
     levels = integer(levels, "levels", 3, MAX_LEVELS)
-    f = phi.local(math.pi)
+    f = phi._local(math.pi, 0)
     at_pole = float(f(np.zeros(1))[0])
     # signed distances of the support edges from the pole, positive inside
     below, above = math.pi - sa, sb - math.pi

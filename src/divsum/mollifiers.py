@@ -127,21 +127,33 @@ class TestFunction:
         is within a factor 2 of the pole (Sterbenz), so x is not rounded
         against the pole."""
         order = integer(order, "order", 0, 2)
+        return self._local(real(pole, "pole"), order)
+
+    def _local(self, pole: float, order: int):
+        """``local`` for a float pole and an int order in (0, 1, 2), unchecked."""
         f = getattr(self.base, ("value", "deriv", "deriv2")[order])
-        off, lam = real(pole, "pole") - self.shift, self.lam
+        off, lam = pole - self.shift, self.lam
         c = self.amp * (1.0, lam, lam * lam)[order]
-        return lambda x: c * f(lam * (off + np.asarray(x, dtype=float)))
+
+        def at(x):
+            # far outside the support t may overflow to an infinity, where f is 0
+            with np.errstate(over="ignore"):
+                t = lam * (off + np.asarray(x, dtype=float))
+            v = f(t)
+            # where amp * lam^order overflows, inf * 0 would be nan: keep f's zeros
+            return c * v if math.isfinite(c) else np.where(v == 0.0, 0.0, c) * v
+        return at
 
     def __call__(self, t):
-        return self.local(0.0, 0)(t)
+        return self._local(0.0, 0)(t)
 
     value = __call__
 
     def deriv(self, t):
-        return self.local(0.0, 1)(t)
+        return self._local(0.0, 1)(t)
 
     def deriv2(self, t):
-        return self.local(0.0, 2)(t)
+        return self._local(0.0, 2)(t)
 
     def shifted(self, a: float) -> "TestFunction":
         """Translate by a: t maps to value(t - a)."""
@@ -177,7 +189,7 @@ class Mollifier:
 
     def _derivative(self, t, order: int) -> np.ndarray:
         p = self.vanishing_order
-        return _profile(np.asarray(t, dtype=float), p, order) / bump_moment(p)
+        return _profile(np.asarray(t, dtype=float), p, order) / _BUMP_MASSES[p]
 
     def value(self, t) -> np.ndarray:
         return self._derivative(t, 0)

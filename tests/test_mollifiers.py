@@ -47,6 +47,19 @@ class TestAxioms:
             assert np.array_equal(f(far), np.zeros(2))
 
 
+@pytest.mark.parametrize("m, order, t", [
+    (1e300, 0, [1e10]),      # m * t past the float range
+    (2, 0, [1e308]),
+    (1e300, 1, [0.0, 2.0]),  # m * m past it: inf * 0 was nan
+    (1e150, 2, [3.0]),       # m * m * m past it
+])
+def test_zero_outside_the_support_at_any_scale(m, order, t):
+    # the suite turns the RuntimeWarning of an overflow into an error
+    phi = mollifier(0, m)
+    got = (phi.value, phi.deriv, phi.deriv2)[order](np.array(t))
+    assert np.array_equal(got, np.zeros(len(t)))
+
+
 class TestVanishingOrder:
     def test_p_zero_positive_at_origin(self):
         assert Mollifier(0).value(np.array([0.0]))[0] > 0

@@ -6,13 +6,17 @@ repr it gives for the int or float the value equals; any other value raises
 ValueError naming the parameter.  A call ends in a value, a ValueError (which
 may say the result left the float range) or an ArithmeticError within a time
 bound.  Each annotated int or float public parameter has a row of its rule.
+A value is checked once, where it enters: evaluating a test function calls
+no rule, and a pairing only those of its parameters and of the quadrature and
+ladder it calls.
 """
 
 import inspect
 import json
 import math
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +30,8 @@ from divsum.casimir import (CavityConfig, angular_frequency, casimir_force,
                             ground_state_energy, mode_wavenumber)
 from divsum.coefficients import (dirichlet_comb_growth, dirichlet_comb_ladder,
                                  fourier_coefficient_numeric)
-from divsum.distributions import (alternating_series_action, finite_part_action_epsilon,
-                                  jump_average, mollified_limit)
+from divsum.distributions import (alternating_series_action, finite_part_action,
+                                  finite_part_action_epsilon, jump_average, mollified_limit)
 from divsum.extrapolation import extrapolate_ladder, richardson_extrapolate
 from divsum.mollifiers import Mollifier, TestFunction as SmoothTF, bump_moment, mollifier
 from divsum.quadrature import integrate, panel_integrals
@@ -44,7 +48,8 @@ _ODD = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308,
         Fraction(1, 3), Fraction(-7, 2), 2.5, -0.5, np.float32(0.1),
         np.float32("inf"), np.float64(3.0), np.float64(3.5), np.float64("nan"),
         np.int64(-3), np.bool_(True), True, False, "3", "nan", "", None, 3j,
-        complex(2.0, 0.0), np.complex64(2.0), np.complex128(1 + 2j)]
+        complex(2.0, 0.0), np.complex64(2.0), np.complex128(1 + 2j), Decimal("NaN"),
+        Decimal("sNaN"), Decimal("1e400"), Decimal("2.5"), Decimal("3")]
 
 
 def _values(ints, floats, *more):
@@ -66,7 +71,7 @@ def _real(value):
         return None
     try:
         return float(value) if math.isfinite(float(value)) else None
-    except OverflowError:  # an int past the float range
+    except (OverflowError, ValueError):  # an int past the float range, a signaling nan
         return None
 
 
@@ -247,3 +252,38 @@ def test_shift_must_be_finite(value):
     # a nan shift built a test function whose every value was a silent 0
     with pytest.raises(ValueError, match="^shift must be finite$"):
         mollifier(0, 1).shifted(value)
+
+
+def _counting(check, calls):
+    def counted(value, name, *args, **kwargs):
+        calls[name] += 1
+        return check(value, name, *args, **kwargs)
+    return counted
+
+
+def _evaluations():
+    x = np.array([math.pi - 0.1, 0.0])
+    for phi in (_BUMP, _UNIT.base):  # a TestFunction and a Mollifier
+        for f in (phi.value, phi.deriv, phi.deriv2):
+            f(x)
+
+
+@pytest.mark.parametrize("call, names", [
+    (_evaluations, {}),
+    (lambda: finite_part_action(_BUMP), {"tol": 1, "a": 1, "b": 1}),
+    (lambda: alternating_series_action(_BUMP), {"shift": 1, "tol": 1, "a": 1, "b": 1}),
+    (lambda: finite_part_action_epsilon(_BUMP),
+     {"levels": 1, "tol": 1, "a": 1, "b": 1, "first_order": 2}),
+], ids=["evaluation", "finite_part_action", "alternating_series_action",
+        "finite_part_action_epsilon"])
+def test_each_value_is_checked_where_it_enters(monkeypatch, call, names):
+    # a test function evaluates without a rule call: its numbers were
+    # checked when it was built, and the pole and order are the library's own
+    calls = Counter()
+    for module in (casimir, coefficients, distributions, extrapolation, mollifiers,
+                   quadrature, sums):
+        for rule in ("integer", "real"):
+            if hasattr(module, rule):
+                monkeypatch.setattr(module, rule, _counting(getattr(module, rule), calls))
+    call()
+    assert calls == Counter(names)
