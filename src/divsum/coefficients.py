@@ -25,7 +25,6 @@ __all__ = ["fourier_coefficient_numeric", "dirichlet_comb_growth",
            "dirichlet_comb_ladder"]
 
 _MAX_FOURIER_INDEX = 32
-_TWO_PI = 2.0 * math.pi
 
 # the masses C_p, the integrals of t^p exp(-1/(1 - t^2)) over (-1, 1) that
 # normalize the bumps of vanishing order p, as an adaptive Gauss quadrature
@@ -66,7 +65,7 @@ def fourier_coefficient_numeric(n: int,
     for eps in eps_list:
         fejer = -sign * math.fsum([m * (math.pi - eps), *(
             -2.0 * (m - k) * math.sin(k * eps) / k for k in range(1, m))])
-        samples.append((fejer - sign * n * math.pi) / (2.0 * math.pi))
+        samples.append((fejer - sign * n * math.pi) / math.tau)
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 
@@ -85,7 +84,7 @@ def dirichlet_comb_growth(m: float) -> float:
     (2 pi m) phi(0), leaves the float range: for m past about 2.86e307.
     """
     m = real(m, "m", 1)
-    value = _TWO_PI * m * _BUMP_AT_ZERO
+    value = math.tau * m * _BUMP_AT_ZERO
     if not math.isfinite(value):
         raise ValueError(f"comb pairing at m={m!r} is outside the float range")
     return value

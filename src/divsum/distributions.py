@@ -80,12 +80,8 @@ __all__ = [
     "jump_average",
 ]
 
-PERIOD = 2.0 * math.pi
+PERIOD = math.tau
 DEFAULT_SCALE_LEVELS = 10
-
-# a pole closer than this to the integration region forces the
-# remainder-form route; farther away the kernel is integrated directly
-_SINGULAR_MARGIN = 0.25
 
 # tolerance of the remainder route relative to max|phi''|, probed at
 # _PROBE_POINTS even steps over the support in the cell, times that span;
@@ -248,6 +244,10 @@ def alternating_series_action(phi: TestFunction) -> complex:
     e^{it} - 2 e^{2it} + 3 e^{3it} - ...: the periodized finite-part kernel
     plus i*pi times the derivative-of-delta comb at odd multiples of pi.
 
+    A period cell whose pole lies in its part of the support contributes
+    the remainder-route finite part and -i*pi*phi'(pole); on any other part
+    the kernel is smooth, and adjacent such parts are one plain integral.
+
     Raises ValueError for a shift past 1e30 or a support over 1024 cells.
     """
     phi = _period_reduced(phi)
@@ -262,14 +262,13 @@ def alternating_series_action(phi: TestFunction) -> complex:
         pole = cell_lo + math.pi
         lo, hi = max(sa, cell_lo), min(sb, cell_hi)
         n += 1
-        if lo - _SINGULAR_MARGIN <= pole <= hi + _SINGULAR_MARGIN:
-            total += _remainder_cell_action(phi, sa, sb, pole)
+        if lo <= pole <= hi:
+            total += (_remainder_cell_action(phi, sa, sb, pole)
+                      - 1j * math.pi * float(phi.deriv(np.array([pole]))[0]))
         elif runs and runs[-1][1] == lo:
             runs[-1][1] = hi  # the kernel is smooth across the cell edge
         else:
             runs.append([lo, hi])
-        if lo <= pole <= hi:  # the cell's one pole carries the delta' term
-            total += -1j * math.pi * float(phi.deriv(np.array([pole]))[0])
     for lo, hi in runs:
         total += integrate(lambda t: phi(t) * alternating_kernel(t), lo, hi,
                            breakpoints=phi.breakpoints)
@@ -297,12 +296,9 @@ def all_plus_series_action(chi: TestFunction) -> complex:
             f"(got chi(0)={at0:.3e}, chi'(0)={d_at0:.3e})"
         )
 
-    def f(x):
-        # 0 is a breakpoint, so no Gauss node lands on the removable 0/0
-        x = np.asarray(x, dtype=float)
-        return -0.25 * chi(x) / np.sin(0.5 * x) ** 2
-
-    return integrate(f, sa, sb, breakpoints=(0.0, *chi.breakpoints))
+    # 0 is a breakpoint, so no Gauss node lands on the removable 0/0
+    return integrate(lambda x: -chi(x) * centered_kernel(x), sa, sb,
+                     breakpoints=(0.0, *chi.breakpoints))
 
 
 # ---------------------------------------------------------------------------

@@ -195,10 +195,9 @@ def functional_equation_residual(k: int, terms: int = 10**6) -> float:
     else:
         # k! / (2 pi)^{k+1} as a running product: no factorial overflow, and
         # every partial product stays below max(1, |zeta(-k)|)
-        two_pi = 2.0 * math.pi
-        scale = 1.0 / two_pi
+        scale = 1.0 / math.tau
         for j in range(1, k + 1):
-            scale *= j / two_pi
+            scale *= j / math.tau
         sine = (-1) ** ((k + 1) // 2)  # sin(-k pi/2) for odd k
         rhs = 2.0 * sine * scale * zeta_partial_sum(k + 1, terms)
     return abs(lhs - rhs) / max(1.0, abs(lhs))

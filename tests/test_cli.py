@@ -295,6 +295,15 @@ class TestTable:
                 f"{k},{zeta_strings[k]},{zeta_strings[k]},true\n" for k in ks),
         }[fmt]
 
+    def test_mismatch_row_fails(self, capsys, monkeypatch):
+        # a closed form that misses the oracle at k = 2 only
+        closed = divsum.sums.sum_powers
+        monkeypatch.setattr(divsum.sums, "sum_powers", lambda k: closed(k)._replace(
+            value=Fraction(1, 7)) if k == 2 else closed(k))
+        assert run(capsys, "table", "--k-max", "3") == (
+            1, "1\t-1/12\t-1/12\tok\n2\t1/7\t0\tMISMATCH\n3\t1/120\t1/120\tok\n",
+            "table mismatch: closed form disagrees with the zeta oracle\n")
+
     def test_invalid_k_max(self, capsys):
         assert run(capsys, "table", "--k-max", "0")[0] == 2
 

@@ -27,11 +27,17 @@ from divsum.distributions import (
     jump_average,
     mollified_limit,
 )
-from divsum.extrapolation import DEFAULT_EPS_LEVELS, EPS_TOP, MAX_LEVELS
+from divsum.extrapolation import (
+    DEFAULT_EPS_LEVELS,
+    EPS_TOP,
+    MAX_LEVELS,
+    richardson_extrapolate,
+)
 from divsum.mollifiers import Mollifier, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
 from divsum.quadrature import _panel_values as panel_values
 from divsum.quadrature import TOLERANCE, integrate
+from divsum.sums import sum_powers
 from oracles import (
     _COMB_XI_MAX,
     comb_spectral_pairing,
@@ -201,6 +207,20 @@ class TestRemainderRouteAgainstMpmath:
         truth = remainder_truth(p, lam, centre, pole)
         value = _remainder_cell_action(tf, *tf.support, pole)
         assert abs(value.real - float(truth)) <= 1e-11 * max(1.0, abs(float(truth)))
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["left-edge", "right-edge"])
+    @pytest.mark.parametrize("gap", [0.05, 0.2])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_alternating_series_pole_just_outside_the_support(self, p, gap, side):
+        # half-width 0.001 with the pole gap outside a support edge: the
+        # kernel is smooth on the support, so the cell is a plain integral,
+        # within 2.5e-13.  finite_part_action keeps the remainder route, whose
+        # tolerance is relative to max|phi''| times the span, and misses by
+        # 5e-10 to 1.1e-8 here (ROADMAP item 4)
+        centre = PI + side * (gap + 0.001)
+        truth = float(remainder_truth(p, 1000.0, centre, PI))
+        value = alternating_series_action(mollifier(p, 1).dilated(1000.0).shifted(centre))
+        assert abs(value - truth) <= 1e-11
 
     def test_narrow_feature_inside_wide_support(self):
         # a half-width 0.01 bump inside a width-2 one: refinement has to find
@@ -583,6 +603,18 @@ class TestMollifiedLimits:
         assert rec.extrapolated is None
         assert abs(rec.growth_exponent - 2.0) < 0.1
         assert rec.samples[-1][1].real < 0
+
+    @pytest.mark.parametrize("p, miss", [(2, 2.7e-11), (4, 1.3e-11)])
+    def test_all_plus_ladder_carries_zeta_minus_one(self, p, miss):
+        # samples -a m^2 + zeta(-1) + O(1/m^2): one step (4 s(m) - s(2m)) / 3
+        # removes the m^2 term, and the 1/m^2 ladder then lands on -1/12.
+        # The miss is asserted, not error_estimate, which reads 7e-15 to
+        # 1.6e-13 (ROADMAP item 3)
+        s = [v for _, v in mollified_limit(all_plus_series_action, p, 8).samples]
+        value, _, converged = richardson_extrapolate(
+            [(4 * a - b) / 3 for a, b in zip(s, s[1:])], 2)
+        assert converged
+        assert abs(value - float(sum_powers(1).value)) < 2 * miss
 
     def test_jump_heaviside(self):
         rec = jump_average(lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0))

@@ -1,0 +1,226 @@
+"""Library values pinned beside the CLI goldens.
+
+``golden_lib.json`` maps each call below to its record: the ``float.hex``
+of every sample (parameter and value), extrapolant and error estimate,
+with ``converged`` and ``growth_exponent``, or the ``float.hex`` of a
+single value.  The calls are the c_n ladders, the S, H2S and T0 scale
+ladders, the three jumps, both finite-part routes on the mpmath-checked
+bumps, ``alternating_series_action`` on bumps whose pole lies just outside
+the support and on 12 bumps spanning 1.5 to 4 periods, and
+``zeta_partial_sum`` across its chunk boundary.
+
+Whether a ladder converged or diverged, and its parameters, must match
+exactly.  Every value, estimate and growth exponent must lie within
+``REL_BOUND`` times the entry's scale, max(1, the largest |value| among its
+samples and extrapolant): the same absolute-below-1 floor as the library's
+absolute quadrature tolerance.  The entries are replayed in process and in
+cold interpreters at one and two OpenBLAS threads.
+
+Regenerate with ``PYTHONPATH=src python tests/test_golden_lib.py --write``;
+it prints each entry that moves, and by how much, before it rewrites the
+file.
+"""
+
+import json
+import math
+import random
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from divsum.coefficients import fourier_coefficient_numeric
+from divsum.distributions import (
+    all_plus_series_action,
+    alternating_series_action,
+    finite_part_action,
+    finite_part_action_epsilon,
+    jump_average,
+    mollified_limit,
+)
+from divsum.extrapolation import EpsilonLimit
+from divsum.mollifiers import mollifier
+from divsum.sums import zeta_partial_sum
+from test_imports import _run_probe
+
+GOLDEN = Path(__file__).with_name("golden_lib.json")
+PI = math.pi
+# OpenBLAS at one and two threads gives the same bits.  Summing each panel's
+# weighted nodes by (values * weights).sum(-1) or np.einsum instead of BLAS's
+# @ moves 43 entries, the worst by 2.7e-13 of its scale (the counterterm
+# extrapolant of the p = 2 bump at offset 0.3), and scaling every integrand
+# value by a random 1 + 4 eps * U(-1, 1) by at most 1.6e-13
+REL_BOUND = 1e-12
+
+# the bumps of TestRemainderRouteAgainstMpmath.test_finite_part_action:
+# mollifier(p, 1).dilated(lam).shifted(pi + offset)
+REMAINDER_BUMPS = [
+    (0, 1.0, 0.0), (2, 1.0, 0.3), (4, 1 / 0.3, 6e-4), (2, 50.0, 0.018),
+    (4, 50.0, 0.003), (0, 2.0, 0.6), (2, 1 / 0.35, 2.0 - PI), (4, 200.0, 0.0),
+    (0, 200.0, 0.0055), (2, 100.0, 0.011), (4, 1000.0, 1.01e-3), (0, 20.0, 0.05),
+]
+# half-width 0.001 bumps whose pole lies gap outside a support edge: (p, gap,
+# side), centred at pi + side * (gap + 0.001), as in test_distributions
+NEAR_POLE_BUMPS = [(p, gap, side) for p in (0, 2, 4) for gap in (0.05, 0.2)
+                   for side in (1, -1)]
+_JUMPS = {
+    "heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
+    "sign": np.sign,
+    "cos": np.cos,
+}
+
+
+def _spanning_bumps():
+    """One bump per order p and span in periods, drawn like the benchmark's."""
+    rng = random.Random(20261018)
+    return [(p, periods, mollifier(p, 1).dilated(1.0 / (periods * PI))
+             .shifted(rng.uniform(-PI, PI)).scaled(rng.uniform(0.5, 2.0)))
+            for p in (0, 2, 4) for periods in (1.5, 2.0, 3.0, 4.0)]
+
+
+def calls() -> dict:
+    """Entry name -> a zero-argument library call."""
+    out = {}
+    for n in range(-32, 33):
+        out[f"coeff n={n} levels=10"] = lambda n=n: fourier_coefficient_numeric(n, 10)
+    for p in (0, 2, 4):
+        out[f"S p={p}"] = lambda p=p: mollified_limit(alternating_series_action, p, 10)
+        out[f"H2S p={p}"] = lambda p=p: mollified_limit(
+            lambda tf: 0.5 * alternating_series_action(tf.dilated(0.5)), p, 10)
+    for p in (2, 4):
+        out[f"T0 p={p}"] = lambda p=p: mollified_limit(all_plus_series_action, p, 8)
+    for name, f in _JUMPS.items():
+        for p in (0, 2, 4):
+            out[f"jump:{name} p={p}"] = lambda f=f, p=p: jump_average(f, p)
+    for p, lam, offset in REMAINDER_BUMPS:
+        tf = mollifier(p, 1).dilated(lam).shifted(PI + offset)
+        key = f"p={p} lam={lam!r} offset={offset!r}"
+        out[f"finite_part_action {key}"] = lambda tf=tf: finite_part_action(tf)
+        out[f"finite_part_action_epsilon {key}"] = (
+            lambda tf=tf: finite_part_action_epsilon(tf))
+    for p, gap, side in NEAR_POLE_BUMPS:
+        tf = mollifier(p, 1).dilated(1000.0).shifted(PI + side * (gap + 0.001))
+        out[f"alternating_series_action p={p} gap={gap} side={side:+d}"] = (
+            lambda tf=tf: alternating_series_action(tf))
+    for p, periods, tf in _spanning_bumps():
+        out[f"alternating_series_action p={p} periods={periods}"] = (
+            lambda tf=tf: alternating_series_action(tf))
+    for s in (2.0, 4.0, 12.0):
+        for terms in (10, 65537, 10**6, (1 << 20) + 1):
+            out[f"zeta_partial_sum s={s} terms={terms}"] = (
+                lambda s=s, terms=terms: zeta_partial_sum(s, terms))
+    return out
+
+
+def _hex(z) -> list:
+    return [float(z.real).hex(), float(z.imag).hex()]
+
+
+def record(value) -> dict:
+    """A library result in JSON types, every float as its float.hex."""
+    if isinstance(value, EpsilonLimit):
+        return {
+            "samples": [[float(p).hex(), *_hex(v)] for p, v in value.samples],
+            "extrapolated": None if value.extrapolated is None else _hex(value.extrapolated),
+            "error_estimate": float(value.error_estimate).hex(),
+            "converged": value.converged,
+            "growth_exponent": (None if value.growth_exponent is None
+                                else float(value.growth_exponent).hex()),
+        }
+    return {"value": _hex(complex(value))}
+
+
+def compute() -> dict:
+    return {name: record(call()) for name, call in calls().items()}
+
+
+def _values(rec: dict) -> list:
+    """(label, float) of every compared value of a record."""
+    if "value" in rec:
+        return [("value", float.fromhex(h)) for h in rec["value"]]
+    out = [(f"sample {i}", float.fromhex(h))
+           for i, (_, *vs) in enumerate(rec["samples"]) for h in vs]
+    if rec["extrapolated"] is not None:
+        out += [("extrapolated", float.fromhex(h)) for h in rec["extrapolated"]]
+    return out
+
+
+def _shape(rec: dict) -> tuple:
+    """What must match exactly: parameters, convergence and divergence."""
+    if "value" in rec:
+        return ()
+    return ([p for p, *_ in rec["samples"]], rec["converged"],
+            rec["extrapolated"] is None, rec["growth_exponent"] is None)
+
+
+def moves(want: dict, got: dict) -> list:
+    """(label, wanted, got, move / scale) for each value that is not bitwise
+    the same; estimates and exponents count as values."""
+    values = _values(want)
+    scale = max([1.0, *(abs(v) for _, v in values if math.isfinite(v))])
+    pairs = [(label, a, b) for (label, a), (_, b) in zip(values, _values(got))]
+    if "value" not in want:
+        pairs += [(field, float.fromhex(want[field]), float.fromhex(got[field]))
+                  for field in ("error_estimate", "growth_exponent")
+                  if want[field] is not None and got[field] is not None]
+    return [(label, a, b, abs(b - a) / scale) for label, a, b in pairs
+            if a.hex() != b.hex() and not (math.isnan(a) and math.isnan(b))]
+
+
+def misses(want: dict, got: dict) -> list:
+    """Entries missing, of another shape, or with a move past REL_BOUND."""
+    return [name for name, rec in want.items()
+            if name not in got or _shape(got[name]) != _shape(rec)
+            or any(not rel <= REL_BOUND for *_, rel in moves(rec, got[name]))]
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_every_call_is_pinned():
+    assert sorted(_golden()) == sorted(calls())
+
+
+def test_in_process_replay():
+    assert misses(_golden(), compute()) == []
+
+
+# argv[1] is the tests directory; the report is the final
+# OPENBLAS_NUM_THREADS and the records
+_REPLAY = r"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden_lib import compute
+records = compute()
+sys.stderr.write("\n" + json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), records]))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cold_replay_at_one_and_two_blas_threads(threads):
+    value, records = _run_probe(_REPLAY, str(Path(__file__).parent),
+                                env={"OPENBLAS_NUM_THREADS": threads})
+    assert (value, misses(_golden(), records)) == (threads, [])
+
+
+def write() -> None:
+    """Rewrite golden_lib.json, printing each value that moves."""
+    old = _golden() if GOLDEN.exists() else {}
+    new = compute()
+    for name in sorted(set(old) | set(new)):
+        if name not in new or name not in old:
+            print(f"{name}: {'removed' if name not in new else 'added'}")
+        elif _shape(new[name]) != _shape(old[name]):
+            print(f"{name}: shape {_shape(old[name])} -> {_shape(new[name])}")
+        else:
+            for label, a, b, rel in moves(old[name], new[name]):
+                print(f"{name}: {label} {a!r} -> {b!r} ({rel:.2g} of its scale)")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_lib.py --write")
+    write()
