@@ -8,6 +8,7 @@ share.  This module loads no numpy: ``divsum coeff`` and ``divsum mollify
 from __future__ import annotations
 
 import math
+from operator import mul, truediv
 
 from ._checks import integer, real
 from .extrapolation import (
@@ -25,6 +26,12 @@ __all__ = ["fourier_coefficient_numeric", "dirichlet_comb_growth",
            "dirichlet_comb_ladder"]
 
 _MAX_FOURIER_INDEX = 32
+# sin(k eps) for 1 <= k < 32 on every ladder eps, and the divisors k as
+# floats: every eps is a power of 2, so k * eps is exact and each entry is
+# the math.sin(k * eps) that the sum would compute term by term
+_SINES = [[math.sin(k * eps) for k in range(1, _MAX_FOURIER_INDEX)]
+          for eps in _EPS_LADDER]
+_DIVISORS = [float(k) for k in range(1, _MAX_FOURIER_INDEX)]
 
 # the masses C_p, the integrals of t^p exp(-1/(1 - t^2)) over (-1, 1) that
 # normalize the bumps of vanishing order p, as an adaptive Gauss quadrature
@@ -56,15 +63,20 @@ def fourier_coefficient_numeric(n: int,
     over (eps, pi): the at most 32 terms, summed correctly rounded, of
 
       -(-1)^n (|n| (pi - eps) - 2 sum_{k=1}^{|n|-1} (|n| - k) sin(k eps) / k).
+
+    The sines come from a table built at import, and each term is rounded
+    as the plain sum rounds it, product first, then the division by k, so
+    the record is the one that sum gives, to the bit.
     """
     n = integer(n, "n", -_MAX_FOURIER_INDEX, _MAX_FOURIER_INDEX)
     eps_list = _EPS_LADDER[:integer(levels, "levels", 4, MAX_LEVELS)]
     sign = -1.0 if n % 2 else 1.0
     m = abs(n)
+    weights = [-2.0 * (m - k) for k in range(1, m)]
     samples = []
-    for eps in eps_list:
-        fejer = -sign * math.fsum([m * (math.pi - eps), *(
-            -2.0 * (m - k) * math.sin(k * eps) / k for k in range(1, m))])
+    for eps, sines in zip(eps_list, _SINES):
+        fejer = -sign * math.fsum([m * (math.pi - eps), *map(
+            truediv, map(mul, weights, sines), _DIVISORS)])
         samples.append((fejer - sign * n * math.pi) / math.tau)
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 

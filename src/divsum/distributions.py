@@ -286,9 +286,11 @@ def all_plus_series_action(chi: TestFunction) -> complex:
     sa, sb = _support(chi)
     if not (-0.5 * math.pi < sa and sb < 0.5 * math.pi):
         raise ValueError("support must lie inside (-pi/2, pi/2)")
-    probe = np.max(np.abs(chi(np.linspace(sa, sb, 65))))
+    # 65 probe points over the support, then 0
+    values = chi(np.append(np.linspace(sa, sb, 65), 0.0))
+    probe = np.max(np.abs(values[:-1]))
     vanish_tol = 1e-9 * (1.0 + probe)
-    at0 = float(chi(np.array([0.0]))[0])
+    at0 = float(values[-1])
     d_at0 = float(chi.deriv(np.array([0.0]))[0])
     if abs(at0) > vanish_tol or abs(d_at0) > vanish_tol:
         raise ValueError(

@@ -2,9 +2,9 @@
 exact identities on coefficient sequences, the dilation rule through
 the lacunary Fourier series, the jump pairing level by level, the
 Dirichlet comb through its truncated spectral sum, the c_n ladder through
-adaptive quadrature of the Fejer form, the bump masses through adaptive
-quadrature, and the direct zeta series with a fresh array of powers per
-chunk."""
+adaptive quadrature of the Fejer form and through its terms summed one by
+one, the bump masses through adaptive quadrature, and the direct zeta
+series with a fresh array of powers per chunk."""
 
 import math
 
@@ -133,6 +133,22 @@ def fourier_coefficient_quadrature(n: int, levels: int) -> EpsilonLimit:
                                    breakpoints=[*eps_list, *cuts])
     samples = [(panel_sum(values[k:]) - sign * n * math.pi) / (2.0 * math.pi)
                for k in np.searchsorted(left, eps_list).tolist()]
+    return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
+
+
+def fourier_coefficient_plain(n: int, levels: int) -> EpsilonLimit:
+    """The c_n ladder of ``fourier_coefficient_numeric`` with each sample's
+    terms computed one by one, sin(k eps) included: the bitwise oracle of
+    the library's sine table and mapped terms, which must round every term
+    as this loop does."""
+    eps_list = _EPS_LADDER[:levels]
+    sign = -1.0 if n % 2 else 1.0
+    m = abs(n)
+    samples = []
+    for eps in eps_list:
+        fejer = -sign * math.fsum([m * (math.pi - eps), *(
+            -2.0 * (m - k) * math.sin(k * eps) / k for k in range(1, m))])
+        samples.append((fejer - sign * n * math.pi) / math.tau)
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 
 

@@ -41,6 +41,7 @@ from divsum.sums import sum_powers
 from oracles import (
     _COMB_XI_MAX,
     comb_spectral_pairing,
+    fourier_coefficient_plain,
     fourier_coefficient_quadrature,
     homothety_pairing_check,
     jump_pairing,
@@ -542,6 +543,13 @@ class TestFourierCoefficients:
             for (eps, v), (eps_ref, v_ref) in zip(rec.samples, ref.samples,
                                                   strict=True):
                 assert eps == eps_ref and abs(v - v_ref) <= 1e-13, (n, eps)
+
+    def test_sine_table_rounds_as_the_plain_sum(self):
+        # every record bit for bit, repr showing every digit of every field
+        for levels in range(4, MAX_LEVELS + 1):
+            for n in range(-32, 33):
+                assert (repr(fourier_coefficient_numeric(n, levels))
+                        == repr(fourier_coefficient_plain(n, levels))), (n, levels)
 
     def test_ladder_is_epsilon_indexed(self):
         rec = fourier_coefficient_numeric(1, levels=5)

@@ -5,6 +5,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -292,3 +293,48 @@ def test_any_samples_give_one_outcome(kind, values):
         assert all(cmath.isfinite(v) for _, v in rec.samples), values
         assert math.isfinite(rec.error_estimate), values
         assert cmath.isfinite(rec.extrapolated), values
+
+
+# parameters of every kind a caller passes: repeats from a small pool,
+# nan, +-inf, numpy float64 and ints
+_PARAMS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1, 2, math.nan, math.inf, -math.inf]),
+        st.floats(),
+        st.floats(allow_nan=False).map(np.float64),
+        st.integers(-4, 4)),
+    max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_PARAMS, order=st.sampled_from([None, "up", "down"]),
+       data=st.data())
+def test_record_of_drawn_parameters(params, order, data):
+    """A record accepts exactly the strictly increasing or decreasing
+    parameter lists, and its samples are the (float, complex) pairs of the
+    parameters and values."""
+    if order is not None:
+        params = sorted(params, reverse=order == "down")
+    pairs = list(zip(params, params[1:]))
+    monotone = all(a < b for a, b in pairs) or all(a > b for a, b in pairs)
+    try:
+        EpsilonLimit(tuple((p, 0j) for p in params), None, math.inf, False)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == monotone, params
+    # complex magnitudes stay in the float range: past it, abs() in the
+    # tableau raises OverflowError, a defect of its own
+    values = data.draw(st.lists(
+        st.one_of(st.floats(), st.integers(-4, 4),
+                  st.complex_numbers(max_magnitude=1e300)),
+        min_size=len(params), max_size=len(params)))
+    try:
+        rec = extrapolate_ladder(params, values, 1)
+    except ValueError:
+        assert not monotone, params
+        return
+    expected = tuple((float(p), complex(v)) for p, v in zip(params, values))
+    # repr, so that a nan sample compares equal to itself
+    assert repr(rec.samples) == repr(expected), (params, values)
