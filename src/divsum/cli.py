@@ -13,8 +13,9 @@ as "p/q", so output is byte-stable for golden tests.
 Each subcommand imports only what it runs.  At load this module imports
 argparse, math, os and sys.  sum, zeta, table and an even-k check add
 ``divsum.sums`` (with fractions and decimal); casimir adds
-``divsum.casimir``, which loads ``divsum.sums``; an odd-k check adds numpy
-for its direct series.  coeff and ``mollify --target dirichlet``, closed
+``divsum.casimir``, which loads ``divsum.sums``; only an odd-k check below
+53 adds numpy for its direct series, whose terms past n = 1 cannot move
+1.0 from k = 53 on.  coeff and ``mollify --target dirichlet``, closed
 forms, add only ``divsum.coefficients`` and ``divsum.extrapolation``; the
 other mollify targets add numpy and the numerical layers.  --format json
 or csv adds its writer.

@@ -298,9 +298,13 @@ def all_plus_series_action(chi: TestFunction) -> complex:
             f"(got chi(0)={at0:.3e}, chi'(0)={d_at0:.3e})"
         )
 
-    # 0 is a breakpoint, so no Gauss node lands on the removable 0/0
+    # 0 is a breakpoint, so no Gauss node lands on the removable 0/0.  The
+    # integrand grows like m^2 on a bump of half-width 1/m, and bisection
+    # splits the outermost panels at +-15/16 of the half-width on every
+    # level, so those edges are seeded too
+    edge = (sb - sa) / 32
     return integrate(lambda x: -chi(x) * centered_kernel(x), sa, sb,
-                     breakpoints=(0.0, *chi.breakpoints))
+                     breakpoints=(0.0, sa + edge, sb - edge, *chi.breakpoints))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ powers 1/m^2, 1/m^4, ...  The caller passes the leading power
 
 Divergent ladders are a reported outcome, not an error: the fitted power
 of the parameter is recorded instead of an extrapolant.  So is a ladder
-with a non-finite sample (an infinity or a nan): it is never divergent but
-unconverged, with its last sample as the value and an infinite error
+with a non-finite sample (an infinity or a nan), or a complex one whose
+finite parts have a magnitude past the float range: it is never divergent
+but unconverged, with its last sample as the value and an infinite error
 estimate, and its noise floor comes from finite samples only.  A record's
 JSON form writes every infinity and nan as null.
 """
@@ -125,9 +126,9 @@ def richardson_extrapolate(values, first_order: int):
 
     ``values`` are ordered from the coarsest parameter to the finest.  One
     or two samples cannot tell a limit from the first correction, and a
-    non-finite sample, or a tableau that overflows, leaves no noise floor to
-    judge one by, so these give (last sample, inf, False); an empty ladder
-    raises ValueError.
+    non-finite sample, a finite one whose magnitude passes the float range,
+    or a tableau that overflows, leaves no noise floor to judge one by, so
+    these give (last sample, inf, False); an empty ladder raises ValueError.
     """
     first_order = integer(first_order, "first_order", 1)
     col = [complex(v) for v in values]
@@ -136,36 +137,42 @@ def richardson_extrapolate(values, first_order: int):
     last = col[-1]
     if len(col) < 3 or not all(map(cmath.isfinite, col)):
         return last, math.inf, False
-    scale = max(1.0, *map(abs, col))
-    noise = _NOISE_REL * scale
-    est = last
-    corr_prev = math.inf
-    # Two shortcuts for the ladders that pass through here change results:
-    # - A real ladder must not run through a float tableau.  An entry that
-    #   overflows is inf + nan*j here, and the next column makes it nan,
-    #   which no check below accepts; a float tableau keeps +-inf, which
-    #   takes the noise-limited break after a small correction and reports
-    #   convergence.  Of 200,000 fuzzed real ladders with a converging tail
-    #   near 1e308 after samples up to the float range, 55 came back
-    #   converged from a float tableau and unconverged from this one.
-    # - The c_n sine table must not hold sin(k eps) / k: dividing before
-    #   the product with -2 (m - k) rounds each term differently, and moves
-    #   the bits of c_n records.
-    for order in range(first_order, first_order + 2 * (len(col) - 1), 2):
-        step = abs(col[-1] - col[-2])
-        if len(col) >= 3 and step <= noise:
-            # differences at the noise floor: the column has converged
-            return col[-1], max(step, noise), True
-        factor = 2.0 ** order
-        col = [(factor * b - a) / (factor - 1.0) for a, b in zip(col, col[1:])]
-        new = col[-1]
-        corr = abs(new - est)
-        if corr > corr_prev and corr_prev <= 1e-9 * scale:
-            # the table has hit its noise-limited accuracy
-            break
-        est = new
-        corr_prev = corr
-    err = max(corr_prev, noise * 0.1)
+    try:
+        scale = max(1.0, *map(abs, col))
+        noise = _NOISE_REL * scale
+        est = last
+        corr_prev = math.inf
+        # Two shortcuts for the ladders that pass through here change results:
+        # - A real ladder must not run through a float tableau.  An entry
+        #   that overflows is inf + nan*j here, and the next column makes it
+        #   nan, which no check below accepts; a float tableau keeps +-inf,
+        #   which takes the noise-limited break after a small correction and
+        #   reports convergence.  Of 200,000 fuzzed real ladders with a
+        #   converging tail near 1e308 after samples up to the float range,
+        #   55 came back converged from a float tableau and unconverged from
+        #   this one.
+        # - The c_n sine table must not hold sin(k eps) / k: dividing before
+        #   the product with -2 (m - k) rounds each term differently, and
+        #   moves the bits of c_n records.
+        for order in range(first_order, first_order + 2 * (len(col) - 1), 2):
+            step = abs(col[-1] - col[-2])
+            if len(col) >= 3 and step <= noise:
+                # differences at the noise floor: the column has converged
+                return col[-1], max(step, noise), True
+            factor = 2.0 ** order
+            col = [(factor * b - a) / (factor - 1.0) for a, b in zip(col, col[1:])]
+            new = col[-1]
+            corr = abs(new - est)
+            if corr > corr_prev and corr_prev <= 1e-9 * scale:
+                # the table has hit its noise-limited accuracy
+                break
+            est = new
+            corr_prev = corr
+        err = max(corr_prev, noise * 0.1)
+    except OverflowError:
+        # abs() of finite parts, of a sample or a tableau entry, past the
+        # float range
+        err = math.inf
     if not math.isfinite(err):
         # the tableau left the float range: judged as a non-finite sample
         return last, math.inf, False
@@ -208,7 +215,10 @@ def detect_divergence(values) -> bool:
     """Finite magnitudes growing monotonically by >= _DIVERGENCE_FACTOR
     across the last _DIVERGENCE_WINDOW levels.  A non-finite sample anywhere
     leaves the growth unfitted: such a ladder is not divergent."""
-    mags = [abs(complex(v)) for v in values]
+    try:
+        mags = [abs(complex(v)) for v in values]
+    except OverflowError:  # a magnitude past the float range is not finite
+        return False
     return all(map(math.isfinite, mags)) and _growing_run(mags) >= _DIVERGENCE_WINDOW
 
 

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
+from operator import add, mul
 
 from ._checks import integer, real
 
@@ -40,7 +42,9 @@ __all__ = [
 ]
 
 # largest k whose zeta(-k) is a finite float; zeta(-261) overflows.  It also
-# bounds the Bernoulli table B_0..B_n, at n = k + 1, which costs about n^3.5
+# bounds the Bernoulli table B_0..B_n, at n = k + 1, whose n^2/2 products of
+# a binomial with an integer of O(n log n) bits cost about n^2.2 up to here
+# and n^3.5 far past it
 _MAX_FLOAT_NEG_K = 260
 
 # largest k of the exact power sums, whose recurrence costs about k^3
@@ -48,9 +52,16 @@ _MAX_SUM_K = 200
 
 # the terms are summed chunk by chunk, and each chunk as the pieces of at
 # most _SUM_LEAF terms that numpy's pairwise summation splits it into, so
-# one 512 KiB buffer is live at a time
+# one 512 KiB buffer is live at a time.  numpy adds a block of at most
+# _SUM_BLOCK terms without a split
 _SUM_CHUNK = 1 << 20
 _SUM_LEAF = 1 << 16
+_SUM_BLOCK = 128
+# _SUM_MARGIN times a bound on the real sum of some terms bounds the float
+# sum numpy forms of them: each power is within a few ulps, and numpy nests
+# the additions at most about 40 deep (25 in a block, 13 down a chunk's
+# tree), so both roundings stay below 2^-40 relative
+_SUM_MARGIN = 1.0 + 2.0**-20
 # more terms buy nothing (the check's residual is already at its rounding
 # floor at 10**6) and cost about a second per 10**8
 _MAX_TERMS = 10**8
@@ -123,15 +134,17 @@ def bernoulli_numbers(n: int) -> tuple:
     The recurrence fixes B_1 = -1/2; odd indices >= 3 vanish.  It runs in
     integers: by von Staudt-Clausen every denominator divides the product
     D of the primes <= n + 1, so D B_m is an integer and the division by
-    m + 1 is exact.
+    m + 1 is exact.  Each row of binomials is the previous row by Pascal's
+    rule, so the products with D B_j are the only big-integer work.
     """
     n = integer(n, "n", 0, _MAX_FLOAT_NEG_K + 1)
     denom = math.prod(p for p in range(2, n + 2)
                       if all(p % q for q in range(2, math.isqrt(p) + 1)))
     nums = [denom]
+    row = [1, 1]
     for m in range(1, n + 1):
-        s = sum(math.comb(m + 1, j) * nums[j] for j in range(m))
-        nums.append(-s // (m + 1))
+        row = [1, *map(add, row, row[1:]), 1]  # C(m + 1, j), Pascal's rule
+        nums.append(-sum(map(mul, row, nums)) // (m + 1))
     return tuple(Fraction(v, denom) for v in nums)
 
 
@@ -151,30 +164,58 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     np.sum over the chunk would give, bit for bit, evaluated piece by piece
     down numpy's pairwise tree, so that no piece holds more than _SUM_LEAF
     terms.  N is capped at _MAX_TERMS, which bounds the time.
+
+    Terms are skipped only where a bound proves that they leave the rounded
+    sum unchanged, so the bits are those of summing all of them.  A float
+    x + r rounds to x when 0 <= r < ulp(x)/2, and a float sum of positive
+    terms is at least its largest term.  So a right part of numpy's tree is
+    dropped when _SUM_MARGIN times its count times its first term is below
+    an eighth of ulp(a/2), where a is the left part's first term: the
+    eighth leaves room for powers that round to subnormals, and that floor
+    must be a normal float.  The chunk loop stops at the first chunk so bounded
+    against the partial sum; the later ones are no larger.  And when
+    sum_{n>=2} n^{-s} <= 2^{-s} (1 + 2/(s-1)) is, with the margin, at most
+    half an ulp of 1 (from s = 54 on), every sum that holds n = 1 rounds to
+    1.0 however numpy groups the rest, and no numpy is loaded.
     """
     s = real(s, "s", 1, strict=True)
     terms = integer(terms, "terms", 10, _MAX_TERMS)
+    tail = terms ** (1.0 - s) / (s - 1.0)
+    if _SUM_MARGIN * 2.0 ** -s * (1.0 + 2.0 / (s - 1.0)) <= 2.0 ** -53:
+        return 1.0 + tail
     import numpy as np  # the exact routes in this module need no arrays
+
+    def negligible(count: int, first: int, least: float) -> bool:
+        """whether count terms from n = first on, added as np.sum adds
+        them, leave any float of at least ``least`` unchanged."""
+        floor = math.ulp(least) / 8
+        return floor >= sys.float_info.min and _SUM_MARGIN * count * first ** -s < floor
 
     def tree_sum(start: int, count: int) -> float:
         """sum of n^{-s} for start <= n < start + count, as np.sum adds it."""
-        if count <= _SUM_LEAF:
-            # in place: the same ufunc as n ** (-s) in one buffer
-            n = np.arange(start, start + count, dtype=np.float64)
-            return float(np.sum(np.power(n, -s, out=n)))
-        # numpy's add-reduce over a contiguous float64 array is pairwise_sum,
-        # which splits any count above its 128-term block at half the count
-        # rounded down to a multiple of its 8-way unroll and adds the two
-        # halves' sums: a fixed tree, so the pieces reproduce its sum exactly
-        # (the bitwise tests hold this to one np.sum over the whole chunk)
-        half = count // 2
-        half -= half % 8
-        return tree_sum(start, half) + tree_sum(start + half, count - half)
+        if count > _SUM_BLOCK:
+            # numpy's add-reduce over a contiguous float64 array is
+            # pairwise_sum, which splits any count above its 128-term block
+            # at half the count rounded down to a multiple of its 8-way
+            # unroll and adds the two halves' sums: a fixed tree, so the
+            # pieces reproduce its sum exactly (the bitwise tests hold this
+            # to one np.sum over the whole chunk)
+            half = count // 2
+            half -= half % 8
+            if negligible(count, start + half, start ** -s / 2):
+                return tree_sum(start, half)
+            if count > _SUM_LEAF:
+                return tree_sum(start, half) + tree_sum(start + half, count - half)
+        # in place: the same ufunc as n ** (-s) in one buffer
+        n = np.arange(start, start + count, dtype=np.float64)
+        return float(np.sum(np.power(n, -s, out=n)))
 
     partial = 0.0
     for start in range(1, terms + 1, _SUM_CHUNK):
-        partial += tree_sum(start, min(_SUM_CHUNK, terms + 1 - start))
-    tail = terms ** (1.0 - s) / (s - 1.0)
+        count = min(_SUM_CHUNK, terms + 1 - start)
+        if negligible(count, start, partial):
+            break
+        partial += tree_sum(start, count)
     return partial + tail
 
 

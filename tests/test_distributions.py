@@ -703,12 +703,12 @@ class TestBumpGrading:
 
     @pytest.mark.parametrize("target, p, levels, expected", [
         ("H2S", 0, 10, 10), ("H2S", 2, 10, 10), ("H2S", 4, 10, 20),
-        ("T0", 2, 8, 19), ("T0", 4, 8, 20)])
+        ("T0", 2, 8, 11), ("T0", 4, 8, 12)])
     def test_scale_ladder_integrand_calls(self, target, p, levels, expected,
                                           monkeypatch):
-        # H2S at p = 4 and T0 bisect the outermost panels in a second round
-        # on every level, and T0 in a third from m = 64 (p = 2) or m = 32
-        # (p = 4) on
+        # H2S at p = 4 bisects the outermost panels in a second round on
+        # every level; T0, whose +-15/16 edges are seeded, does so from
+        # m = 64 (p = 2) or m = 32 (p = 4) on
         calls = _count_integrand_calls(monkeypatch)
         _LADDERS[target](p, levels)
         assert len(calls) == expected

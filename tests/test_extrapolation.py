@@ -97,6 +97,11 @@ class TestRichardson:
         [complex(1, math.inf), 2.0, 3.0, 4.0],
         # finite samples whose tableau overflows count as non-finite too
         [1e308, -1e308, 1e308, -1e308],
+        # and so do finite complex samples whose magnitudes, or those of
+        # their differences, pass the float range; abs() raised
+        # OverflowError on both
+        [complex(1.7e308, 1.7e308)] * 3,
+        [1.3e308, complex(0, -1.3e308), 1.3e308],
     ])
     def test_non_finite_sample_never_converges(self, values):
         # an infinite sample made the noise floor infinite: [1, 2, 3, inf]
@@ -141,6 +146,14 @@ class TestDivergence:
         assert not detect_divergence([1.0, 1.2, 1.3, 1.35])
         # growth is judged on finite magnitudes only
         assert not detect_divergence([1.0, 2.1, 4.4, math.inf])
+
+    def test_magnitude_past_the_float_range_is_not_divergent(self):
+        # abs() of this finite sample raised OverflowError; it counts as a
+        # non-finite one, so the scale ladder is extrapolated, unconverged
+        scales, values = [2, 4, 8, 16], [1.0, 2.1, 4.4, complex(1.7e308, 1.7e308)]
+        assert not detect_divergence(values)
+        assert _scale_limit(scales, values) == extrapolate_ladder(
+            scales, values, first_order=2)
 
     def test_fit_exponent(self):
         ms = [2, 4, 8, 16, 32]
@@ -255,7 +268,7 @@ class TestEpsilonLimitRecord:
 # a ladder of any length up to MAX_LEVELS takes well under a millisecond
 TIME_BOUND_S = 1.0
 _SAMPLES = st.lists(
-    st.one_of(st.floats(), st.sampled_from(
+    st.one_of(st.floats(), st.complex_numbers(), st.sampled_from(
         [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 5e-324])),
     max_size=MAX_LEVELS)
 LADDERS = {
@@ -271,7 +284,8 @@ LADDERS = {
 @given(values=_SAMPLES)
 @example(values=[1e300, 1.0, 2.0, 3.0])  # a divergent tail after a huge sample
 def test_any_samples_give_one_outcome(kind, values):
-    """Samples with nan, +-inf and +-1e308 give a ValueError or a record
+    """Samples with nan, +-inf, +-1e308 and complex parts up to the float
+    range (whose magnitudes may pass it) give a ValueError or a record
     that is finite, unconverged with an infinite estimate, or divergent with
     a finite exponent; its JSON form holds no NaN or Infinity."""
     start = time.perf_counter()
@@ -324,11 +338,8 @@ def test_record_of_drawn_parameters(params, order, data):
     else:
         accepted = True
     assert accepted == monotone, params
-    # complex magnitudes stay in the float range: past it, abs() in the
-    # tableau raises OverflowError, a defect of its own
     values = data.draw(st.lists(
-        st.one_of(st.floats(), st.integers(-4, 4),
-                  st.complex_numbers(max_magnitude=1e300)),
+        st.one_of(st.floats(), st.integers(-4, 4), st.complex_numbers()),
         min_size=len(params), max_size=len(params)))
     try:
         rec = extrapolate_ladder(params, values, 1)

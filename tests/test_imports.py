@@ -69,10 +69,18 @@ def loaded_after(*argv, among=NUMERIC_MODULES):
     ("table", "--k-max", "100"),
     ("casimir", "--d", "1.5"),
     ("check", "--k", "4"),
+    # from k = 53 on the series for zeta(k + 1) rounds to 1.0 plus its tail
+    ("check", "--k", "53"),
+    ("check", "--k", "199"),
 ])
 def test_exact_commands_skip_numerical_layers(argv):
     among = NUMERIC_MODULES + UNUSED_BY_EXACT
     assert loaded_after(*argv, among=among) == (0, [])
+
+
+def test_odd_check_below_53_sums_with_numpy():
+    # zeta(52) still differs from 1.0 plus its tail in the last bit
+    assert loaded_after("check", "--k", "51", among=("numpy",)) == (0, ["numpy"])
 
 
 @pytest.mark.parametrize("argv,wanted", [

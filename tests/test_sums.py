@@ -195,6 +195,11 @@ class TestZetaPartialSum:
         with pytest.raises(ValueError, match=f"^{message}$"):
             zeta_partial_sum(s, 100)
 
+    # the skipped parts of the tree and the numpy-free sum at s >= 54, where
+    # the terms past n = 1 cannot move 1.0, reach subnormal powers from
+    # s = 52 on and both sides of the threshold
+    SKIP_EXPONENTS = (6, 46, 52, 53, 54, 56, 102, 200, 261)
+
     def test_default_terms_single_sum(self):
         # up to 2^20 terms fit one chunk: the pieces of numpy's pairwise tree
         # add up to the same single np.sum as unchunked code, on either side
@@ -202,7 +207,7 @@ class TestZetaPartialSum:
         # with one leaf buffer at a time
         for terms in (127, 129, 65537, 100003, 10**6, 2**20):
             n = np.arange(1, terms + 1, dtype=np.float64)
-            for s in (2.0, 4.0, 13.0):
+            for s in (2.0, 4.0, 13.0, *map(float, self.SKIP_EXPONENTS)):
                 expected = float(np.sum(n ** (-s))) + terms ** (1.0 - s) / (s - 1.0)
                 tracemalloc.start()
                 try:
@@ -215,7 +220,7 @@ class TestZetaPartialSum:
 
     # 2**20 + 7 and 3 * 10**6 terms span several chunks
     @pytest.mark.parametrize("terms", [10, 10**6, 2**20 + 7, 3 * 10**6])
-    @pytest.mark.parametrize("s", [2, 3, 10, 54, 201])
+    @pytest.mark.parametrize("s", sorted({2, 3, 10, 54, 201, *SKIP_EXPONENTS}))
     def test_in_place_powers_match_two_arrays(self, s, terms):
         assert (zeta_partial_sum(s, terms).hex()
                 == zeta_partial_sum_two_arrays(s, terms).hex())
