@@ -39,8 +39,8 @@ SI_C = 2.99792458e8        # m / s
 class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
     """Wall separation d, speed of light c and hbar: finite reals > 0, as floats.
 
-    A named tuple, so that ``divsum casimir`` need not import
-    ``dataclasses``.  Every constructor validates, ``_replace`` included.
+    A named tuple, so that ``divsum casimir`` need not import the dataclass
+    module.  Every constructor validates, ``_replace`` included.
     """
 
     __slots__ = ()
@@ -49,9 +49,7 @@ class CavityConfig(namedtuple("CavityConfig", "d c hbar")):
         return super().__new__(cls, *(real(v, name, 0, strict=True)
                                       for name, v in zip(cls._fields, (d, c, hbar))))
 
-    @classmethod
-    def _make(cls, iterable) -> "CavityConfig":
-        return cls(*iterable)
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates
 
     @staticmethod
     def si(d: float) -> "CavityConfig":

@@ -45,7 +45,6 @@ budget is one tolerance, not one per level.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -236,7 +235,7 @@ def _period_reduced(phi: TestFunction) -> TestFunction:
     from fractions import Fraction  # only far shifts pay for the import
 
     s, two_pi = Fraction(shift), Fraction(_TWO_PI)
-    return replace(phi, shift=float(s - round(s / two_pi) * two_pi))
+    return phi._replace(shift=float(s - round(s / two_pi) * two_pi))
 
 
 def alternating_series_action(phi: TestFunction) -> complex:

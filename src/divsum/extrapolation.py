@@ -70,8 +70,8 @@ class EpsilonLimit(namedtuple(
     infinite ``error_estimate``; otherwise ``error_estimate`` is never below
     the magnitude of the last Richardson correction.
 
-    A named tuple, so that the closed-form commands need not import
-    ``dataclasses``; it compares equal to the plain tuple of its fields.
+    A named tuple, so that no subcommand need import the dataclass module;
+    it compares equal to the plain tuple of its fields.
     Every constructor validates, ``_replace`` included.
     """
 
@@ -88,9 +88,7 @@ class EpsilonLimit(namedtuple(
         return super().__new__(cls, samples, extrapolated, error_estimate,
                                converged, growth_exponent)
 
-    @classmethod
-    def _make(cls, iterable) -> "EpsilonLimit":
-        return cls(*iterable)
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates
 
     def to_json_obj(self) -> dict:
         """The record in JSON types, with None (null) for every infinity and
@@ -204,17 +202,19 @@ def fit_power_growth(params, values) -> float:
 
 def _growing_run(mags) -> int:
     """The number of trailing magnitudes, at most 5, that each are at least
-    _DIVERGENCE_FACTOR times the one before them, which is > 0."""
+    _DIVERGENCE_FACTOR times the one before them, which is above _NOISE_REL,
+    the noise floor of a sample below 1: noise that grows is not divergence."""
     run = 1
-    while run < min(5, len(mags)) and mags[-run] >= _DIVERGENCE_FACTOR * mags[-run - 1] > 0:
+    while (run < min(5, len(mags))
+           and mags[-run] >= _DIVERGENCE_FACTOR * mags[-run - 1] > _NOISE_REL):
         run += 1
     return run
 
 
 def detect_divergence(values) -> bool:
-    """Finite magnitudes growing monotonically by >= _DIVERGENCE_FACTOR
-    across the last _DIVERGENCE_WINDOW levels.  A non-finite sample anywhere
-    leaves the growth unfitted: such a ladder is not divergent."""
+    """Finite magnitudes growing monotonically by >= _DIVERGENCE_FACTOR from
+    above the noise floor across the last _DIVERGENCE_WINDOW levels.  A
+    non-finite sample anywhere leaves the growth unfitted: not divergent."""
     try:
         mags = [abs(complex(v)) for v in values]
     except OverflowError:  # a magnitude past the float range is not finite

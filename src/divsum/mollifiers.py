@@ -16,7 +16,7 @@ p = 0, 2 and 4, in the numpy-free ``divsum.coefficients``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def bump_moment(j: int) -> float:
     raise ValueError(f"j must be tabulated: one of {VANISHING_ORDERS} or odd")
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(namedtuple("TestFunction", "base lam shift amp")):
     """phi(t) = amp * f(lam * (t - shift)) for a base f (a Mollifier, say)
     with numpy-vectorized value, deriv and deriv2 methods that vanish
     outside its ``support``, a pair (a, b) in its own coordinate.  The map
@@ -96,19 +95,16 @@ class TestFunction:
 
     A base may also offer ``breakpoints``, points in its own coordinate
     where quadrature panels should have edges; ``breakpoints`` here maps
-    them to t, and is empty for a base without them."""
+    them to t, and is empty for a base without them.  Every constructor
+    validates and keeps floats, ``_replace`` included."""
 
-    base: object
-    lam: float = 1.0
-    shift: float = 0.0
-    amp: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        # every constructor checks and keeps floats, ``replace`` included
-        lam = real(self.lam, "dilation factor", 0, strict=True)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "shift", real(self.shift, "shift"))
-        object.__setattr__(self, "amp", real(self.amp, "amplitude"))
+    def __new__(cls, base, lam: float = 1.0, shift: float = 0.0, amp: float = 1.0):
+        return super().__new__(cls, base, real(lam, "dilation factor", 0, strict=True),
+                               real(shift, "shift"), real(amp, "amplitude"))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates
 
     @property
     def support(self) -> tuple:
@@ -157,30 +153,31 @@ class TestFunction:
 
     def shifted(self, a: float) -> "TestFunction":
         """Translate by a: t maps to value(t - a)."""
-        return replace(self, shift=self.shift + real(a, "shift"))
+        return self._replace(shift=self.shift + real(a, "shift"))
 
     def dilated(self, lam: float) -> "TestFunction":
         """Homothetic image: t maps to value(lam * t); support scales by 1/lam."""
         lam = real(lam, "dilation factor", 0, strict=True)
-        return replace(self, lam=self.lam * lam, shift=self.shift / lam)
+        return self._replace(lam=self.lam * lam, shift=self.shift / lam)
 
     def scaled(self, amp: float) -> "TestFunction":
-        return replace(self, amp=self.amp * real(amp, "amplitude"))
+        return self._replace(amp=self.amp * real(amp, "amplitude"))
 
 
-@dataclass(frozen=True)
-class Mollifier:
+class Mollifier(namedtuple("Mollifier", "vanishing_order")):
     """The unit bump t^p * psi(t) / C_p on (-1, 1), C_p = bump_moment(p), with
     its quadrature grading; ``rescaled(m)`` gives phi_m."""
 
-    vanishing_order: int = 0
+    __slots__ = ()
     support = (-1.0, 1.0)
 
-    def __post_init__(self):
-        p = integer(self.vanishing_order, "vanishing order")
+    def __new__(cls, vanishing_order: int = 0):
+        p = integer(vanishing_order, "vanishing order")
         if p not in VANISHING_ORDERS:
             raise ValueError(f"vanishing order must be one of {VANISHING_ORDERS}")
-        object.__setattr__(self, "vanishing_order", p)
+        return super().__new__(cls, p)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates
 
     @property
     def breakpoints(self) -> tuple:

@@ -76,8 +76,8 @@ class RegularizedSum(namedtuple("RegularizedSum", "value k kind")):
     """Exact regularized value of a divergent power sum: the Fraction
     ``value`` assigned to the series of ``kind`` with exponent ``k``.
 
-    A named tuple, so that the exact subcommands need not import
-    ``dataclasses``; it compares equal to the plain tuple of its fields.
+    A named tuple, so that the exact subcommands need not import the
+    dataclass module; it compares equal to the plain tuple of its fields.
     """
 
     __slots__ = ()

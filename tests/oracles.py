@@ -3,9 +3,11 @@ exact identities on coefficient sequences, the dilation rule through
 the lacunary Fourier series, the jump pairing level by level, the
 Dirichlet comb through its truncated spectral sum, the c_n ladder through
 adaptive quadrature of the Fejer form and through its terms summed one by
-one, the bump masses through adaptive quadrature, and the direct zeta
-series with a fresh array of powers per chunk."""
+one, the bump masses through adaptive quadrature, the direct zeta
+series with a fresh array of powers per chunk, and the S and T0 scale
+ladders sample by sample through their series in the bump's moments."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,19 +21,74 @@ from divsum.extrapolation import (
 )
 from divsum.mollifiers import Mollifier, TestFunction, _profile
 from divsum.quadrature import gauss_grid, integrate, panel_integrals, panel_sum
-from divsum.sums import _SUM_CHUNK
+from divsum.sums import _SUM_CHUNK, alternating_sum_powers, sum_powers
 
 # rounding error of a weighted-node transform, relative to sum |w_eff|
 _TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
 _LACUNARY_TAIL_TOL = 1e-13
 _LACUNARY_MAX_TERMS = 4096
 _COMB_XI_MAX = 480.0  # spectral cutoff: bump transform tail is < 1e-7 beyond
+_MOMENT_DPS = 40
+# terms of the moment series: at m = 2 the last one kept is under 1e-22 of
+# the first (8.8e-23 for S at p = 4; 1e-30 for T0)
+_SERIES_TERMS = 14
 
 
 def bump_moment_quadrature(j: int) -> float:
     """integral of t^j psi(t) over (-1, 1) by adaptive quadrature at
     tolerance 1e-14: the route that gave the tabulated masses C_0, C_2, C_4."""
     return integrate(lambda t: t**j * _profile(t, 0, 0), -1.0, 1.0, tol=1e-14).real
+
+
+@functools.cache
+def bump_moments() -> dict:
+    """k -> mu_k, the integral of t^k exp(-1/(1 - t^2)) over (-1, 1), for
+    even k <= 30: twice the integral over (0, 1), by mpmath quadrature at 40
+    digits (mpmath mpf values; at 60 digits they move by under 1e-41)."""
+    import mpmath
+
+    def psi(t):
+        u = 1 - t * t
+        return mpmath.exp(-1 / u) if u > 0 else mpmath.mpf(0)
+
+    with mpmath.workdps(_MOMENT_DPS):
+        return {k: 2 * mpmath.quad(lambda t: t**k * psi(t), [0, 1])
+                for k in range(0, 31, 2)}
+
+
+def _moment_series(p: int, m: float, coefficient, pole: bool = False) -> float:
+    """sum_{j < 14} (-1)^j c_j mu_{p+2j} / ((2j)! mu_p m^{2j}) at 40 digits,
+    for c_j = coefficient(2j + 1), a Fraction; with ``pole``, plus the
+    term -m^2 mu_{p-2} / mu_p of a -1/t^2 in the kernel."""
+    import mpmath
+
+    mu = bump_moments()
+    with mpmath.workdps(_MOMENT_DPS):
+        m = mpmath.mpf(m)
+        total = -m * m * mu[p - 2] / mu[p] if pole else mpmath.mpf(0)
+        for j in range(_SERIES_TERMS):
+            c = coefficient(2 * j + 1)
+            total += ((-1) ** j * mpmath.mpf(c.numerator) / c.denominator
+                      * mu[p + 2 * j] / (math.factorial(2 * j) * mu[p] * m ** (2 * j)))
+        return float(total)
+
+
+def alternating_scale_sample(p: int, m: float) -> float:
+    """<S, phi_m> for the bump of vanishing order p and m >= 2, from the
+    Maclaurin series of the kernel 1/(4 cos^2(t/2)) on the support
+    [-1/m, 1/m]: its t^{2j} coefficient is (-1)^j A_{2j+1} / (2j)!, where
+    A_k = 1^k - 2^k + 3^k - ... is the paper's value from
+    ``alternating_sum_powers``.  The j = 0 term is A_1 = 1/4, the limit."""
+    return _moment_series(p, m, lambda k: alternating_sum_powers(k).value)
+
+
+def all_plus_scale_sample(p: int, m: float) -> float:
+    """<T0, phi_m> for the bump of vanishing order p >= 2 and m >= 2, from
+    the Laurent series -1/t^2 + sum_j (-1)^j zeta(-(2j+1)) t^{2j} / (2j)! of
+    the kernel -1/(4 sin^2(t/2)), with zeta(-k) from ``sum_powers``: the
+    pole gives -m^2 mu_{p-2} / mu_p, and the j = 0 term is zeta(-1) = -1/12,
+    the paper's value of 1 + 2 + 3 + ..."""
+    return _moment_series(p, m, lambda k: sum_powers(k).value, pole=True)
 
 
 def _lacunary_series_pairing(phi: TestFunction, lam: float) -> complex:

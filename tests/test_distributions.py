@@ -40,6 +40,8 @@ from divsum.quadrature import TOLERANCE, integrate
 from divsum.sums import sum_powers
 from oracles import (
     _COMB_XI_MAX,
+    all_plus_scale_sample,
+    alternating_scale_sample,
     comb_spectral_pairing,
     fourier_coefficient_plain,
     fourier_coefficient_quadrature,
@@ -623,6 +625,27 @@ class TestMollifiedLimits:
             [(4 * a - b) / 3 for a, b in zip(s, s[1:])], 2)
         assert converged
         assert abs(value - float(sum_powers(1).value)) < 2 * miss
+
+    @pytest.mark.parametrize("target, p, bound", [
+        ("S", 0, 1.5e-15), ("S", 2, 8e-15), ("S", 4, 2e-14),
+        ("T0", 2, 3e-16), ("T0", 4, 3e-16)])
+    def test_every_sample_matches_the_moment_series(self, target, p, bound):
+        # each sample is a series in the bump's moments whose coefficients
+        # are the paper's values: A_1 = 1/4 (1 - 2 + 3 - ...) and
+        # zeta(-1) = -1/12 (1 + 2 + 3 + ...) lead.  Worst relative misses
+        # measured: S 6.7e-16, 3.7e-15, 1.04e-14 at p = 0, 2, 4; T0 1.4e-16
+        # and 1.5e-16 at p = 2, 4; each bound is about twice its miss
+        pytest.importorskip("mpmath")
+        if target == "S":
+            rec = mollified_limit(alternating_series_action, p, 10)
+            series = alternating_scale_sample
+        else:
+            rec = mollified_limit(all_plus_series_action, p, 8)
+            series = all_plus_scale_sample
+        assert len(rec.samples) == (10 if target == "S" else 8)
+        for m, value in rec.samples:
+            truth = series(p, m)
+            assert abs(value - truth) <= bound * abs(truth), (m, value, truth)
 
     def test_jump_heaviside(self):
         rec = jump_average(lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0))

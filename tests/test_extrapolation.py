@@ -146,6 +146,15 @@ class TestDivergence:
         assert not detect_divergence([1.0, 1.2, 1.3, 1.35])
         # growth is judged on finite magnitudes only
         assert not detect_divergence([1.0, 2.1, 4.4, math.inf])
+        # and from above the noise floor: samples of jump:sign at p = 4 that
+        # are rounding noise once grew like this, and read as divergent
+        noise = [7e-21, 1e-19, 3e-18, 9e-18, 2.8e-17]
+        assert not detect_divergence(noise)
+        rec = _scale_limit([2, 4, 8, 16, 32], noise)
+        assert rec.converged and rec.error_estimate == 5e-14
+        # the floor is not relative to the last sample, which would hide
+        # this growth: exp(32) is below 5e-14 exp(64)
+        assert detect_divergence([math.exp(m) for m in (2, 4, 8, 16, 32, 64)])
 
     def test_magnitude_past_the_float_range_is_not_divergent(self):
         # abs() of this finite sample raised OverflowError; it counts as a

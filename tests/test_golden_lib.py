@@ -5,9 +5,10 @@ of every sample (parameter and value), extrapolant and error estimate,
 with ``converged`` and ``growth_exponent``, or the ``float.hex`` of a
 single value.  The calls are the c_n ladders, the S, H2S and T0 scale
 ladders, the three jumps, both finite-part routes on the mpmath-checked
-bumps, ``alternating_series_action`` on bumps whose pole lies just outside
-the support and on 12 bumps spanning 1.5 to 4 periods, and
-``zeta_partial_sum`` across its chunk boundary.
+bumps and on bumps with a support edge on the pole or just past it,
+``alternating_series_action`` on bumps whose pole lies just outside the
+support and on 12 bumps spanning 1.5 to 4 periods, and ``zeta_partial_sum``
+across its chunk boundary and on both sides of its numpy-free branch.
 
 Whether a ladder converged or diverged, and its parameters, must match
 exactly.  Every value, estimate and growth exponent must lie within
@@ -64,6 +65,11 @@ REMAINDER_BUMPS = [
 # side), centred at pi + side * (gap + 0.001), as in test_distributions
 NEAR_POLE_BUMPS = [(p, gap, side) for p in (0, 2, 4) for gap in (0.05, 0.2)
                    for side in (1, -1)]
+# the bumps of test_pole_on_or_just_outside_a_support_edge, half-width 0.05
+# with an edge on the pole or 1e-3 past it: (p, side, gap), centred at
+# pi + side * (0.05 + gap)
+EDGE_POLE_BUMPS = [(p, side, gap) for p in (0, 2, 4) for side in (1, -1)
+                   for gap in (0.0, 1e-3)]
 _JUMPS = {
     "heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
     "sign": np.sign,
@@ -99,6 +105,12 @@ def calls() -> dict:
         out[f"finite_part_action {key}"] = lambda tf=tf: finite_part_action(tf)
         out[f"finite_part_action_epsilon {key}"] = (
             lambda tf=tf: finite_part_action_epsilon(tf))
+    for p, side, gap in EDGE_POLE_BUMPS:
+        tf = mollifier(p, 1).dilated(20.0).shifted(PI + side * (0.05 + gap))
+        key = f"p={p} side={side:+d} gap={gap!r}"
+        out[f"finite_part_action edge {key}"] = lambda tf=tf: finite_part_action(tf)
+        out[f"finite_part_action_epsilon edge {key}"] = (
+            lambda tf=tf: finite_part_action_epsilon(tf))
     for p, gap, side in NEAR_POLE_BUMPS:
         tf = mollifier(p, 1).dilated(1000.0).shifted(PI + side * (gap + 0.001))
         out[f"alternating_series_action p={p} gap={gap} side={side:+d}"] = (
@@ -110,6 +122,10 @@ def calls() -> dict:
         for terms in (10, 65537, 10**6, (1 << 20) + 1):
             out[f"zeta_partial_sum s={s} terms={terms}"] = (
                 lambda s=s, terms=terms: zeta_partial_sum(s, terms))
+    # both sides of s = 54, from where the sum needs no numpy
+    for s in (53.0, 54.0, 56.0, 200.0):
+        out[f"zeta_partial_sum s={s} terms={10**6}"] = (
+            lambda s=s: zeta_partial_sum(s, 10**6))
     return out
 
 

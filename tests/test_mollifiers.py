@@ -73,6 +73,8 @@ class TestVanishingOrder:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             Mollifier(3)
+        with pytest.raises(ValueError, match="^vanishing order must be one of"):
+            Mollifier(0)._replace(vanishing_order=3)
 
     @pytest.mark.parametrize("m", [0, -1, math.nan, math.inf])
     def test_invalid_scale(self, m):
@@ -175,12 +177,19 @@ class TestTransforms:
             SmoothTF(Mollifier(0), lam=lam)
         with pytest.raises(ValueError, match="dilation factor"):
             mollifier(0, 1).shifted(1.0).dilated(lam)
+        with pytest.raises(ValueError, match="dilation factor"):
+            mollifier(0, 1)._replace(lam=lam)
 
     @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
     def test_amplitude_is_checked_on_construction(self, amp):
         # built directly, it reached quadrature and raised QuadratureError
         with pytest.raises(ValueError, match="amplitude"):
             SmoothTF(Mollifier(0), amp=amp)
+        with pytest.raises(ValueError, match="amplitude"):
+            mollifier(0, 1)._replace(amp=amp)
+        # the shift is held to the same rule, _replace included
+        with pytest.raises(ValueError, match="^shift must be finite$"):
+            mollifier(0, 1)._replace(shift=math.inf)
 
     def test_transforms_check_their_products(self):
         with pytest.raises(ValueError, match="dilation factor"):
