@@ -28,7 +28,9 @@ __all__ = ["fourier_coefficient_numeric", "dirichlet_comb_growth",
 _MAX_FOURIER_INDEX = 32
 # sin(k eps) for 1 <= k < 32 on every ladder eps, and the divisors k as
 # floats: every eps is a power of 2, so k * eps is exact and each entry is
-# the math.sin(k * eps) that the sum would compute term by term
+# the math.sin(k * eps) that the sum would compute term by term.  The table
+# must not hold sin(k eps) / k: dividing before the product with -2 (m - k)
+# rounds each term differently, and moves the bits of c_n records
 _SINES = [[math.sin(k * eps) for k in range(1, _MAX_FOURIER_INDEX)]
           for eps in _EPS_LADDER]
 _DIVISORS = [float(k) for k in range(1, _MAX_FOURIER_INDEX)]

@@ -140,18 +140,14 @@ def richardson_extrapolate(values, first_order: int):
         noise = _NOISE_REL * scale
         est = last
         corr_prev = math.inf
-        # Two shortcuts for the ladders that pass through here change results:
-        # - A real ladder must not run through a float tableau.  An entry
-        #   that overflows is inf + nan*j here, and the next column makes it
-        #   nan, which no check below accepts; a float tableau keeps +-inf,
-        #   which takes the noise-limited break after a small correction and
-        #   reports convergence.  Of 200,000 fuzzed real ladders with a
-        #   converging tail near 1e308 after samples up to the float range,
-        #   55 came back converged from a float tableau and unconverged from
-        #   this one.
-        # - The c_n sine table must not hold sin(k eps) / k: dividing before
-        #   the product with -2 (m - k) rounds each term differently, and
-        #   moves the bits of c_n records.
+        # A real ladder must not run through a float tableau, a shortcut that
+        # changes results.  An entry that overflows is inf + nan*j here, and
+        # the next column makes it nan, which no check below accepts; a float
+        # tableau keeps +-inf, which takes the noise-limited break after a
+        # small correction and reports convergence.  Of 200,000 fuzzed real
+        # ladders with a converging tail near 1e308 after samples up to the
+        # float range, 55 came back converged from a float tableau and
+        # unconverged from this one.
         for order in range(first_order, first_order + 2 * (len(col) - 1), 2):
             step = abs(col[-1] - col[-2])
             if len(col) >= 3 and step <= noise:

@@ -4,11 +4,14 @@ the lacunary Fourier series, the jump pairing level by level, the
 Dirichlet comb through its truncated spectral sum, the c_n ladder through
 adaptive quadrature of the Fejer form and through its terms summed one by
 one, the bump masses through adaptive quadrature, the direct zeta
-series with a fresh array of powers per chunk, and the S and T0 scale
-ladders sample by sample through their series in the bump's moments."""
+series with a fresh array of powers per chunk, and the S, H2S, T0 and
+jump:cos scale ladders sample by sample through their series in the
+bump's moments.  It also holds the inputs that ``golden_lib.json`` pins
+and the mpmath truths check: the bump tables and the jump functions."""
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +35,38 @@ _MOMENT_DPS = 40
 # terms of the moment series: at m = 2 the last one kept is under 1e-22 of
 # the first (8.8e-23 for S at p = 4; 1e-30 for T0)
 _SERIES_TERMS = 14
+
+# mollifier(p, 1).dilated(lam).shifted(pi + offset), as (p, lam, offset)
+REMAINDER_BUMPS = [
+    (0, 1.0, 0.0),                  # centred on the pole
+    (2, 1.0, 0.3),                  # shifted, pole inside
+    (4, 1 / 0.3, 6e-4),             # phi''(pi) near 0
+    (2, 50.0, 0.018),               # narrow, across the pole
+    (4, 50.0, 0.003),
+    (0, 2.0, 0.6),                  # pole 0.1 outside the support
+    (2, 1 / 0.35, 2.0 - math.pi),   # pole 0.79 outside the support
+    (4, 200.0, 0.0),                # half-width 0.005 centred on the pole
+    (0, 200.0, 0.0055),             # pole 0.0005 outside the support
+    (2, 100.0, 0.011),              # pole 0.001 outside the support
+    (4, 1000.0, 1.01e-3),           # pole 1e-5 outside a half-width 0.001 bump
+    (0, 20.0, 0.05),                # pole on the left support edge
+]
+# half-width 0.001 bumps whose pole lies gap outside a support edge, centred
+# at pi + side * (gap + 0.001): side 1 puts the pole past the left edge
+NEAR_POLE_BUMPS = [(p, gap, side) for p in (0, 2, 4) for gap in (0.05, 0.2)
+                   for side in (1, -1)]
+# half-width 0.05 bumps with a support edge on the pole or 1e-3 past it,
+# centred at pi + side * (0.05 + gap)
+EDGE_POLE_BUMPS = [(p, side, gap) for p in (0, 2, 4) for side in (1, -1)
+                   for gap in (0.0, 1e-3)]
+
+
+def heaviside(t):
+    return np.where(np.asarray(t) > 0, 1.0, 0.0)
+
+
+# the functions whose jump averages at 0 are 1/2, 0 and 1
+JUMPS = {"heaviside": heaviside, "sign": np.sign, "cos": np.cos}
 
 
 def bump_moment_quadrature(j: int) -> float:
@@ -89,6 +124,14 @@ def all_plus_scale_sample(p: int, m: float) -> float:
     pole gives -m^2 mu_{p-2} / mu_p, and the j = 0 term is zeta(-1) = -1/12,
     the paper's value of 1 + 2 + 3 + ..."""
     return _moment_series(p, m, lambda k: sum_powers(k).value, pole=True)
+
+
+def cos_scale_sample(p: int, m: float) -> float:
+    """<cos, phi_m> for the bump of vanishing order p, from the Maclaurin
+    series of cos, whose t^{2j} coefficient is (-1)^j / (2j)!: every
+    coefficient of the moment series is 1, and the j = 0 term is the
+    limit 1."""
+    return _moment_series(p, m, lambda k: Fraction(1))
 
 
 def _lacunary_series_pairing(phi: TestFunction, lam: float) -> complex:

@@ -40,9 +40,14 @@ from divsum.quadrature import TOLERANCE, integrate
 from divsum.sums import sum_powers
 from oracles import (
     _COMB_XI_MAX,
+    EDGE_POLE_BUMPS,
+    JUMPS,
+    NEAR_POLE_BUMPS,
+    REMAINDER_BUMPS,
     all_plus_scale_sample,
     alternating_scale_sample,
     comb_spectral_pairing,
+    cos_scale_sample,
     fourier_coefficient_plain,
     fourier_coefficient_quadrature,
     homothety_pairing_check,
@@ -50,6 +55,7 @@ from oracles import (
 )
 
 PI = math.pi
+_EDGE = {1: "left-edge", -1: "right-edge"}  # where the pole lies, by side
 
 
 def zero_tf(lo=1.0, hi=2.0) -> SmoothTF:
@@ -180,20 +186,7 @@ def remainder_truth(p: int, lam: float, centre: float, pole: float):
 
 
 class TestRemainderRouteAgainstMpmath:
-    @pytest.mark.parametrize("p, lam, offset", [
-        (0, 1.0, 0.0),              # centred on the pole
-        (2, 1.0, 0.3),              # shifted, pole inside
-        (4, 1 / 0.3, 6e-4),         # phi''(pi) near 0
-        (2, 50.0, 0.018),           # narrow, across the pole
-        (4, 50.0, 0.003),
-        (0, 2.0, 0.6),              # pole 0.1 outside the support
-        (2, 1 / 0.35, 2.0 - PI),    # pole 0.79 outside the support
-        (4, 200.0, 0.0),            # half-width 0.005 centred on the pole
-        (0, 200.0, 0.0055),         # pole 0.0005 outside the support
-        (2, 100.0, 0.011),          # pole 0.001 outside the support
-        (4, 1000.0, 1.01e-3),       # pole 1e-5 outside a half-width 0.001 bump
-        (0, 20.0, 0.05),            # pole on the left support edge
-    ])
+    @pytest.mark.parametrize("p, lam, offset", REMAINDER_BUMPS)
     def test_finite_part_action(self, p, lam, offset):
         truth = float(remainder_truth(p, lam, PI + offset, PI))
         value = finite_part_action(mollifier(p, 1).dilated(lam).shifted(PI + offset))
@@ -211,9 +204,8 @@ class TestRemainderRouteAgainstMpmath:
         value = _remainder_cell_action(tf, *tf.support, pole)
         assert abs(value.real - float(truth)) <= 1e-11 * max(1.0, abs(float(truth)))
 
-    @pytest.mark.parametrize("side", [1, -1], ids=["left-edge", "right-edge"])
-    @pytest.mark.parametrize("gap", [0.05, 0.2])
-    @pytest.mark.parametrize("p", [0, 2, 4])
+    @pytest.mark.parametrize("p, gap, side", NEAR_POLE_BUMPS, ids=[
+        f"{p}-{gap}-{_EDGE[side]}" for p, gap, side in NEAR_POLE_BUMPS])
     def test_alternating_series_pole_just_outside_the_support(self, p, gap, side):
         # half-width 0.001 with the pole gap outside a support edge: the
         # kernel is smooth on the support, so the cell is a plain integral,
@@ -296,9 +288,9 @@ class TestFinitePartEpsilon:
         assert [eps for eps, _ in rec.samples] == fitted
         assert rec.extrapolated == (rec.samples[-1][1] if fit else None)
 
-    @pytest.mark.parametrize("p", [0, 2, 4])
-    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["left-edge", "right-edge"])
-    @pytest.mark.parametrize("gap", [0.0, 1e-3], ids=["on", "outside"])
+    @pytest.mark.parametrize("p, side, gap", EDGE_POLE_BUMPS, ids=[
+        f"{'outside' if gap else 'on'}-{_EDGE[side]}-{p}"
+        for p, side, gap in EDGE_POLE_BUMPS])
     def test_pole_on_or_just_outside_a_support_edge(self, p, side, gap):
         # the support ends 0.1 or 0.101 from the pole: the ladder starts
         # below that, not at EPS_TOP, where the samples would be 0
@@ -628,31 +620,38 @@ class TestMollifiedLimits:
 
     @pytest.mark.parametrize("target, p, bound", [
         ("S", 0, 1.5e-15), ("S", 2, 8e-15), ("S", 4, 2e-14),
-        ("T0", 2, 3e-16), ("T0", 4, 3e-16)])
+        ("H2S", 0, 1.5e-15), ("H2S", 2, 8e-15), ("H2S", 4, 5e-16),
+        ("T0", 2, 3e-16), ("T0", 4, 3e-16),
+        ("cos", 0, 1.6e-15), ("cos", 2, 8e-15), ("cos", 4, 5e-16)])
     def test_every_sample_matches_the_moment_series(self, target, p, bound):
         # each sample is a series in the bump's moments whose coefficients
         # are the paper's values: A_1 = 1/4 (1 - 2 + 3 - ...) and
-        # zeta(-1) = -1/12 (1 + 2 + 3 + ...) lead.  Worst relative misses
-        # measured: S 6.7e-16, 3.7e-15, 1.04e-14 at p = 0, 2, 4; T0 1.4e-16
-        # and 1.5e-16 at p = 2, 4; each bound is about twice its miss
+        # zeta(-1) = -1/12 (1 + 2 + 3 + ...) lead.  H2S at m is S's series
+        # at m / 2, from m = 4 on; jump:cos's coefficients are all 1.
+        # Worst relative misses measured at p = 0, 2, 4: S 6.7e-16, 3.7e-15,
+        # 1.04e-14; H2S 6.7e-16, 3.7e-15, 2.2e-16; T0 (p = 2, 4) 1.4e-16,
+        # 1.5e-16; cos 7.8e-16, 3.6e-15, 2.2e-16.  Each bound is about twice
+        # its miss
         pytest.importorskip("mpmath")
-        if target == "S":
-            rec = mollified_limit(alternating_series_action, p, 10)
-            series = alternating_scale_sample
-        else:
-            rec = mollified_limit(all_plus_series_action, p, 8)
-            series = all_plus_scale_sample
-        assert len(rec.samples) == (10 if target == "S" else 8)
+        levels, first_m, series = {
+            "S": (10, 2, alternating_scale_sample),
+            "H2S": (10, 4, lambda p, m: alternating_scale_sample(p, m / 2)),
+            "T0": (8, 2, all_plus_scale_sample),
+            "cos": (10, 2, cos_scale_sample),
+        }[target]
+        rec = _LADDERS[target](p, levels)
+        assert len(rec.samples) == levels
         for m, value in rec.samples:
-            truth = series(p, m)
-            assert abs(value - truth) <= bound * abs(truth), (m, value, truth)
+            if m >= first_m:
+                truth = series(p, m)
+                assert abs(value - truth) <= bound * abs(truth), (m, value, truth)
 
     def test_jump_heaviside(self):
-        rec = jump_average(lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0))
+        rec = jump_average(JUMPS["heaviside"])
         assert rec.converged and abs(rec.extrapolated - 0.5) < 1e-6
 
     def test_jump_sign(self):
-        rec = jump_average(lambda t: np.sign(np.asarray(t)))
+        rec = jump_average(JUMPS["sign"])
         assert rec.converged and abs(rec.extrapolated) < 1e-6
 
     def test_jump_cos(self):
@@ -702,15 +701,12 @@ def _without_grading(monkeypatch, compute):
         return compute()
 
 
-_HEAVISIDE = lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0)
 _LADDERS = {
     "S": lambda p, n: mollified_limit(alternating_series_action, p, n),
     "H2S": lambda p, n: mollified_limit(
         lambda tf: 0.5 * alternating_series_action(tf.dilated(0.5)), p, n),
     "T0": lambda p, n: mollified_limit(all_plus_series_action, p, n),
-    "heaviside": lambda p, n: jump_average(_HEAVISIDE, p, n),
-    "sign": lambda p, n: jump_average(np.sign, p, n),
-    "cos": lambda p, n: jump_average(np.cos, p, n),
+    **{name: lambda p, n, f=f: jump_average(f, p, n) for name, f in JUMPS.items()},
 }
 
 
@@ -794,9 +790,8 @@ class TestJumpKernelLadder:
     """The ladder's one pass in u = m t gives the samples of pairing f with
     phi_m level by level wherever the levels' panel layouts agree."""
 
-    @pytest.mark.parametrize("f", [_HEAVISIDE, np.sign, np.cos, _KINK,
-                                   lambda t: 0.5],
-                             ids=["heaviside", "sign", "cos", "kink", "constant"])
+    @pytest.mark.parametrize("f", [*JUMPS.values(), _KINK, lambda t: 0.5],
+                             ids=[*JUMPS, "kink", "constant"])
     @pytest.mark.parametrize("p", [0, 2, 4])
     @pytest.mark.parametrize("levels", [3, 10, 20])
     def test_matches_the_per_level_pairing(self, f, p, levels):

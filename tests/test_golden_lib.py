@@ -14,8 +14,13 @@ Whether a ladder converged or diverged, and its parameters, must match
 exactly.  Every value, estimate and growth exponent must lie within
 ``REL_BOUND`` times the entry's scale, max(1, the largest |value| among its
 samples and extrapolant): the same absolute-below-1 floor as the library's
-absolute quadrature tolerance.  The entries are replayed in process and in
-cold interpreters at one and two OpenBLAS threads.
+absolute quadrature tolerance.  The entries are replayed in process, and
+with the numerical cases of ``golden_cli.json`` in one cold interpreter per
+entry of ``ENVIRONMENTS``: OpenBLAS unset (the CLI pins it to one thread),
+at two threads, with ``DIVSUM_QUAD_TOL`` set (the library reads no such
+variable), and with numpy's AVX512-class loops switched off.  The last
+bits of samples depend on numpy's CPU dispatch; the printed digits and
+every entry within ``REL_BOUND`` do not.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_lib.py --write``;
 it prints each entry that moves, and by how much, before it rewrites the
@@ -28,7 +33,6 @@ import random
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from divsum.coefficients import fourier_coefficient_numeric
@@ -43,6 +47,8 @@ from divsum.distributions import (
 from divsum.extrapolation import EpsilonLimit
 from divsum.mollifiers import mollifier
 from divsum.sums import zeta_partial_sum
+from oracles import EDGE_POLE_BUMPS, JUMPS, NEAR_POLE_BUMPS, REMAINDER_BUMPS
+from test_cli_golden import CASES
 from test_imports import _run_probe
 
 GOLDEN = Path(__file__).with_name("golden_lib.json")
@@ -53,28 +59,8 @@ PI = math.pi
 # extrapolant of the p = 2 bump at offset 0.3), and scaling every integrand
 # value by a random 1 + 4 eps * U(-1, 1) by at most 1.6e-13
 REL_BOUND = 1e-12
-
-# the bumps of TestRemainderRouteAgainstMpmath.test_finite_part_action:
-# mollifier(p, 1).dilated(lam).shifted(pi + offset)
-REMAINDER_BUMPS = [
-    (0, 1.0, 0.0), (2, 1.0, 0.3), (4, 1 / 0.3, 6e-4), (2, 50.0, 0.018),
-    (4, 50.0, 0.003), (0, 2.0, 0.6), (2, 1 / 0.35, 2.0 - PI), (4, 200.0, 0.0),
-    (0, 200.0, 0.0055), (2, 100.0, 0.011), (4, 1000.0, 1.01e-3), (0, 20.0, 0.05),
-]
-# half-width 0.001 bumps whose pole lies gap outside a support edge: (p, gap,
-# side), centred at pi + side * (gap + 0.001), as in test_distributions
-NEAR_POLE_BUMPS = [(p, gap, side) for p in (0, 2, 4) for gap in (0.05, 0.2)
-                   for side in (1, -1)]
-# the bumps of test_pole_on_or_just_outside_a_support_edge, half-width 0.05
-# with an edge on the pole or 1e-3 past it: (p, side, gap), centred at
-# pi + side * (0.05 + gap)
-EDGE_POLE_BUMPS = [(p, side, gap) for p in (0, 2, 4) for side in (1, -1)
-                   for gap in (0.0, 1e-3)]
-_JUMPS = {
-    "heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
-    "sign": np.sign,
-    "cos": np.cos,
-}
+# the CLI cases that run the numerical layers, and whose cold run pins BLAS
+NUMERICAL = [c for c in CASES if {"coeff", "mollify"} & set(c["argv"])]
 
 
 def _spanning_bumps():
@@ -96,7 +82,7 @@ def calls() -> dict:
             lambda tf: 0.5 * alternating_series_action(tf.dilated(0.5)), p, 10)
     for p in (2, 4):
         out[f"T0 p={p}"] = lambda p=p: mollified_limit(all_plus_series_action, p, 8)
-    for name, f in _JUMPS.items():
+    for name, f in JUMPS.items():
         for p in (0, 2, 4):
             out[f"jump:{name} p={p}"] = lambda f=f, p=p: jump_average(f, p)
     for p, lam, offset in REMAINDER_BUMPS:
@@ -203,22 +189,64 @@ def test_in_process_replay():
     assert misses(_golden(), compute()) == []
 
 
-# argv[1] is the tests directory; the report is the final
-# OPENBLAS_NUM_THREADS and the records
+def avx512_targets() -> list:
+    """The AVX512-class dispatch targets numpy enables in this process:
+    X86_V4 and every AVX512* name, read from numpy's private tables (none
+    where this numpy has no such tables)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)
+            and (t == "X86_V4" or t.startswith("AVX512"))]
+
+
+HOST_TARGETS = avx512_targets()
+# (environment changes, OPENBLAS_NUM_THREADS and AVX512-class targets the
+# replay must report); numpy reads NPY_DISABLE_CPU_FEATURES at import, so the
+# last entry runs the loops of a host without AVX512
+ENVIRONMENTS = [
+    pytest.param({"OPENBLAS_NUM_THREADS": None}, "1", HOST_TARGETS, id="blas-unset"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, "2", HOST_TARGETS, id="blas-2"),
+    pytest.param({"OPENBLAS_NUM_THREADS": None, "DIVSUM_QUAD_TOL": "1e-300"}, "1",
+                 HOST_TARGETS, id="quad-tol-1e-300"),
+    pytest.param({"OPENBLAS_NUM_THREADS": None,
+                  "NPY_DISABLE_CPU_FEATURES": " ".join(HOST_TARGETS)}, "1", [],
+                 id="no-avx512", marks=pytest.mark.skipif(
+                     not HOST_TARGETS,
+                     reason="numpy enables no AVX512-class dispatch target on this host")),
+]
+
+# argv[1] is the tests directory and argv[2] the JSON list of CLI argvs.  The
+# CLI cases run before anything loads numpy, as in a cold command; the report
+# is the final OPENBLAS_NUM_THREADS, the AVX512-class targets numpy enabled,
+# each case's exit code and stdout, and the library records
 _REPLAY = r"""
-import json, os, sys
+import contextlib, io, json, os, sys
+from divsum.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
 sys.path.insert(0, sys.argv[1])
-from test_golden_lib import compute
+from test_golden_lib import avx512_targets, compute
 records = compute()
-sys.stderr.write("\n" + json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), records]))
+sys.stderr.write("\n" + json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
+                                    avx512_targets(), results, records]))
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_cold_replay_at_one_and_two_blas_threads(threads):
-    value, records = _run_probe(_REPLAY, str(Path(__file__).parent),
-                                env={"OPENBLAS_NUM_THREADS": threads})
-    assert (value, misses(_golden(), records)) == (threads, [])
+@pytest.mark.parametrize("env, threads, targets", ENVIRONMENTS)
+def test_cold_replay_of_both_goldens(env, threads, targets):
+    value, enabled, results, records = _run_probe(
+        _REPLAY, str(Path(__file__).parent),
+        json.dumps([c["argv"] for c in NUMERICAL]), env=env)
+    missed = [" ".join(c["argv"]) for c, (code, out) in zip(NUMERICAL, results)
+              if (code, out) != (c["code"], c["stdout"])]
+    assert (value, enabled, len(results), missed, misses(_golden(), records)) == (
+        threads, targets, len(NUMERICAL), [], [])
 
 
 def write() -> None:
