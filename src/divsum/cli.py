@@ -153,11 +153,19 @@ _DEFAULT_LEVELS = {"T0": 8, "dirichlet": 8}
 
 def _mollify_limit(args):
     """The ``EpsilonLimit`` of the mollify target; the comb, a closed form,
-    loads no numpy."""
+    loads no numpy.
+
+    Every other target is one kernel pass of ``jump_average``: its sample
+    at m is the integral of k(u / m) phi(u), which is <S, phi_m> for the
+    alternating kernel, <H2S, phi_m> for it at 2t and <T0, phi_m> for
+    minus the centered one.  The pass cannot check that phi vanishes to
+    second order at T0's double pole, so T0 takes p = 2 or 4 only."""
     target = args.target
     p = args.p
     if target == "dirichlet" and p != 0:
         raise ValueError("target dirichlet requires p = 0")
+    if target == "T0" and p == 0:
+        raise ValueError("target T0 requires p = 2 or 4")
     levels = args.levels
     if levels is None:
         levels = _DEFAULT_LEVELS.get(target, 10)
@@ -170,22 +178,15 @@ def _mollify_limit(args):
 
     from . import distributions as dist
 
-    if target == "S":
-        return dist.mollified_limit(dist.alternating_series_action, p, levels)
-    if target == "H2S":
-        return dist.mollified_limit(
-            lambda tf: 0.5 * dist.alternating_series_action(tf.dilated(0.5)),
-            p, levels,
-        )
-    if target == "T0":
-        return dist.mollified_limit(dist.all_plus_series_action, p, levels)
-    jump_functions = {
+    kernels = {
+        "S": dist.alternating_kernel,
+        "H2S": lambda t: dist.alternating_kernel(2.0 * t),
+        "T0": lambda t: -dist.centered_kernel(t),
         "jump:heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
         "jump:sign": lambda t: np.sign(np.asarray(t)),
         "jump:cos": np.cos,
     }
-    return dist.jump_average(jump_functions[target], levels=levels,
-                             vanishing_order=p)
+    return dist.jump_average(kernels[target], levels=levels, vanishing_order=p)
 
 
 def cmd_mollify(args) -> int:

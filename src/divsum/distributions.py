@@ -318,6 +318,10 @@ def mollified_limit(pairing, vanishing_order: int = 0,
 
     Divergent ladders (magnitudes growing by >= 1.5x across the last three
     levels) are reported with the fitted power of m instead of a limit.
+
+    The per-level reference route: one pairing, so one adaptive quadrature,
+    per level.  The CLI takes ``jump_average``'s one kernel pass instead;
+    the tests check it against this route, and perfbench/ calls this one.
     """
     scales = _scale_ladder(levels)
     bump = Mollifier(vanishing_order)
@@ -326,21 +330,27 @@ def mollified_limit(pairing, vanishing_order: int = 0,
 
 def jump_average(f, vanishing_order: int = 0,
                  levels: int = DEFAULT_SCALE_LEVELS) -> EpsilonLimit:
-    """Mollified value at 0 of the regular distribution of f, on the ladder
-    m = 2, 4, 8, ... of the bump of the given vanishing order, with the
-    parameters in the order of ``mollified_limit``.  It tends to
-    (f(0+) + f(0-)) / 2 in even powers of 1/m when the odd one-sided
-    derivatives of f agree at 0 (a step plus an even part: Heaviside, sign,
-    cos).  A kink at 0, as in exp(t) H(t), leaves a miss of order
-    |f'(0+) - f'(0-)| / m that the error estimate does not show.
+    """The scale-ladder kernel pass: <f, phi_m> on the ladder m = 2, 4,
+    8, ... of the bump of the given vanishing order, extrapolated as by
+    ``mollified_limit``, whose parameter order it shares.  f is any kernel
+    integrable against phi_m:
+    - a jump, whose mollified value at 0 tends to (f(0+) + f(0-)) / 2 in
+      even powers of 1/m when the odd one-sided derivatives of f agree at 0
+      (a step plus an even part: Heaviside, sign, cos).  A kink at 0, as in
+      exp(t) H(t), leaves a miss of order |f'(0+) - f'(0-)| / m that the
+      error estimate does not show;
+    - a kernel smooth at 0: ``alternating_kernel`` gives S, and at 2t H2S;
+    - T0's double pole, minus ``centered_kernel``, for p >= 2 only, where
+      phi vanishes to second order at 0.  The pass cannot check that, as
+      ``all_plus_series_action`` does.
 
-    The ladder is one kernel pass: in u = m t every pairing is the integral
-    of f(u / m) phi(u) over [-1, 1], so one adaptive quadrature with a row
-    per m integrates them all on the bump's grading, with the jump at
-    u = 0 a panel breakpoint.  f receives the rows raveled into one 1-D
-    array.  Every m is a power of 2, so u / m is exact and a sample equals
-    the integral of f phi_m over the support of phi_m, to the bit, unless
-    another level needed one of its panels bisected.
+    In u = m t every pairing is the integral of f(u / m) phi(u) over
+    [-1, 1], so one adaptive quadrature with a row per m integrates them
+    all on the bump's grading, with u = 0, where a jump or a pole sits, a
+    panel breakpoint.  f receives the rows raveled into one 1-D array.
+    Every m is a power of 2, so u / m is exact and a sample equals the
+    integral of f phi_m over the support of phi_m, to the bit, unless the
+    two layouts bisect different panels.
     """
     scales = _scale_ladder(levels)
     phi = Mollifier(vanishing_order)

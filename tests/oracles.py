@@ -7,10 +7,12 @@ one, the bump masses through adaptive quadrature, the direct zeta
 series with a fresh array of powers per chunk, and the S, H2S, T0 and
 jump:cos scale ladders sample by sample through their series in the
 bump's moments.  It also holds the inputs that ``golden_lib.json`` pins
-and the mpmath truths check: the bump tables and the jump functions."""
+and the mpmath truths and layout checks share: the bump tables, the
+seeded draw of bumps spanning several periods, and the jump functions."""
 
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from divsum.extrapolation import (
     EpsilonLimit,
     extrapolate_ladder,
 )
-from divsum.mollifiers import Mollifier, TestFunction, _profile
+from divsum.mollifiers import Mollifier, TestFunction, _profile, mollifier
 from divsum.quadrature import gauss_grid, integrate, panel_integrals, panel_sum
 from divsum.sums import _SUM_CHUNK, alternating_sum_powers, sum_powers
 
@@ -59,6 +61,21 @@ NEAR_POLE_BUMPS = [(p, gap, side) for p in (0, 2, 4) for gap in (0.05, 0.2)
 # centred at pi + side * (0.05 + gap)
 EDGE_POLE_BUMPS = [(p, side, gap) for p in (0, 2, 4) for side in (1, -1)
                    for gap in (0.0, 1e-3)]
+
+
+def _spanning_draw() -> list:
+    rng = random.Random(20261018)
+    return [[(p, periods, mollifier(p, 1).dilated(1.0 / (periods * math.pi))
+              .shifted(rng.uniform(-math.pi, math.pi)).scaled(rng.uniform(0.5, 2.0)))
+             for p in (0, 2, 4) for periods in (1.5, 2.0, 3.0, 4.0)]
+            for _ in range(3)]
+
+
+# bumps drawn like the benchmark's alternating-series ops, as (p, periods,
+# bump): a support of 1.5 to 4 periods, a random shift and amplitude.  One
+# seeded draw gives three rounds of one bump per cell; the golden pins the
+# first round
+SPANNING_BUMPS = _spanning_draw()
 
 
 def heaviside(t):

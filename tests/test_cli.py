@@ -192,8 +192,17 @@ class TestMollify:
         assert out.splitlines()[0].startswith("extrapolant 0.5")
 
     def test_incompatible_p_rejected(self, capsys):
-        assert run(capsys, "mollify", "--target", "T0", "--p", "0")[0] == 2
-        assert run(capsys, "mollify", "--target", "dirichlet", "--p", "2")[0] == 2
+        # T0's kernel pass cannot check that phi vanishes to second order at
+        # its double pole, so p = 0 is refused before the levels are read
+        for argv, message in [
+            (("T0", "--p", "0"), "target T0 requires p = 2 or 4"),
+            (("T0", "--p", "0", "--levels", "21"), "target T0 requires p = 2 or 4"),
+            (("T0", "--p", "3"), "vanishing order must be one of (0, 2, 4)"),
+            (("T0", "--p", "-2"), "vanishing order must be one of (0, 2, 4)"),
+            (("dirichlet", "--p", "2"), "target dirichlet requires p = 0"),
+        ]:
+            code, out, err = run(capsys, "mollify", "--target", *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
     @pytest.mark.parametrize("target", ["S", "jump:cos"])
     def test_invalid_p_rejected(self, capsys, target):
@@ -213,13 +222,15 @@ class TestMollify:
         assert code == 2 and out == "" and err == "error: levels must be <= 20\n"
 
     def test_unreachable_tolerance_is_a_numerical_failure(self, capsys, monkeypatch):
-        # one active panel: the first bump that needs bisection stalls.  With
-        # its grading the bump would seed more panels than that, a ValueError
-        monkeypatch.setattr("divsum.quadrature._MAX_ACTIVE_PANELS", 1)
+        # two active panels: without the bump's grading the kernel pass seeds
+        # only its edge u = 0, so [-1, 0] and [0, 1], and bisecting both stalls.
+        # With the grading, or a cap of 1, the seeded panels alone exceed the
+        # cap, a ValueError
+        monkeypatch.setattr("divsum.quadrature._MAX_ACTIVE_PANELS", 2)
         monkeypatch.setattr("divsum.mollifiers._BUMP_GRADING", ())
         code, out, err = run(capsys, "mollify", "--target", "S", "--levels", "3")
-        assert code == 3 and out == ""
-        assert err.startswith("numerical failure: ") and "Traceback" not in err
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: more than 2 panels short of tolerance 1.000e-10\n"
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "mollify", "--target",

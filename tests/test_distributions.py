@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from divsum import cli
 from divsum.coefficients import (
     dirichlet_comb_growth,
     dirichlet_comb_ladder,
@@ -44,6 +45,7 @@ from oracles import (
     JUMPS,
     NEAR_POLE_BUMPS,
     REMAINDER_BUMPS,
+    SPANNING_BUMPS,
     all_plus_scale_sample,
     alternating_scale_sample,
     comb_spectral_pairing,
@@ -755,13 +757,10 @@ class TestBumpGrading:
                     assert abs(a - b) <= 1e-13 * abs(b) + 1e-16, (p, levels)
 
     def test_alternating_action_matches_plain_bisection(self, monkeypatch):
-        # the benchmark's bumps, spanning 1.5 to 4 periods; the two layouts
-        # differ by up to 1e-13 absolute, within the absolute 1e-10 contract
-        rng = random.Random(20261018)
-        bumps = [mollifier(p, 1).dilated(1.0 / (periods * PI))
-                 .shifted(rng.uniform(-PI, PI)).scaled(rng.uniform(0.5, 2.0))
-                 for p in (0, 2, 4) for periods in (1.5, 2.0, 3.0, 4.0)
-                 for _ in range(3)]
+        # the benchmark's bumps, spanning 1.5 to 4 periods, three per cell;
+        # the two layouts differ by up to 1e-13 absolute, within the absolute
+        # 1e-10 contract
+        bumps = [tf for draw in SPANNING_BUMPS for _, _, tf in draw]
         graded = [alternating_series_action(tf) for tf in bumps]
         plain = _without_grading(
             monkeypatch, lambda: [alternating_series_action(tf) for tf in bumps])
@@ -806,6 +805,32 @@ class TestJumpKernelLadder:
                 assert abs(a - b) <= TOLERANCE
         else:
             assert repr(rec.samples) == repr(ref.samples)
+
+    @pytest.mark.parametrize("target, p", [
+        ("S", 0), ("S", 2), ("S", 4), ("H2S", 0), ("H2S", 2), ("H2S", 4),
+        ("T0", 2), ("T0", 4)])
+    def test_cli_pass_matches_the_per_level_pairing(self, target, p):
+        # the CLI pairs S, H2S and T0 in jump_average's pass, each through
+        # its kernel; _LADDERS pairs phi_m level by level, the reference
+        # route.  H2S's per-level integral in t = 2u / m is twice its sample,
+        # so against the absolute tolerance its p = 4 levels bisect the
+        # bump's outermost panels, which the pass accepts in round 0.  The
+        # bound is 7e-15 of max(1, |value|); the measured worst gap at 3 to
+        # 20 levels is 3.28e-15, at m = 2
+        parser = cli.build_parser()
+        for levels in range(3, MAX_LEVELS + 1):
+            args = parser.parse_args(["mollify", "--target", target, "--p", str(p),
+                                      "--levels", str(levels)])
+            rec, ref = cli._mollify_limit(args), _LADDERS[target](p, levels)
+            if (target, p) != ("H2S", 4):
+                assert rec == ref, levels
+                continue
+            assert rec.converged == ref.converged, levels
+            pairs = [(a, b) for (_, a), (_, b) in zip(rec.samples, ref.samples)]
+            if ref.extrapolated is not None:
+                pairs.append((rec.extrapolated, ref.extrapolated))
+            for a, b in pairs:
+                assert abs(a - b) <= 7e-15 * max(1.0, abs(b)), levels
 
 
 class TestScaleLadderEstimates:

@@ -29,7 +29,6 @@ file.
 
 import json
 import math
-import random
 import sys
 from pathlib import Path
 
@@ -47,7 +46,13 @@ from divsum.distributions import (
 from divsum.extrapolation import EpsilonLimit
 from divsum.mollifiers import mollifier
 from divsum.sums import zeta_partial_sum
-from oracles import EDGE_POLE_BUMPS, JUMPS, NEAR_POLE_BUMPS, REMAINDER_BUMPS
+from oracles import (
+    EDGE_POLE_BUMPS,
+    JUMPS,
+    NEAR_POLE_BUMPS,
+    REMAINDER_BUMPS,
+    SPANNING_BUMPS,
+)
 from test_cli_golden import CASES
 from test_imports import _run_probe
 
@@ -61,14 +66,6 @@ PI = math.pi
 REL_BOUND = 1e-12
 # the CLI cases that run the numerical layers, and whose cold run pins BLAS
 NUMERICAL = [c for c in CASES if {"coeff", "mollify"} & set(c["argv"])]
-
-
-def _spanning_bumps():
-    """One bump per order p and span in periods, drawn like the benchmark's."""
-    rng = random.Random(20261018)
-    return [(p, periods, mollifier(p, 1).dilated(1.0 / (periods * PI))
-             .shifted(rng.uniform(-PI, PI)).scaled(rng.uniform(0.5, 2.0)))
-            for p in (0, 2, 4) for periods in (1.5, 2.0, 3.0, 4.0)]
 
 
 def calls() -> dict:
@@ -101,7 +98,7 @@ def calls() -> dict:
         tf = mollifier(p, 1).dilated(1000.0).shifted(PI + side * (gap + 0.001))
         out[f"alternating_series_action p={p} gap={gap} side={side:+d}"] = (
             lambda tf=tf: alternating_series_action(tf))
-    for p, periods, tf in _spanning_bumps():
+    for p, periods, tf in SPANNING_BUMPS[0]:  # one bump per cell
         out[f"alternating_series_action p={p} periods={periods}"] = (
             lambda tf=tf: alternating_series_action(tf))
     for s in (2.0, 4.0, 12.0):
