@@ -50,16 +50,14 @@ _MAX_FLOAT_NEG_K = 260
 # largest k of the exact power sums, whose recurrence costs about k^3
 _MAX_SUM_K = 200
 
-# the terms are summed chunk by chunk, and each chunk as the pieces of at
-# most _SUM_LEAF terms that numpy's pairwise summation splits it into, so
-# one 512 KiB buffer is live at a time.  numpy adds a block of at most
-# _SUM_BLOCK terms without a split
-_SUM_CHUNK = 1 << 20
+# the terms are summed as the pieces of at most _SUM_LEAF terms that numpy's
+# pairwise summation splits them into, so one 512 KiB buffer is live at a
+# time.  numpy adds a block of at most _SUM_BLOCK terms without a split
 _SUM_LEAF = 1 << 16
 _SUM_BLOCK = 128
 # _SUM_MARGIN times a bound on the real sum of some terms bounds the float
 # sum numpy forms of them: each power is within a few ulps, and numpy nests
-# the additions at most about 40 deep (25 in a block, 13 down a chunk's
+# the additions about 45 deep at 10**8 terms (25 in a block, 20 down the
 # tree), so both roundings stay below 2^-40 relative
 _SUM_MARGIN = 1.0 + 2.0**-20
 # more terms buy nothing (the check's residual is already at its rounding
@@ -159,11 +157,10 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     """zeta(s) for s > 1 by direct summation plus the integral tail bound.
 
     sum_{n<=N} n^{-s} + N^{1-s}/(s-1); the neglected remainder is below
-    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The chunk sums of
-    _SUM_CHUNK terms are added in index order.  Each chunk sum is the one
-    np.sum over the chunk would give, bit for bit, evaluated piece by piece
-    down numpy's pairwise tree, so that no piece holds more than _SUM_LEAF
-    terms.  N is capped at _MAX_TERMS, which bounds the time.
+    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The sum is the one
+    np.sum over all N powers would give, bit for bit, evaluated piece by
+    piece down numpy's pairwise tree, so that no piece holds more than
+    _SUM_LEAF terms.  N is capped at _MAX_TERMS, which bounds the time.
 
     Terms are skipped only where a bound proves that they leave the rounded
     sum unchanged, so the bits are those of summing all of them.  A float
@@ -172,11 +169,10 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     dropped when _SUM_MARGIN times its count times its first term is below
     an eighth of ulp(a/2), where a is the left part's first term: the
     eighth leaves room for powers that round to subnormals, and that floor
-    must be a normal float.  The chunk loop stops at the first chunk so bounded
-    against the partial sum; the later ones are no larger.  And when
-    sum_{n>=2} n^{-s} <= 2^{-s} (1 + 2/(s-1)) is, with the margin, at most
-    half an ulp of 1 (from s = 54 on), every sum that holds n = 1 rounds to
-    1.0 however numpy groups the rest, and no numpy is loaded.
+    must be a normal float.  And when sum_{n>=2} n^{-s} <= 2^{-s} (1 +
+    2/(s-1)) is, with the margin, at most half an ulp of 1 (from s = 54 on),
+    every sum that holds n = 1 rounds to 1.0 however numpy groups the rest,
+    and no numpy is loaded.
     """
     s = real(s, "s", 1, strict=True)
     terms = integer(terms, "terms", 10, _MAX_TERMS)
@@ -184,12 +180,6 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     if _SUM_MARGIN * 2.0 ** -s * (1.0 + 2.0 / (s - 1.0)) <= 2.0 ** -53:
         return 1.0 + tail
     import numpy as np  # the exact routes in this module need no arrays
-
-    def negligible(count: int, first: int, least: float) -> bool:
-        """whether count terms from n = first on, added as np.sum adds
-        them, leave any float of at least ``least`` unchanged."""
-        floor = math.ulp(least) / 8
-        return floor >= sys.float_info.min and _SUM_MARGIN * count * first ** -s < floor
 
     def tree_sum(start: int, count: int) -> float:
         """sum of n^{-s} for start <= n < start + count, as np.sum adds it."""
@@ -199,10 +189,12 @@ def zeta_partial_sum(s: float, terms: int) -> float:
             # at half the count rounded down to a multiple of its 8-way
             # unroll and adds the two halves' sums: a fixed tree, so the
             # pieces reproduce its sum exactly (the bitwise tests hold this
-            # to one np.sum over the whole chunk)
+            # to one np.sum over all the terms)
             half = count // 2
             half -= half % 8
-            if negligible(count, start + half, start ** -s / 2):
+            floor = math.ulp(start ** -s / 2) / 8
+            if (floor >= sys.float_info.min
+                    and _SUM_MARGIN * count * (start + half) ** -s < floor):
                 return tree_sum(start, half)
             if count > _SUM_LEAF:
                 return tree_sum(start, half) + tree_sum(start + half, count - half)
@@ -210,13 +202,7 @@ def zeta_partial_sum(s: float, terms: int) -> float:
         n = np.arange(start, start + count, dtype=np.float64)
         return float(np.sum(np.power(n, -s, out=n)))
 
-    partial = 0.0
-    for start in range(1, terms + 1, _SUM_CHUNK):
-        count = min(_SUM_CHUNK, terms + 1 - start)
-        if negligible(count, start, partial):
-            break
-        partial += tree_sum(start, count)
-    return partial + tail
+    return tree_sum(1, terms) + tail
 
 
 def functional_equation_residual(k: int, terms: int = 10**6) -> float:

@@ -4,7 +4,7 @@ the lacunary Fourier series, the jump pairing level by level, the
 Dirichlet comb through its truncated spectral sum, the c_n ladder through
 adaptive quadrature of the Fejer form and through its terms summed one by
 one, the bump masses through adaptive quadrature, the direct zeta
-series with a fresh array of powers per chunk, and the S, H2S, T0 and
+series as one np.sum over a second array of powers, and the S, H2S, T0 and
 jump:cos scale ladders sample by sample through their series in the
 bump's moments.  It also holds the inputs that ``golden_lib.json`` pins
 and the mpmath truths and layout checks share: the bump tables, the
@@ -26,7 +26,7 @@ from divsum.extrapolation import (
 )
 from divsum.mollifiers import Mollifier, TestFunction, _profile, mollifier
 from divsum.quadrature import gauss_grid, integrate, panel_integrals, panel_sum
-from divsum.sums import _SUM_CHUNK, alternating_sum_powers, sum_powers
+from divsum.sums import alternating_sum_powers, sum_powers
 
 # rounding error of a weighted-node transform, relative to sum |w_eff|
 _TRANSFORM_ROUNDING = 8.0 * np.finfo(float).eps
@@ -270,13 +270,15 @@ def fourier_coefficient_plain(n: int, levels: int) -> EpsilonLimit:
 
 
 def homothety_pairing_check(phi: TestFunction, lam: float,
-                            tol: float = 1e-6) -> bool:
+                            tol: float = 1e-9) -> bool:
     """Check the dilation rule <H_lam T, phi> = (1/lam) <T, H_{1/lam} phi>
     on the alternating-series distribution, for lam > 0.
 
     The left side is evaluated independently through the lacunary Fourier
     series sum_q (-1)^{q-1} q e^{i lam q t}, the right side through the
-    kernel-and-comb pairing of the dilated test function.
+    kernel-and-comb pairing of the dilated test function.  The default
+    ``tol`` is about twice the worst gap over the tests' 18 cases, 4.32e-10
+    (p = 4, shift 0.3, lam = 0.37), with numpy's AVX512 loops on or off.
     """
     via_definition = alternating_series_action(phi.dilated(1.0 / lam)) / lam
     via_series = _lacunary_series_pairing(phi, lam)
@@ -284,13 +286,10 @@ def homothety_pairing_check(phi: TestFunction, lam: float,
 
 
 def zeta_partial_sum_two_arrays(s: float, terms: int) -> float:
-    """``zeta_partial_sum`` with n ** (-s) in a second array per chunk: the
-    reference for its in-place powers, which must agree bitwise."""
-    partial = 0.0
-    for start in range(1, terms + 1, _SUM_CHUNK):
-        n = np.arange(start, min(start + _SUM_CHUNK, terms + 1), dtype=np.float64)
-        partial += float(np.sum(n ** (-s)))
-    return partial + terms ** (1.0 - s) / (s - 1.0)
+    """``zeta_partial_sum`` as one np.sum over n ** (-s) in a second array:
+    the reference for its in-place powers, which must agree bitwise."""
+    n = np.arange(1, terms + 1, dtype=np.float64)
+    return float(np.sum(n ** (-s))) + terms ** (1.0 - s) / (s - 1.0)
 
 
 def ramanujan_identity_check(order: int) -> bool:

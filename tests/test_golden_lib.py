@@ -8,7 +8,7 @@ ladders, the three jumps, both finite-part routes on the mpmath-checked
 bumps and on bumps with a support edge on the pole or just past it,
 ``alternating_series_action`` on bumps whose pole lies just outside the
 support and on 12 bumps spanning 1.5 to 4 periods, and ``zeta_partial_sum``
-across its chunk boundary and on both sides of its numpy-free branch.
+past 2^20 terms and on both sides of its numpy-free branch.
 
 Whether a ladder converged or diverged, and its parameters, must match
 exactly.  Every value, estimate and growth exponent must lie within

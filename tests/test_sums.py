@@ -5,7 +5,6 @@ import time
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from divsum import sums
@@ -199,45 +198,28 @@ class TestZetaPartialSum:
     # the terms past n = 1 cannot move 1.0, reach subnormal powers from
     # s = 52 on and both sides of the threshold
     SKIP_EXPONENTS = (6, 46, 52, 53, 54, 56, 102, 200, 261)
+    # either side of the 128-term block, the 8-way unroll and the 2^16-term
+    # leaf, the CLI's default of 10**6, and past 2^20 terms; the two largest
+    # counts, where the reference's two arrays dominate the time, take the
+    # unpruned, pruned, subnormal and numpy-free exponents only
+    SUM_GRID = [(s, terms) for s in sorted({2, 3, 4, 10, 13, 201, *SKIP_EXPONENTS})
+                for terms in (10, 127, 129, 65537, 100003, 10**6, 2**20, 2**20 + 7)]
+    SUM_GRID += [(s, terms) for terms in (3 * 10**6, 4 * 2**20 + 3)
+                 for s in (2, 3, 10, 52, 54)]
 
-    def test_default_terms_single_sum(self):
-        # up to 2^20 terms fit one chunk: the pieces of numpy's pairwise tree
-        # add up to the same single np.sum as unchunked code, on either side
-        # of the 128-term block, the 2^16-term leaf and the 8-way unroll,
-        # with one leaf buffer at a time
-        for terms in (127, 129, 65537, 100003, 10**6, 2**20):
-            n = np.arange(1, terms + 1, dtype=np.float64)
-            for s in (2.0, 4.0, 13.0, *map(float, self.SKIP_EXPONENTS)):
-                expected = float(np.sum(n ** (-s))) + terms ** (1.0 - s) / (s - 1.0)
-                tracemalloc.start()
-                try:
-                    got = zeta_partial_sum(s, terms)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert got == expected, (s, terms)
-                assert peak < 1.5 * 8 * sums._SUM_LEAF, (s, terms, peak)
-
-    # 2**20 + 7 and 3 * 10**6 terms span several chunks
-    @pytest.mark.parametrize("terms", [10, 10**6, 2**20 + 7, 3 * 10**6])
-    @pytest.mark.parametrize("s", sorted({2, 3, 10, 54, 201, *SKIP_EXPONENTS}))
+    @pytest.mark.parametrize("s,terms", SUM_GRID)
     def test_in_place_powers_match_two_arrays(self, s, terms):
-        assert (zeta_partial_sum(s, terms).hex()
-                == zeta_partial_sum_two_arrays(s, terms).hex())
-
-    def test_chunked_sum_bounded_memory(self):
-        leaf_bytes = 8 * sums._SUM_LEAF
-        terms = 4 * 2**20 + 3
+        # the pieces of numpy's pairwise tree add up to one np.sum over all
+        # the terms, bit for bit, with one leaf buffer at a time
+        expected = zeta_partial_sum_two_arrays(s, terms)
         tracemalloc.start()
         try:
-            got = zeta_partial_sum(2.0, terms)
+            got = zeta_partial_sum(s, terms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * leaf_bytes  # one leaf buffer at a time
-        n = np.arange(1, terms + 1, dtype=np.float64)
-        expected = float(np.sum(n ** -2.0)) + terms ** -1.0
-        assert abs(got - expected) <= 1e-15 * expected
+        assert got.hex() == expected.hex()
+        assert peak < 1.5 * 8 * sums._SUM_LEAF, peak
 
 
 class TestRamanujanIdentity:
