@@ -14,11 +14,11 @@ Each subcommand imports only what it runs.  At load this module imports
 argparse, math, os and sys.  sum, zeta, table and an even-k check add
 ``divsum.sums`` (with fractions and decimal); casimir adds
 ``divsum.casimir``, which loads ``divsum.sums``; only an odd-k check below
-53 adds numpy for its direct series, whose terms past n = 1 cannot move
+53 adds numpy, for its direct series, whose terms past n = 1 cannot move
 1.0 from k = 53 on.  coeff and ``mollify --target dirichlet``, closed
 forms, add only ``divsum.coefficients`` and ``divsum.extrapolation``; the
-other mollify targets add numpy and the numerical layers.  --format json
-or csv adds its writer.
+other mollify targets add ``divsum.panels`` as well, whose kernel pass
+runs on plain floats.  --format json or csv adds its writer.
 """
 
 import argparse
@@ -152,14 +152,15 @@ _DEFAULT_LEVELS = {"T0": 8, "dirichlet": 8}
 
 
 def _mollify_limit(args):
-    """The ``EpsilonLimit`` of the mollify target; the comb, a closed form,
-    loads no numpy.
+    """The ``EpsilonLimit`` of the mollify target; none loads numpy.
 
-    Every other target is one kernel pass of ``jump_average``: its sample
-    at m is the integral of k(u / m) phi(u), which is <S, phi_m> for the
-    alternating kernel, <H2S, phi_m> for it at 2t and <T0, phi_m> for
-    minus the centered one.  The pass cannot check that phi vanishes to
-    second order at T0's double pole, so T0 takes p = 2 or 4 only."""
+    The comb is a closed form.  Every other target is one pass of
+    ``panels.kernel_ladder``, the plain-float twin of
+    ``distributions.jump_average``: its sample at m is the integral of
+    k(u / m) phi(u), which is <S, phi_m> for the alternating kernel,
+    <H2S, phi_m> for it at 2t and <T0, phi_m> for minus the centered one.
+    The pass cannot check that phi vanishes to second order at T0's double
+    pole, so T0 takes p = 2 or 4 only."""
     target = args.target
     p = args.p
     if target == "dirichlet" and p != 0:
@@ -174,19 +175,26 @@ def _mollify_limit(args):
 
         return dirichlet_comb_ladder(levels)
 
-    import numpy as np
+    from .panels import kernel_ladder
 
-    from . import distributions as dist
+    # the kernels of one float, formed as distributions forms them
+    def alternating(t):  # 1 / (4 cos^2(t/2))
+        c = math.cos(0.5 * t)
+        return 0.25 / (c * c)
+
+    def centered(x):  # 1 / (4 sin^2(x/2))
+        s = math.sin(0.5 * x)
+        return 0.25 / (s * s)
 
     kernels = {
-        "S": dist.alternating_kernel,
-        "H2S": lambda t: dist.alternating_kernel(2.0 * t),
-        "T0": lambda t: -dist.centered_kernel(t),
-        "jump:heaviside": lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
-        "jump:sign": lambda t: np.sign(np.asarray(t)),
-        "jump:cos": np.cos,
+        "S": alternating,
+        "H2S": lambda t: alternating(2.0 * t),
+        "T0": lambda t: -centered(t),
+        "jump:heaviside": lambda t: 1.0 if t > 0 else 0.0,
+        "jump:sign": lambda t: float((t > 0) - (t < 0)),
+        "jump:cos": math.cos,
     }
-    return dist.jump_average(kernels[target], levels=levels, vanishing_order=p)
+    return kernel_ladder(kernels[target], p, levels)
 
 
 def cmd_mollify(args) -> int:

@@ -66,7 +66,7 @@ from .extrapolation import (
     extrapolate_ladder,
 )
 from .mollifiers import Mollifier, TestFunction
-from .quadrature import TOLERANCE, integrate, panel_integrals, panel_sum
+from .quadrature import TOLERANCE, QuadratureError, integrate, panel_integrals, panel_sum
 
 __all__ = [
     "alternating_kernel",
@@ -156,6 +156,8 @@ def _remainder_cell_action(phi: TestFunction, sa: float, sb: float,
     # also sees pole + x, so its phi'' has noise near |phi'''| ulp(pole):
     # the integral is asked for relative to the size of phi''
     scale = float(np.max(np.abs(d2(np.linspace(lo, hi, _PROBE_POINTS))))) * (hi - lo)
+    if not math.isfinite(scale):
+        raise QuadratureError("phi'' leaves the float range on the cell")
     tol = max(TOLERANCE, _REMAINDER_REL_TOL * scale)
 
     def f(u):
@@ -285,10 +287,12 @@ def all_plus_series_action(chi: TestFunction) -> complex:
     sa, sb = _support(chi)
     if not (-0.5 * math.pi < sa and sb < 0.5 * math.pi):
         raise ValueError("support must lie inside (-pi/2, pi/2)")
-    # 65 probe points over the support, then 0
+    # 65 probe points over the support, then 0; chi(0) and chi'(0) are
+    # compared with chi's own size, so that no scaling of a chi that does not
+    # vanish passes
     values = chi(np.append(np.linspace(sa, sb, 65), 0.0))
     probe = np.max(np.abs(values[:-1]))
-    vanish_tol = 1e-9 * (1.0 + probe)
+    vanish_tol = 1e-9 * probe
     at0 = float(values[-1])
     d_at0 = float(chi.deriv(np.array([0.0]))[0])
     if abs(at0) > vanish_tol or abs(d_at0) > vanish_tol:
@@ -351,6 +355,9 @@ def jump_average(f, vanishing_order: int = 0,
     Every m is a power of 2, so u / m is exact and a sample equals the
     integral of f phi_m over the support of phi_m, to the bit, unless the
     two layouts bisect different panels.
+
+    ``panels.kernel_ladder`` is this pass on plain floats, for a kernel of
+    one float; the CLI runs it, and the tests hold it to this one.
     """
     scales = _scale_ladder(levels)
     phi = Mollifier(vanishing_order)

@@ -10,7 +10,9 @@ evaluators accept numpy arrays and return exact zeros outside the declared
 support.
 
 Normalization constants have no closed form; they are tabulated, for
-p = 0, 2 and 4, in the numpy-free ``divsum.coefficients``.
+p = 0, 2 and 4, in the numpy-free ``divsum.coefficients``.  The vanishing
+orders and the bump's quadrature grading live in the numpy-free
+``divsum.panels``, whose plain-float bump the CLI's ``mollify`` runs.
 """
 
 from __future__ import annotations
@@ -20,19 +22,12 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import panels
 from ._checks import integer, real
 from .coefficients import _BUMP_MASSES
+from .panels import VANISHING_ORDERS, checked_vanishing_order
 
 __all__ = ["Mollifier", "TestFunction", "bump_moment", "mollifier"]
-
-VANISHING_ORDERS = (0, 2, 4)
-# interior edges, in base coordinates, of the panels that bisection accepts
-# for t^p psi(t) paired with the scale ladders' kernels at the default
-# tolerance (p = 0, 2, 4; m = 2 to 1024).  Seeded as breakpoints, they are
-# all evaluated in the first adaptive round instead of being reached one
-# bisection at a time; a step against the p = 4 bump still splits the two
-# outermost panels in a second round
-_BUMP_GRADING = (0.0, *(s * b for b in (0.5, 0.75, 0.875) for s in (1.0, -1.0)))
 
 
 def _bump_jet(t: np.ndarray, order: int) -> list:
@@ -132,12 +127,14 @@ class TestFunction(namedtuple("TestFunction", "base lam shift amp")):
         c = self.amp * (1.0, lam, lam * lam)[order]
 
         def at(x):
-            # far outside the support t may overflow to an infinity, where f is 0
+            # far outside the support t may overflow to an infinity, where f
+            # is 0, and c * v to one that the caller judges as not finite
             with np.errstate(over="ignore"):
                 t = lam * (off + np.asarray(x, dtype=float))
-            v = f(t)
-            # where amp * lam^order overflows, inf * 0 would be nan: keep f's zeros
-            return c * v if math.isfinite(c) else np.where(v == 0.0, 0.0, c) * v
+                v = f(t)
+                # where amp * lam^order overflows, inf * 0 would be nan: keep
+                # f's zeros
+                return c * v if math.isfinite(c) else np.where(v == 0.0, 0.0, c) * v
         return at
 
     def __call__(self, t):
@@ -172,17 +169,14 @@ class Mollifier(namedtuple("Mollifier", "vanishing_order")):
     support = (-1.0, 1.0)
 
     def __new__(cls, vanishing_order: int = 0):
-        p = integer(vanishing_order, "vanishing order")
-        if p not in VANISHING_ORDERS:
-            raise ValueError(f"vanishing order must be one of {VANISHING_ORDERS}")
-        return super().__new__(cls, p)
+        return super().__new__(cls, checked_vanishing_order(vanishing_order))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates
 
     @property
     def breakpoints(self) -> tuple:
-        """The bump's quadrature grading."""
-        return _BUMP_GRADING
+        """The bump's quadrature grading, read from ``divsum.panels``."""
+        return panels._BUMP_GRADING
 
     def _derivative(self, t, order: int) -> np.ndarray:
         p = self.vanishing_order

@@ -33,6 +33,11 @@ oracles in ``tests/oracles.py``.
 ``panel_integrals`` hands out the accepted panels themselves, sorted by
 left edge, for callers that read prefix or suffix sums over them or sum
 each row; ``panel_sum`` is the correctly rounded sum of one row.
+
+The rule's nodes and weights, the default tolerance, the round and panel
+limits and the acceptance test live in the numpy-free ``divsum.panels``,
+whose plain-float pass the CLI's ``mollify`` runs; the panel cap is read
+from there at call time.
 """
 
 from __future__ import annotations
@@ -41,40 +46,18 @@ import math
 
 import numpy as np
 
+from . import panels
 from ._checks import real
+from .panels import _MAX_ROUNDS, TOLERANCE, QuadratureError, accepts
 
 __all__ = ["QuadratureError", "TOLERANCE", "gauss_grid", "integrate",
            "panel_integrals", "panel_sum"]
 
-TOLERANCE = 1e-10  # default absolute tolerance
-GAUSS_ORDER = 15
-_MAX_ROUNDS = 44
-# cap on the panels seeded, and on the panels bisected in one round; one
-# integrand call then takes at most 3 * 2^14 * GAUSS_ORDER = 737,280 nodes
-# (round 0: every seeded panel whole and halved).  Normal use stays below 100
-_MAX_ACTIVE_PANELS = 1 << 14
-_REL_FLOOR = 1e-14
 # bound on |a| and |b|, far inside the float range: a panel midpoint
 # overflows past about 9e307, and a bounded integrand's panel errors before
 _MAX_BOUND = 1e300
-# the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1], to the bit of
-# numpy.polynomial.legendre.leggauss(15), whose import it saves.  The rule
-# is symmetric: its nodes and weights from the middle node 0 outward
-_HALF_NODES = [float.fromhex(h) for h in (
-    "0x0.0p+0", "0x1.9c0ba62ef04b5p-3", "0x1.939c69257d6b6p-2",
-    "0x1.245676f08f3a4p-1", "0x1.72e6e181ab3c4p-1", "0x1.b248221fffd63p-1",
-    "0x1.dfe24c4f8b447p-1", "0x1.f9da27c32e6d0p-1")]
-_HALF_WEIGHTS = [float.fromhex(h) for h in (
-    "0x1.9ee1575f9c980p-3", "0x1.96633f1fd02cfp-3", "0x1.7d41fa76dc267p-3",
-    "0x1.5484f30a86ed3p-3", "0x1.1dd73b4963165p-3", "0x1.b6ec9635f1120p-4",
-    "0x1.2038260b5d03ap-4", "0x1.f7dc7227a2908p-6")]
-_NODES = np.array([-x for x in _HALF_NODES[:0:-1]] + _HALF_NODES)
-_WEIGHTS = np.array(_HALF_WEIGHTS[:0:-1] + _HALF_WEIGHTS)
-
-
-class QuadratureError(ArithmeticError):
-    """Refinement cannot reach the requested tolerance: the integrand is not
-    finite, the active panels exceed their cap, or the rounds run out."""
+_NODES = np.array(panels.NODES)
+_WEIGHTS = np.array(panels.WEIGHTS)
 
 
 def gauss_grid(lo, hi):
@@ -144,8 +127,9 @@ def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
 
     edges = np.array(sorted({a, b, *(float(p) for p in breakpoints if a < p < b)}))
     lo, hi = edges[:-1], edges[1:]
-    if lo.size > _MAX_ACTIVE_PANELS:
-        raise ValueError(f"more than {_MAX_ACTIVE_PANELS} seeded panels")
+    cap = panels._MAX_ACTIVE_PANELS
+    if lo.size > cap:
+        raise ValueError(f"more than {cap} seeded panels")
 
     accepted = []  # (lo, values) of each round's converged panels
     whole = None
@@ -162,9 +146,7 @@ def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
         left, right = v[..., :n], v[..., n:]
         refined = left + right
         err = np.abs(whole - refined)
-        budget = np.maximum(tol * ((hi - lo) / total_width),
-                            _REL_FLOOR * np.abs(refined))
-        ok = err <= budget
+        ok = accepts(err, refined, hi - lo, total_width, tol)
         if ok.ndim > 1:  # rows: every row must meet its budget
             ok = ok.all(axis=0)
         bad = ~ok
@@ -174,10 +156,8 @@ def panel_integrals(f, a: float, b: float, *, tol: float = TOLERANCE,
             accepted.append((lo, refined))
             break
         accepted.append((lo[ok], refined[..., ok]))
-        if 2 * np.count_nonzero(bad) > _MAX_ACTIVE_PANELS:
-            raise QuadratureError(
-                f"more than {_MAX_ACTIVE_PANELS} panels short of tolerance {tol:.3e}"
-            )
+        if 2 * np.count_nonzero(bad) > cap:
+            raise QuadratureError(f"more than {cap} panels short of tolerance {tol:.3e}")
         lo = np.concatenate([lo[bad], mid[bad]])
         hi = np.concatenate([mid[bad], hi[bad]])
         whole = np.concatenate([left[..., bad], right[..., bad]], axis=-1)

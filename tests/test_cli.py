@@ -226,8 +226,8 @@ class TestMollify:
         # only its edge u = 0, so [-1, 0] and [0, 1], and bisecting both stalls.
         # With the grading, or a cap of 1, the seeded panels alone exceed the
         # cap, a ValueError
-        monkeypatch.setattr("divsum.quadrature._MAX_ACTIVE_PANELS", 2)
-        monkeypatch.setattr("divsum.mollifiers._BUMP_GRADING", ())
+        monkeypatch.setattr("divsum.panels._MAX_ACTIVE_PANELS", 2)
+        monkeypatch.setattr("divsum.panels._BUMP_GRADING", ())
         code, out, err = run(capsys, "mollify", "--target", "S", "--levels", "3")
         assert (code, out) == (3, "")
         assert err == "numerical failure: more than 2 panels short of tolerance 1.000e-10\n"

@@ -5,6 +5,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +38,7 @@ from divsum.extrapolation import (
 from divsum.mollifiers import Mollifier, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
 from divsum.quadrature import _panel_values as panel_values
-from divsum.quadrature import TOLERANCE, integrate
+from divsum.quadrature import TOLERANCE, QuadratureError, integrate
 from divsum.sums import alternating_sum_powers, sum_powers
 from oracles import (
     _COMB_XI_MAX,
@@ -140,6 +141,16 @@ class TestFinitePartAction:
             tracemalloc.stop()
         assert abs(value - truth) < 1e-9
         assert peak < 1 << 30
+
+    def test_phi2_past_the_float_range_is_a_numerical_failure(self):
+        # amp * lam^2 * phi'' overflows on the probe: the input is valid, so
+        # the outcome is a typed numerical error, not a ValueError about the
+        # route's internal tolerance, and no overflow warning
+        tf = mollifier(4, 1).dilated(3268.76).shifted(3.14157).scaled(1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="float range"):
+                finite_part_action(tf)
 
 
 def remainder_truth(p: int, lam: float, centre: float, pole: float):
@@ -438,6 +449,16 @@ class TestAllPlusSeriesAction:
         with pytest.raises(ValueError, match="vanish"):
             all_plus_series_action(mollifier(0, 1))
 
+    @pytest.mark.parametrize("amp", [1e-8, 1e-10, 1e-12, 1e-20, 1e-30, 1e-300, 5e-324])
+    def test_vanishing_is_judged_at_chi_own_scale(self, amp):
+        # chi(0) = 0.83 amp.  An absolute test, 1e-9 (1 + max|chi|), would
+        # send amp 1e-10 and 1e-12 to a stalled quadrature, and return
+        # -1.27e-16 at amp 1e-20 for a pairing that does not exist
+        chi = mollifier(0, 1).dilated(4).scaled(amp)
+        with pytest.raises(ValueError, match="vanish"):
+            all_plus_series_action(chi)
+        assert all_plus_series_action(chi.scaled(0.0)) == 0j
+
     def test_support_restriction(self):
         with pytest.raises(ValueError, match="support"):
             all_plus_series_action(mollifier(2, 1).dilated(0.5))
@@ -726,7 +747,7 @@ def _count_integrand_calls(monkeypatch) -> list:
 
 def _without_grading(monkeypatch, compute):
     with monkeypatch.context() as patch:
-        patch.setattr("divsum.mollifiers._BUMP_GRADING", ())
+        patch.setattr("divsum.panels._BUMP_GRADING", ())
         return compute()
 
 
@@ -810,6 +831,13 @@ class TestBumpGrading:
 
 
 _KINK = lambda t: np.where(np.asarray(t) > 0, np.exp(t), 0.0)
+# the library's kernel of each numerical mollify target
+_LIBRARY_KERNELS = {
+    "S": alternating_kernel,
+    "H2S": lambda t: alternating_kernel(2.0 * t),
+    "T0": lambda t: -centered_kernel(t),
+    **{f"jump:{name}": f for name, f in JUMPS.items()},
+}
 
 
 class TestJumpKernelLadder:
@@ -836,19 +864,17 @@ class TestJumpKernelLadder:
     @pytest.mark.parametrize("target, p", [
         ("S", 0), ("S", 2), ("S", 4), ("H2S", 0), ("H2S", 2), ("H2S", 4),
         ("T0", 2), ("T0", 4)])
-    def test_cli_pass_matches_the_per_level_pairing(self, target, p):
-        # the CLI pairs S, H2S and T0 in jump_average's pass, each through
-        # its kernel; _LADDERS pairs phi_m level by level, the reference
-        # route.  H2S's per-level integral in t = 2u / m is twice its sample,
-        # so against the absolute tolerance its p = 4 levels bisect the
-        # bump's outermost panels, which the pass accepts in round 0.  The
-        # bound is 7e-15 of max(1, |value|); the measured worst gap at 3 to
-        # 20 levels is 3.28e-15, at m = 2
-        parser = cli.build_parser()
+    def test_library_kernels_match_the_per_level_pairing(self, target, p):
+        # jump_average pairs S, H2S and T0 in one pass, each through its
+        # kernel; _LADDERS pairs phi_m level by level, the reference route.
+        # H2S's per-level integral in t = 2u / m is twice its sample, so
+        # against the absolute tolerance its p = 4 levels bisect the bump's
+        # outermost panels, which the pass accepts in round 0.  The bound is
+        # 7e-15 of max(1, |value|); the measured worst gap at 3 to 20 levels
+        # is 3.28e-15, at m = 2
         for levels in range(3, MAX_LEVELS + 1):
-            args = parser.parse_args(["mollify", "--target", target, "--p", str(p),
-                                      "--levels", str(levels)])
-            rec, ref = cli._mollify_limit(args), _LADDERS[target](p, levels)
+            rec = jump_average(_LIBRARY_KERNELS[target], p, levels)
+            ref = _LADDERS[target](p, levels)
             if (target, p) != ("H2S", 4):
                 assert rec == ref, levels
                 continue
@@ -858,6 +884,43 @@ class TestJumpKernelLadder:
                 pairs.append((rec.extrapolated, ref.extrapolated))
             for a, b in pairs:
                 assert abs(a - b) <= 7e-15 * max(1.0, abs(b)), levels
+
+    @pytest.mark.parametrize("target", sorted(_LIBRARY_KERNELS))
+    def test_cli_pass_matches_jump_average(self, target):
+        # the CLI runs panels.kernel_ladder, jump_average on plain floats,
+        # with its own kernels of one float.  Each panel row is math.fsum of
+        # its weighted nodes where jump_average takes BLAS's dot product, and
+        # the bump takes libm's exp where numpy may dispatch its own, so the
+        # samples differ by a few ulps.  Over all 306 ladders the measured
+        # worst gaps are 2.22e-16 of max(1, |sample|) and 3.33e-16 of
+        # max(1, |value|) for the extrapolant, on both numpy dispatch paths;
+        # the bounds are about twice those
+        parser = cli.build_parser()
+        for p in (2, 4) if target == "T0" else (0, 2, 4):
+            for levels in range(3, MAX_LEVELS + 1):
+                args = parser.parse_args(["mollify", "--target", target, "--p", str(p),
+                                          "--levels", str(levels)])
+                rec = cli._mollify_limit(args)
+                ref = jump_average(_LIBRARY_KERNELS[target], p, levels)
+                assert rec.converged == ref.converged, (p, levels)
+                assert [s for s, _ in rec.samples] == [s for s, _ in ref.samples]
+                for (_, a), (_, b) in zip(rec.samples, ref.samples):
+                    assert abs(a - b) <= 5e-16 * max(1.0, abs(b)), (p, levels)
+                assert (rec.extrapolated is None) == (ref.extrapolated is None)
+                if ref.extrapolated is not None:
+                    assert abs(rec.extrapolated - ref.extrapolated) <= (
+                        7e-16 * max(1.0, abs(ref.extrapolated))), (p, levels)
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_cli_pass_gives_the_odd_sign_kernel_exact_zeros(self, p):
+        # each panel row is a correctly rounded sum over one panel, and the
+        # bump is exactly even, so mirrored panels cancel bit for bit;
+        # jump_average's BLAS rows leave -1.6e-18 (p = 0) and 5.6e-17 (p = 2)
+        # on an AVX512 host
+        args = cli.build_parser().parse_args(
+            ["mollify", "--target", "jump:sign", "--p", str(p), "--levels", "20"])
+        rec = cli._mollify_limit(args)
+        assert [v for _, v in rec.samples] == [0j] * 20
 
 
 class TestScaleLadderEstimates:

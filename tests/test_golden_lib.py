@@ -16,11 +16,12 @@ exactly.  Every value, estimate and growth exponent must lie within
 samples and extrapolant): the same absolute-below-1 floor as the library's
 absolute quadrature tolerance.  The entries are replayed in process, and
 with the numerical cases of ``golden_cli.json`` in one cold interpreter per
-entry of ``ENVIRONMENTS``: OpenBLAS unset (the CLI pins it to one thread),
-at two threads, with ``DIVSUM_QUAD_TOL`` set (the library reads no such
-variable), and with numpy's AVX512-class loops switched off.  The last
-bits of samples depend on numpy's CPU dispatch; the printed digits and
-every entry within ``REL_BOUND`` do not.
+entry of ``ENVIRONMENTS``: OpenBLAS at one thread and at two, with
+``DIVSUM_QUAD_TOL`` set (the library reads no such variable), and with
+numpy's AVX512-class loops switched off.  The CLI cases load no numpy,
+and the replay asserts that.  The last bits of library samples depend on
+numpy's CPU dispatch; the printed digits and every entry within
+``REL_BOUND`` do not.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_lib.py --write``;
 it prints each entry that moves, and by how much, before it rewrites the
@@ -64,7 +65,7 @@ PI = math.pi
 # extrapolant of the p = 2 bump at offset 0.3), and scaling every integrand
 # value by a random 1 + 4 eps * U(-1, 1) by at most 1.6e-13
 REL_BOUND = 1e-12
-# the CLI cases that run the numerical layers, and whose cold run pins BLAS
+# the CLI cases that run the numerical ladders
 NUMERICAL = [c for c in CASES if {"coeff", "mollify"} & set(c["argv"])]
 
 
@@ -200,14 +201,16 @@ def avx512_targets() -> list:
 
 HOST_TARGETS = avx512_targets()
 # (environment changes, OPENBLAS_NUM_THREADS and AVX512-class targets the
-# replay must report); numpy reads NPY_DISABLE_CPU_FEATURES at import, so the
-# last entry runs the loops of a host without AVX512
+# replay must report).  No CLI case loads numpy, so the library records run
+# at the thread count set here, which main() leaves alone; numpy reads
+# NPY_DISABLE_CPU_FEATURES at import, so the last entry runs the loops of a
+# host without AVX512
 ENVIRONMENTS = [
-    pytest.param({"OPENBLAS_NUM_THREADS": None}, "1", HOST_TARGETS, id="blas-unset"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "1"}, "1", HOST_TARGETS, id="blas-1"),
     pytest.param({"OPENBLAS_NUM_THREADS": "2"}, "2", HOST_TARGETS, id="blas-2"),
-    pytest.param({"OPENBLAS_NUM_THREADS": None, "DIVSUM_QUAD_TOL": "1e-300"}, "1",
+    pytest.param({"OPENBLAS_NUM_THREADS": "1", "DIVSUM_QUAD_TOL": "1e-300"}, "1",
                  HOST_TARGETS, id="quad-tol-1e-300"),
-    pytest.param({"OPENBLAS_NUM_THREADS": None,
+    pytest.param({"OPENBLAS_NUM_THREADS": "1",
                   "NPY_DISABLE_CPU_FEATURES": " ".join(HOST_TARGETS)}, "1", [],
                  id="no-avx512", marks=pytest.mark.skipif(
                      not HOST_TARGETS,
@@ -216,8 +219,9 @@ ENVIRONMENTS = [
 
 # argv[1] is the tests directory and argv[2] the JSON list of CLI argvs.  The
 # CLI cases run before anything loads numpy, as in a cold command; the report
-# is the final OPENBLAS_NUM_THREADS, the AVX512-class targets numpy enabled,
-# each case's exit code and stdout, and the library records
+# is whether they loaded numpy, the final OPENBLAS_NUM_THREADS, the
+# AVX512-class targets numpy enabled, each case's exit code and stdout, and
+# the library records
 _REPLAY = r"""
 import contextlib, io, json, os, sys
 from divsum.cli import main
@@ -227,23 +231,25 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     results.append([code, out.getvalue()])
+cli_numpy = "numpy" in sys.modules
 sys.path.insert(0, sys.argv[1])
 from test_golden_lib import avx512_targets, compute
 records = compute()
-sys.stderr.write("\n" + json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
+sys.stderr.write("\n" + json.dumps([cli_numpy, os.environ.get("OPENBLAS_NUM_THREADS"),
                                     avx512_targets(), results, records]))
 """
 
 
 @pytest.mark.parametrize("env, threads, targets", ENVIRONMENTS)
 def test_cold_replay_of_both_goldens(env, threads, targets):
-    value, enabled, results, records = _run_probe(
+    cli_numpy, value, enabled, results, records = _run_probe(
         _REPLAY, str(Path(__file__).parent),
         json.dumps([c["argv"] for c in NUMERICAL]), env=env)
     missed = [" ".join(c["argv"]) for c, (code, out) in zip(NUMERICAL, results)
               if (code, out) != (c["code"], c["stdout"])]
-    assert (value, enabled, len(results), missed, misses(_golden(), records)) == (
-        threads, targets, len(NUMERICAL), [], [])
+    assert (cli_numpy, value, enabled, len(results), missed,
+            misses(_golden(), records)) == (
+        False, threads, targets, len(NUMERICAL), [], [])
 
 
 def write() -> None:

@@ -1,7 +1,7 @@
 """Import graph and public names.
 
 The exact subcommands load only the standard library modules they run and
-the exact layers, coeff and the Dirichlet comb load no numpy, and no
+the exact layers, coeff and every mollify target load no numpy, and no
 subcommand loads ``divsum.series``, the Gaussian-rational series
 (arithmetic included) that the tests use as an oracle, or ``dataclasses``:
 every record a subcommand builds is a named tuple.  A cold numerical
@@ -80,7 +80,8 @@ def test_exact_commands_skip_numerical_layers(argv):
 
 
 def test_odd_check_below_53_sums_with_numpy():
-    # zeta(52) still differs from 1.0 plus its tail in the last bit
+    # zeta(52) still differs from 1.0 plus its tail in the last bit; the
+    # probe sees numpy when a command does load it
     assert loaded_after("check", "--k", "51", among=("numpy",)) == (0, ["numpy"])
 
 
@@ -101,10 +102,13 @@ def test_cli_module_alone_skips_casimir():
         0, ["divsum.casimir"])
 
 
-def test_ladder_commands_load_them():
-    # the probe sees the modules when a command does need them
-    assert loaded_after("mollify", "--target", "S", "--levels", "3") == (
-        0, list(NUMERIC_MODULES))
+@pytest.mark.parametrize("target, p", [
+    ("S", "0"), ("H2S", "2"), ("T0", "2"), ("jump:heaviside", "0"),
+    ("jump:sign", "2"), ("jump:cos", "4")])
+def test_numerical_mollify_skips_numerical_layers(target, p):
+    # each target is one kernel pass of divsum.panels on plain floats
+    assert loaded_after("mollify", "--target", target, "--p", p, "--levels", "3",
+                        among=NUMERIC_MODULES) == (0, [])
 
 
 def test_coeff_skips_numerical_layers():
@@ -135,24 +139,25 @@ threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
 sys.stderr.write(json.dumps([code, threads, after.get("OPENBLAS_NUM_THREADS"), changed]))
 """
-MOLLIFY_S = ("--quiet", "mollify", "--target", "S", "--p", "2")
+# an odd-k check below 53, with all of its 10^6 terms, loads numpy
+CHECK_3 = ("--quiet", "check", "--k", "3")
 UNSET = {"OPENBLAS_NUM_THREADS": None}
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_cold_numerical_command_holds_one_thread():
-    assert _run_probe(_BLAS_PROBE, "cold", *MOLLIFY_S, env=UNSET) == [
+    assert _run_probe(_BLAS_PROBE, "cold", *CHECK_3, env=UNSET) == [
         0, 1, "1", ["OPENBLAS_NUM_THREADS"]]
 
 
 def test_caller_thread_count_wins():
     code, _, value, changed = _run_probe(
-        _BLAS_PROBE, "cold", *MOLLIFY_S, env={"OPENBLAS_NUM_THREADS": "2"})
+        _BLAS_PROBE, "cold", *CHECK_3, env={"OPENBLAS_NUM_THREADS": "2"})
     assert (code, value, changed) == (0, "2", [])
 
 
 def test_after_numpy_loads_environment_is_left_alone():
-    code, _, value, changed = _run_probe(_BLAS_PROBE, "numpy", *MOLLIFY_S, env=UNSET)
+    code, _, value, changed = _run_probe(_BLAS_PROBE, "numpy", *CHECK_3, env=UNSET)
     assert (code, value, changed) == (0, None, [])
 
 

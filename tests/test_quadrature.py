@@ -7,11 +7,8 @@ import pytest
 
 from divsum.distributions import alternating_kernel
 from divsum.mollifiers import mollifier
+from divsum.panels import _MAX_ACTIVE_PANELS, _MAX_ROUNDS, _REL_FLOOR, GAUSS_ORDER
 from divsum.quadrature import (
-    _MAX_ACTIVE_PANELS,
-    _MAX_ROUNDS,
-    _REL_FLOOR,
-    GAUSS_ORDER,
     QuadratureError,
     TOLERANCE,
     _NODES,
