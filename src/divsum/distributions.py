@@ -324,8 +324,9 @@ def mollified_limit(pairing, vanishing_order: int = 0,
     levels) are reported with the fitted power of m instead of a limit.
 
     The per-level reference route: one pairing, so one adaptive quadrature,
-    per level.  The CLI takes ``jump_average``'s one kernel pass instead;
-    the tests check it against this route, and perfbench/ calls this one.
+    per level.  The CLI's ``mollify`` runs ``panels.kernel_ladder``, the
+    plain-float twin of ``jump_average``'s one kernel pass, instead; the
+    tests check both against this route, and perfbench/ calls this one.
     """
     scales = _scale_ladder(levels)
     bump = Mollifier(vanishing_order)

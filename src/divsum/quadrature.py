@@ -27,9 +27,10 @@ any row misses its budget, and a stall reports the worst row's residual.
 A ladder whose levels share their nodes, as the jump ladder does in the
 bump's own coordinate, is then one adaptive pass.
 
-``gauss_grid`` is the one place the Gauss node and weight layout is built;
+``gauss_grid`` builds the Gauss node and weight layout on numpy arrays;
 the adaptive panels here use it, and so do the fixed grids of the test
-oracles in ``tests/oracles.py``.
+oracles in ``tests/oracles.py``.  The plain-float ``panels.kernel_ladder``
+maps the same nodes onto its panels itself.
 ``panel_integrals`` hands out the accepted panels themselves, sorted by
 left edge, for callers that read prefix or suffix sums over them or sum
 each row; ``panel_sum`` is the correctly rounded sum of one row.

@@ -13,8 +13,9 @@ and tan x = sum_k T_k x^k / k! with integer tangent numbers T_k (zero for
 even k), the derivative is f^{(k-1)}(0) = T_k / 2^{k+1}.  For odd k,
 i^{k-1} = (-1)^{(k-1)/2}, so every value is an exact rational built from
 one integer, computed by the Knuth-Buckholtz recurrence.  The exact
-Taylor series of f in ``divsum.series`` is the paper's own route to the
-same derivatives; the tests compare the two.  Independent oracles:
+Taylor series of f in ``divsum.series``, its coefficients pairs of
+Fractions, is the paper's own route to the same derivatives; the tests
+compare the two.  Independent oracles:
 Bernoulli numbers via the defining recurrence, zeta(-k) = -B_{k+1}/(k+1),
 and the classical functional-equation identity checked in floating point.
 """

@@ -6,17 +6,21 @@ adaptive quadrature of the Fejer form and through its terms summed one by
 one, the bump masses through adaptive quadrature, the direct zeta
 series as one np.sum over a second array of powers, and the S, H2S, T0 and
 jump:cos scale ladders sample by sample through their series in the
-bump's moments.  It also holds the inputs that ``golden_lib.json`` pins
-and the mpmath truths and layout checks share: the bump tables, the
-seeded draw of bumps spanning several periods, and the jump functions."""
+bump's moments.  ``BumpSecondDerivative`` is the bump's phi'' as a test
+function base, with an exact phi''', for the paper's k = 3 ladders.  It
+also holds the inputs that ``golden_lib.json`` pins and the mpmath truths
+and layout checks share: the bump tables, the seeded draw of bumps
+spanning several periods, and the jump functions."""
 
 import functools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
+from divsum.coefficients import _BUMP_MASSES
 from divsum.distributions import alternating_series_action
 from divsum.extrapolation import (
     _EPS_FIRST_ORDER,
@@ -84,6 +88,47 @@ def heaviside(t):
 
 # the functions whose jump averages at 0 are 1/2, 0 and 1
 JUMPS = {"heaviside": heaviside, "sign": np.sign, "cos": np.cos}
+
+
+def _bump_third_derivative(t: np.ndarray, p: int) -> np.ndarray:
+    """phi''' of the unit bump t^p psi(t) / C_p by the Leibniz rule, with
+    psi's jet taken to order 3; exact zeros outside (-1, 1)."""
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    ti = t[inside]
+    s, u = ti * ti, 1.0 - ti * ti
+    # the first three derivatives of -1/(1 - t^2)
+    g1 = -2.0 * ti / u**2
+    g2 = -2.0 / u**2 - 8.0 * s / u**3
+    g3 = -24.0 * ti / u**3 - 48.0 * (ti * s) / u**4
+    e = np.exp(-1.0 / u)
+    psi = [e, e * g1, e * (g1 * g1 + g2), e * (g1 * g1 * g1 + 3.0 * g1 * g2 + g3)]
+    mono = {0: [1.0, 0.0, 0.0, 0.0],
+            2: [s, 2.0 * ti, 2.0, 0.0],
+            4: [s * s, 4.0 * (ti * s), 12.0 * s, 24.0 * ti]}[p]
+    out[inside] = sum(math.comb(3, i) * mono[3 - i] * psi[i] for i in range(4))
+    return out / _BUMP_MASSES[p]
+
+
+class BumpSecondDerivative(namedtuple("BumpSecondDerivative", "vanishing_order")):
+    """A TestFunction base whose value is phi'' of the unit bump of the given
+    vanishing order and whose deriv is its exact phi''', on the bump's
+    support and grading.  TestFunction(base, lam=m, amp=-m**3) is -phi_m'':
+    paired with S or T0 it gives what phi_m gives against their term-by-term
+    derivatives -S'' = sum (-1)^{n+1} n^3 e^{int} and -T0'' = sum n^3 e^{int}."""
+
+    __slots__ = ()
+    support = (-1.0, 1.0)
+
+    @property
+    def breakpoints(self) -> tuple:
+        return Mollifier(self.vanishing_order).breakpoints
+
+    def value(self, t) -> np.ndarray:
+        return Mollifier(self.vanishing_order).deriv2(t)
+
+    def deriv(self, t) -> np.ndarray:
+        return _bump_third_derivative(np.asarray(t, dtype=float), self.vanishing_order)
 
 
 def bump_moment_quadrature(j: int) -> float:

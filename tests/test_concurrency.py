@@ -5,14 +5,17 @@ which is computed lazily)."""
 from concurrent.futures import ThreadPoolExecutor
 
 from divsum.distributions import alternating_series_action, mollified_limit
-from divsum.series import derivative_at_zero, generating_function_series, i_pow
+from divsum.series import derivative_at_zero, generating_function_series
 from divsum.sums import sum_powers, zeta_negative_oracle
 
 
 def _work(k: int):
     total = sum_powers(k).value
     oracle = zeta_negative_oracle(k)
-    series = derivative_at_zero(generating_function_series(), k - 1) / i_pow(k - 1)
+    # f^(k-1)(0) / i^(k-1): (-1)^((k-1)/2) f^(k-1)(0) for odd k, 0 for even k
+    re, im = derivative_at_zero(generating_function_series(), k - 1)
+    assert im == 0
+    series = (-1) ** ((k - 1) // 2) * re
     ladder = mollified_limit(alternating_series_action, (k % 3) * 2, levels=4)
     return total, oracle, series, ladder.extrapolated
 

@@ -2,9 +2,9 @@
 
 The exact subcommands load only the standard library modules they run and
 the exact layers, coeff and every mollify target load no numpy, and no
-subcommand loads ``divsum.series``, the Gaussian-rational series
-(arithmetic included) that the tests use as an oracle, or ``dataclasses``:
-every record a subcommand builds is a named tuple.  A cold numerical
+subcommand loads ``divsum.series``, the exact series of the generating
+function that the tests use as an oracle.  No module of the library loads
+``dataclasses``: every record it builds is a named tuple.  A cold numerical
 subcommand runs OpenBLAS on one thread unless the caller chose a count.
 Each command runs in a fresh interpreter, which then reports the modules,
 threads or environment it holds.
@@ -177,6 +177,27 @@ def test_after_numpy_loads_environment_is_left_alone():
 def test_no_command_loads_the_series_oracle(argv):
     # nor dataclasses: the library's records are named tuples
     assert loaded_after(*argv, among=ORACLE_MODULES + ("dataclasses",)) == (0, [])
+
+
+# the report is every module found and the first after whose import
+# dataclasses was loaded, or None
+_ALL_MODULES_PROBE = """
+import importlib, json, pkgutil, sys
+import divsum
+names = sorted(m.name for m in pkgutil.iter_modules(divsum.__path__))
+first = None
+for name in names:
+    importlib.import_module(f"divsum.{name}")
+    if first is None and "dataclasses" in sys.modules:
+        first = name
+sys.stderr.write(json.dumps([names, first]))
+"""
+
+
+def test_no_module_loads_dataclasses():
+    names, first = _run_probe(_ALL_MODULES_PROBE)
+    assert "series" in names and "cli" in names
+    assert first is None
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from divsum import sums
-from divsum.series import derivative_at_zero, generating_function_series, i_pow
+from divsum.series import derivative_at_zero, generating_function_series
 from divsum.sums import (
     SumKind,
     alternating_sum_powers,
@@ -240,12 +240,14 @@ class TestDilationCommutation:
 
 class TestRouteAgreement:
     def test_series_oracle_matches_tangent_route(self):
-        # the paper's Gaussian-rational series, on both sides of DEFAULT_ORDER
-        s = generating_function_series(70)
-        for k in range(1, 71):
-            g = derivative_at_zero(s, k - 1) / i_pow(k - 1)
-            assert g.is_real()
-            assert g.re == alternating_sum_powers(k).value
+        # the paper's exact series, for every k that sum_powers takes:
+        # f^(k-1)(0) / i^(k-1) is (-1)^((k-1)/2) f^(k-1)(0) for odd k, and
+        # for even k it is 0, as f^(k-1)(0) of the even f is
+        s = generating_function_series(199)
+        for k in range(1, 201):
+            re, im = derivative_at_zero(s, k - 1)
+            assert im == 0
+            assert (-1) ** ((k - 1) // 2) * re == alternating_sum_powers(k).value
 
     def test_bernoulli_oracle_up_to_200(self):
         table = bernoulli_numbers(201)
