@@ -45,6 +45,16 @@ def _reciprocal(a) -> list:
     return out
 
 
+def _exp_it(order: int) -> list:
+    """The series of e^{it}: i^j / j! at t^j, for j = 0, ..., order."""
+    out, c, zero = [], Fraction(1), Fraction(0)  # c = 1 / j!
+    for j in range(order + 1):
+        if j:
+            c /= j
+        out.append(((c, zero), (zero, c), (-c, zero), (zero, -c))[j % 4])
+    return out
+
+
 @lru_cache(maxsize=None)
 def generating_function_series(order: int = DEFAULT_ORDER) -> tuple:
     """The coefficients of f at t^0, ..., t^order, as pairs (re, im).
@@ -53,12 +63,8 @@ def generating_function_series(order: int = DEFAULT_ORDER) -> tuple:
     (the function is even in t).
     """
     order = integer(order, "order", 0)
-    exp_it, c, zero = [], Fraction(1), Fraction(0)  # c = 1 / j!
-    for j in range(order + 1):
-        if j:
-            c /= j
-        exp_it.append(((c, zero), (zero, c), (-c, zero), (zero, -c))[j % 4])
-    one_plus = [(exp_it[0][0] + 1, zero), *exp_it[1:]]
+    exp_it = _exp_it(order)
+    one_plus = [(exp_it[0][0] + 1, Fraction(0)), *exp_it[1:]]
     return tuple(_product(exp_it, _reciprocal(_product(one_plus, one_plus))))
 
 

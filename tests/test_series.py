@@ -1,22 +1,152 @@
 """The generating-function pipeline: exact series coefficients as pairs
-(re, im) of Fractions.
+(re, im) of Fractions, and the pair arithmetic and truncated-series
+helpers it is built from.
 
 The derivative values that feed the closed-form sums are frozen here after
 verification against an independent symbolic-differentiation oracle
 (sympy), which is also run directly for small orders.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divsum.series import DEFAULT_ORDER, derivative_at_zero, generating_function_series
+from divsum.series import (
+    DEFAULT_ORDER,
+    _dot,
+    _exp_it,
+    _product,
+    _reciprocal,
+    derivative_at_zero,
+    generating_function_series,
+)
 
 ZERO = (Fraction(0), Fraction(0))
+UNIT_I = (Fraction(0), Fraction(1))
 
 
 def real(x) -> tuple:
     return (Fraction(x), Fraction(0))
+
+
+def pair(re, im=0) -> tuple:
+    return (Fraction(re), Fraction(im))
+
+
+def series(*values) -> list:
+    return [pair(*v) if isinstance(v, tuple) else pair(v) for v in values]
+
+
+def mul(a, b) -> tuple:
+    return _dot([a], [b])
+
+
+def add(a, b) -> tuple:
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def sub(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+rationals = st.fractions(
+    min_value=Fraction(-10), max_value=Fraction(10), max_denominator=20
+)
+pairs = st.tuples(rationals, rationals)
+small_rationals = st.fractions(
+    min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
+)
+small_pairs = st.tuples(small_rationals, small_rationals)
+
+
+def series_of(n):
+    return st.lists(small_pairs, min_size=n, max_size=n)
+
+
+# _reciprocal's contract: the constant term is real and nonzero
+invertible_series = st.tuples(
+    small_rationals.filter(bool), st.lists(small_pairs, min_size=0, max_size=4)
+).map(lambda t: [(t[0], Fraction(0)), *t[1]])
+
+
+class TestPairArithmetic:
+    def test_identity_product(self):
+        assert mul(pair(1), UNIT_I) == UNIT_I
+
+    def test_i_squared(self):
+        assert mul(UNIT_I, UNIT_I) == pair(-1)
+
+    def test_dot_sums_the_products(self):
+        assert _dot(series(1, (0, 1)), series((2, 1), (0, 1))) == pair(1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs, pairs, pairs)
+    def test_associativity_and_distributivity(self, a, b, c):
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(a, sub(b, c)) == sub(mul(a, b), mul(a, c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs, pairs)
+    def test_commutativity(self, a, b):
+        assert mul(a, b) == mul(b, a)
+
+
+class TestBasicOps:
+    def test_exp_it_order_zero(self):
+        assert _exp_it(0) == [pair(1)]
+
+    def test_exp_it_order_two(self):
+        assert _exp_it(2) == [pair(1), UNIT_I, pair(Fraction(-1, 2))]
+
+    def test_exp_it_cubic_coefficient(self):
+        # i^3 / 3! = -i/6
+        assert _exp_it(3)[3] == pair(0, Fraction(-1, 6))
+
+    @pytest.mark.parametrize("j, expected", [
+        (0, pair(1)), (1, UNIT_I), (2, pair(-1)), (3, pair(0, -1)), (4, pair(1)),
+        (101, UNIT_I)])
+    def test_exp_it_i_power_cycle(self, j, expected):
+        # j! times the coefficient at t^j is i^j
+        re, im = _exp_it(j)[j]
+        assert (re * math.factorial(j), im * math.factorial(j)) == expected
+
+    def test_reciprocal_geometric(self):
+        assert _reciprocal(series(1, 1, 0, 0)) == series(1, -1, 1, -1)
+
+    def test_reciprocal_needs_nonzero_constant(self):
+        with pytest.raises(ZeroDivisionError):
+            _reciprocal(series(0, 1))
+
+    def test_mul(self):
+        assert _product(series(1, 1), series(1, -1)) == series(1, 0)
+        assert _product(series(1, 1, 0), series(1, -1, 0)) == series(1, 0, -1)
+        assert _product(series(1, (0, 1)), series(1, (0, 1))) == series(1, (0, 2))
+
+
+class TestRingProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(series_of(n), series_of(n), series_of(n))))
+    def test_mul_associative_up_to_truncation(self, abc):
+        a, b, c = abc
+        assert _product(_product(a, b), c) == _product(a, _product(b, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(series_of(n), series_of(n))))
+    def test_mul_commutative(self, ab):
+        a, b = ab
+        assert _product(a, b) == _product(b, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(invertible_series)
+    def test_mul_by_reciprocal_is_one(self, s):
+        one = [pair(1)] + [ZERO] * (len(s) - 1)
+        assert _product(s, _reciprocal(s)) == one
 
 
 class TestGeneratingFunction:
