@@ -13,12 +13,14 @@ as "p/q", so output is byte-stable for golden tests.
 Each subcommand imports only what it runs.  At load this module imports
 argparse, math, os and sys.  sum, zeta, table and an even-k check add
 ``divsum.sums`` (with fractions and decimal); casimir adds
-``divsum.casimir``, which loads ``divsum.sums``; only an odd-k check below
-53 adds numpy, for its direct series, whose terms past n = 1 cannot move
-1.0 from k = 53 on.  coeff and ``mollify --target dirichlet``, closed
-forms, add only ``divsum.coefficients`` and ``divsum.extrapolation``; the
-other mollify targets add ``divsum.panels`` as well, whose kernel pass
-runs on plain floats.  --format json or csv adds its writer.
+``divsum.casimir``, which loads ``divsum.sums``; only check at k = 1 or 3
+adds numpy, for its direct series at more than 8192 terms (10^6 by
+default): from k = 5 on the skips leave at most 5407 terms, which plain
+Python sums, and from k = 53 on the terms past n = 1 cannot move 1.0.
+coeff and ``mollify --target dirichlet``, closed forms, add only
+``divsum.coefficients`` and ``divsum.extrapolation``; the other mollify
+targets add ``divsum.panels`` as well, whose kernel pass runs on plain
+floats.  --format json or csv adds its writer.
 """
 
 import argparse

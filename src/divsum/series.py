@@ -56,16 +56,25 @@ def _exp_it(order: int) -> list:
 
 
 @lru_cache(maxsize=None)
+def _series(order: int) -> tuple:
+    exp_it = _exp_it(order)
+    one_plus = [(exp_it[0][0] + 1, Fraction(0)), *exp_it[1:]]
+    return tuple(_product(exp_it, _reciprocal(_product(one_plus, one_plus))))
+
+
 def generating_function_series(order: int = DEFAULT_ORDER) -> tuple:
     """The coefficients of f at t^0, ..., t^order, as pairs (re, im).
 
     Constant term 1/4; every odd-index coefficient comes out exactly 0
-    (the function is even in t).
+    (the function is even in t).  The series is cached on the checked int
+    order, so every spelling of one order builds it once;
+    ``cache_info`` and ``cache_clear`` are the cache's.
     """
-    order = integer(order, "order", 0)
-    exp_it = _exp_it(order)
-    one_plus = [(exp_it[0][0] + 1, Fraction(0)), *exp_it[1:]]
-    return tuple(_product(exp_it, _reciprocal(_product(one_plus, one_plus))))
+    return _series(integer(order, "order", 0))
+
+
+generating_function_series.cache_info = _series.cache_info
+generating_function_series.cache_clear = _series.cache_clear
 
 
 def derivative_at_zero(series, k: int) -> tuple:

@@ -4,7 +4,8 @@ the lacunary Fourier series, the jump pairing level by level, the
 Dirichlet comb through its truncated spectral sum, the c_n ladder through
 adaptive quadrature of the Fejer form and through its terms summed one by
 one, the bump masses through adaptive quadrature, the direct zeta
-series as one np.sum over a second array of powers, and the S, H2S, T0 and
+series as one np.sum over a second array of powers (libm's where the code
+sums in plain Python, numpy's elsewhere), and the S, H2S, T0 and
 jump:cos scale ladders sample by sample through their series in the
 bump's moments.  ``BumpSecondDerivative`` is the bump's phi'' as a test
 function base, with an exact phi''', for the paper's k = 3 ladders.  It
@@ -330,11 +331,15 @@ def homothety_pairing_check(phi: TestFunction, lam: float,
     return abs(via_definition - via_series) <= tol
 
 
-def zeta_partial_sum_two_arrays(s: float, terms: int) -> float:
-    """``zeta_partial_sum`` as one np.sum over n ** (-s) in a second array:
-    the reference for its in-place powers, which must agree bitwise."""
+def zeta_partial_sum_two_arrays(s: float, terms: int, libm_terms: int = 0) -> float:
+    """``zeta_partial_sum`` as one np.sum over the powers n^{-s} in a second
+    array: libm's pow (Python's float power) for n <= libm_terms, the terms
+    that the code sums in plain Python, and np.power above.  The reference
+    for its pieces, which must agree bitwise."""
     n = np.arange(1, terms + 1, dtype=np.float64)
-    return float(np.sum(n ** (-s))) + terms ** (1.0 - s) / (s - 1.0)
+    powers = n ** (-s)
+    powers[:libm_terms] = [float(m) ** -s for m in range(1, libm_terms + 1)]
+    return float(np.sum(powers)) + terms ** (1.0 - s) / (s - 1.0)
 
 
 def ramanujan_identity_check(order: int) -> bool:

@@ -1,7 +1,8 @@
 """Import graph and public names.
 
 The exact subcommands load only the standard library modules they run and
-the exact layers, coeff and every mollify target load no numpy, and no
+the exact layers, coeff, every mollify target and an odd-k check from k = 5
+on load no numpy, and no
 subcommand loads ``divsum.series``, the exact series of the generating
 function that the tests use as an oracle.  No module of the library loads
 ``dataclasses``: every record it builds is a named tuple.  A cold numerical
@@ -79,10 +80,14 @@ def test_exact_commands_skip_numerical_layers(argv):
     assert loaded_after(*argv, among=among) == (0, [])
 
 
-def test_odd_check_below_53_sums_with_numpy():
-    # zeta(52) still differs from 1.0 plus its tail in the last bit; the
-    # probe sees numpy when a command does load it
-    assert loaded_after("check", "--k", "51", among=("numpy",)) == (0, ["numpy"])
+@pytest.mark.parametrize("k,numpy", [
+    ("1", True), ("3", True), ("5", False), ("21", False), ("51", False)])
+def test_odd_check_loads_numpy_only_for_k_1_and_3(k, numpy):
+    # below k = 53 the series for zeta(k + 1) is summed: k = 1 and 3 keep
+    # all 10^6 terms, for numpy, and from k = 5 on at most 5407 are left
+    # after the skips, which plain Python sums
+    assert loaded_after("check", "--k", k, among=("numpy",)) == (
+        0, ["numpy"] if numpy else [])
 
 
 @pytest.mark.parametrize("argv,wanted", [
@@ -139,7 +144,7 @@ threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
 sys.stderr.write(json.dumps([code, threads, after.get("OPENBLAS_NUM_THREADS"), changed]))
 """
-# an odd-k check below 53, with all of its 10^6 terms, loads numpy
+# check --k 3, with all of its 10^6 terms, loads numpy
 CHECK_3 = ("--quiet", "check", "--k", "3")
 UNSET = {"OPENBLAS_NUM_THREADS": None}
 

@@ -156,6 +156,20 @@ class TestGeneratingFunction:
         assert f[1] == ZERO
         assert f[2] == real(Fraction(1, 16))
 
+    def test_each_order_builds_once(self):
+        # the cache keys on the checked order, not on how the call spells it
+        generating_function_series.cache_clear()
+        try:
+            series = {generating_function_series(),
+                      generating_function_series(64),
+                      generating_function_series(order=64),
+                      generating_function_series(64.0)}
+            info = generating_function_series.cache_info()
+        finally:
+            generating_function_series.cache_clear()
+        assert len(series) == 1
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
     def test_coefficients_are_fraction_pairs(self):
         f = generating_function_series()
         assert len(f) == DEFAULT_ORDER + 1

@@ -1,11 +1,16 @@
 """Closed-form regularized sums against the Bernoulli/zeta oracles."""
 
 import math
+import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divsum import sums
 from divsum.series import derivative_at_zero, generating_function_series
@@ -206,20 +211,68 @@ class TestZetaPartialSum:
                 for terms in (10, 127, 129, 65537, 100003, 10**6, 2**20, 2**20 + 7)]
     SUM_GRID += [(s, terms) for terms in (3 * 10**6, 4 * 2**20 + 3)
                  for s in (2, 3, 10, 52, 54)]
+    # sums of at most _SUM_PY_LEAF terms whose last bit differs between
+    # libm's powers and numpy's AVX512 power
+    SUM_GRID += [(1.879, 134), (2.937, 3776)]
 
     @pytest.mark.parametrize("s,terms", SUM_GRID)
-    def test_in_place_powers_match_two_arrays(self, s, terms):
+    def test_in_place_powers_match_two_arrays(self, s, terms, monkeypatch):
         # the pieces of numpy's pairwise tree add up to one np.sum over all
-        # the terms, bit for bit, with one leaf buffer at a time
-        expected = zeta_partial_sum_two_arrays(s, terms)
+        # the terms, bit for bit, with one leaf buffer at a time; the
+        # reference takes libm's powers for the terms that the code sums in
+        # plain Python, which the spy counts, and numpy's for the rest
+        python_pieces = []
+
+        def spy(a, lo=0, n=None):
+            if n is None:
+                python_pieces.append(len(a))
+            return pairwise_sum(a, lo, n)
+
+        pairwise_sum = sums._pairwise_sum
+        monkeypatch.setattr(sums, "_pairwise_sum", spy)
         tracemalloc.start()
         try:
             got = zeta_partial_sum(s, terms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        expected = zeta_partial_sum_two_arrays(s, terms, sum(python_pieces))
         assert got.hex() == expected.hex()
         assert peak < 1.5 * 8 * sums._SUM_LEAF, peak
+        assert max(python_pieces, default=0) <= sums._SUM_PY_LEAF
+
+    # from s = 6 on at most 5407 terms are left after the skips, at any count
+    @pytest.mark.parametrize("s", range(6, 53, 2))
+    def test_no_numpy_from_s_6(self, s, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+        for terms in (10, 5407, 5408, 10**6, 10**7, sums._MAX_TERMS):
+            zeta_partial_sum(s, terms)
+        with pytest.raises(ImportError):
+            zeta_partial_sum(4, sums._SUM_PY_LEAF + 1)
+
+
+# lengths either side of the 8-way unroll and the 128-term block, and up
+# to twice the plain-Python piece; terms of any sign over a drawn spread of
+# magnitudes, with drawn floats (zeros of either sign, subnormals, values
+# up to 1e300) scattered among them at a drawn rate
+@st.composite
+def summands(draw):
+    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 127, 128, 129]),
+                       st.integers(1, 2 * sums._SUM_PY_LEAF)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.integers(0, 300))
+    specials = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=4))
+    rate = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    return [rng.choice(specials) if rng.random() < rate
+            else rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-decades, decades)
+            for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(summands())
+@example([-0.0] * 9)  # numpy's sum of zeros is +0.0
+def test_pairwise_sum_is_np_sum(a):
+    assert sums._pairwise_sum(a).hex() == float(np.sum(np.array(a))).hex()
 
 
 class TestRamanujanIdentity:
