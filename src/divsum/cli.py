@@ -16,7 +16,7 @@ argparse, math, os and sys.  sum, zeta, table and an even-k check add
 ``divsum.casimir``, which loads ``divsum.sums``; only check at k = 1 or 3
 adds numpy, for its direct series at more than 8192 terms (10^6 by
 default): from k = 5 on the skips leave at most 5407 terms, which plain
-Python sums, and from k = 53 on the terms past n = 1 cannot move 1.0.
+Python sums, and from k = 53 on one block of at most 128.
 coeff and ``mollify --target dirichlet``, closed forms, add only
 ``divsum.coefficients`` and ``divsum.extrapolation``; the other mollify
 targets add ``divsum.panels`` as well, whose kernel pass runs on plain

@@ -19,8 +19,10 @@ compare the two.  Independent oracles:
 Bernoulli numbers via the defining recurrence, zeta(-k) = -B_{k+1}/(k+1),
 and the classical functional-equation identity checked in floating point.
 The identity's zeta(k+1) is a direct series summed in numpy's pairwise
-tree: in plain Python over libm's pow for pieces of at most _SUM_PY_LEAF
-terms, and as np.sum over np.power, which loads numpy, for larger ones.
+tree: as np.sum over np.power, which loads numpy, for pieces of more than
+_SUM_PY_LEAF terms, and in plain Python over libm's pow, block by block,
+for smaller ones.  Terms that cannot move the rounded sum are skipped;
+from s = 54 on the skips leave one block.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ _MAX_SUM_K = 200
 # time.  numpy adds a block of at most _SUM_BLOCK terms without a split
 _SUM_LEAF = 1 << 16
 _SUM_BLOCK = 128
-# a piece of at most _SUM_PY_LEAF terms is summed in plain Python, in the
-# same tree, in about 1 ms at 8192 terms against about 65 ms to import
-# numpy.  After the skips at most 5407 terms are left from s = 6 on, at any
-# count up to _MAX_TERMS, so an odd-k check from k = 5 on loads no numpy
+# a piece of at most _SUM_PY_LEAF terms is split on down to its blocks,
+# which are summed in plain Python, in about 1 ms at 8192 terms against
+# about 65 ms to import numpy.  After the skips at most 5407 terms are left
+# from s = 6 on, at any count up to _MAX_TERMS, so an odd-k check from k = 5
+# on loads no numpy, and from s = 54 on one block is left
 _SUM_PY_LEAF = 1 << 13
 # _SUM_MARGIN times a bound on the real sum of some terms bounds the float
 # sum numpy forms of them: each power is within a few ulps, and numpy nests
@@ -163,28 +166,20 @@ def zeta_negative_oracle(k: int) -> Fraction:
     return -table[k + 1] / (k + 1)
 
 
-def _pairwise_sum(a, lo: int = 0, n: int | None = None) -> float:
-    """float(np.sum) of the floats a[lo:lo + n] (all of ``a`` by default),
-    bit for bit, by numpy's ``pairwise_sum``: a count above _SUM_BLOCK is
-    split at half the count rounded down to a multiple of 8 and the two
-    halves' sums are added; a block of 8 or more terms is added into 8
-    accumulators, a[i] into accumulator i mod 8, which are then combined
-    pairwise before the last count mod 8 terms are added one by one; fewer
-    than 8 terms are added one by one.  Each accumulator starts from 0.0,
-    which moves no nonzero sum and makes a zero sum +0.0, as numpy's is: it
-    adds the tree's total to its identity, 0.0.
+def _block_sum(a: list) -> float:
+    """float(np.sum) of a list of at most _SUM_BLOCK floats, bit for bit, by
+    the block rule of numpy's ``pairwise_sum``: 8 or more terms are added
+    into 8 accumulators, a[i] into accumulator i mod 8, which are then
+    combined pairwise before the last len(a) mod 8 terms are added one by
+    one; fewer than 8 terms are added one by one.  Each accumulator starts
+    from 0.0, which moves no nonzero sum and makes a zero sum +0.0, as
+    numpy's is: it adds the tree's total to its identity, 0.0.
     """
-    if n is None:
-        n = len(a)
-    if n > _SUM_BLOCK:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
-    if n < 8:
-        return reduce(add, a[lo:lo + n], 0.0)
-    stop = lo + n - n % 8
-    r = [reduce(add, a[j:stop:8], 0.0) for j in range(lo, lo + 8)]
-    return reduce(add, a[stop:lo + n],
+    if len(a) < 8:
+        return reduce(add, a, 0.0)
+    stop = len(a) - len(a) % 8
+    r = [reduce(add, a[j:stop:8], 0.0) for j in range(8)]
+    return reduce(add, a[stop:],
                   ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
@@ -192,15 +187,15 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     """zeta(s) for s > 1 by direct summation plus the integral tail bound.
 
     sum_{n<=N} n^{-s} + N^{1-s}/(s-1); the neglected remainder is below
-    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The sum follows
-    numpy's pairwise tree over all N powers, piece by piece, so that no
-    piece holds more than _SUM_LEAF terms.  A piece of at most _SUM_PY_LEAF
-    terms is summed in plain Python by ``_pairwise_sum``, its powers
-    float(n) ** -s from libm's pow, and a larger one is np.sum over
-    np.power in one buffer.  So the sum is, bit for bit, one np.sum over
-    all N powers, each taken as the piece that holds it takes it; numpy's
-    power may differ from libm's in the last bit on some CPUs.  N is capped
-    at _MAX_TERMS, which bounds the time.
+    N^{-s}/2, i.e. < 1e-12 for N = 1e6 and s >= 2.  The sum walks numpy's
+    pairwise tree over all N powers.  A piece of more than _SUM_PY_LEAF and
+    at most _SUM_LEAF terms is np.sum over np.power in one buffer; every
+    other piece is split as numpy splits it, down to blocks of at most
+    _SUM_BLOCK terms that ``_block_sum`` adds in plain Python, their powers
+    float(n) ** -s from libm's pow.  So the sum is, bit for bit, one np.sum
+    over all N powers, each taken as the piece that holds it takes it;
+    numpy's power may differ from libm's in the last bit on some CPUs.  N
+    is capped at _MAX_TERMS, which bounds the time.
 
     Terms are skipped only where a bound proves that they leave the rounded
     sum unchanged, so the bits are those of summing all of them.  A float
@@ -210,43 +205,36 @@ def zeta_partial_sum(s: float, terms: int) -> float:
     an eighth of ulp(a/2), where a is the left part's first term: the
     eighth leaves room for powers that round to subnormals, and that floor
     must be a normal float.  From s = 6 on that leaves one piece of at most
-    5407 terms, summed without numpy.  And when sum_{n>=2} n^{-s} <= 2^{-s}
-    (1 + 2/(s-1)) is, with the margin, at most half an ulp of 1 (from s = 54
-    on), every sum that holds n = 1 rounds to 1.0 however numpy groups the
-    rest, and nothing is summed.
+    5407 terms, summed without numpy, and from s = 54 on one block, which
+    holds n = 1 and sums to 1.0.
     """
     s = real(s, "s", 1, strict=True)
     terms = integer(terms, "terms", 10, _MAX_TERMS)
-    tail = terms ** (1.0 - s) / (s - 1.0)
-    if _SUM_MARGIN * 2.0 ** -s * (1.0 + 2.0 / (s - 1.0)) <= 2.0 ** -53:
-        return 1.0 + tail
 
     def tree_sum(start: int, count: int) -> float:
         """sum of n^{-s} for start <= n < start + count, as np.sum adds it."""
-        if count > _SUM_BLOCK:
-            # numpy's add-reduce over a contiguous float64 array is
-            # pairwise_sum, which splits any count above its 128-term block
-            # at half the count rounded down to a multiple of its 8-way
-            # unroll and adds the two halves' sums: a fixed tree, so the
-            # pieces reproduce its sum exactly (the bitwise tests hold this
-            # to one np.sum over all the terms)
-            half = count // 2
-            half -= half % 8
-            floor = math.ulp(start ** -s / 2) / 8
-            if (floor >= sys.float_info.min
-                    and _SUM_MARGIN * count * (start + half) ** -s < floor):
-                return tree_sum(start, half)
-            if count > _SUM_LEAF:
-                return tree_sum(start, half) + tree_sum(start + half, count - half)
-        if count <= _SUM_PY_LEAF:
-            return _pairwise_sum([float(n) ** -s for n in range(start, start + count)])
-        import numpy as np  # only a piece too large for plain Python
+        if count <= _SUM_BLOCK:
+            return _block_sum([float(n) ** -s for n in range(start, start + count)])
+        # numpy's add-reduce over a contiguous float64 array is pairwise_sum,
+        # which splits any count above its 128-term block at half the count
+        # rounded down to a multiple of its 8-way unroll and adds the two
+        # halves' sums: a fixed tree, so the pieces reproduce its sum exactly
+        # (the bitwise tests hold this to one np.sum over all the terms)
+        half = count // 2
+        half -= half % 8
+        floor = math.ulp(start ** -s / 2) / 8
+        if (floor >= sys.float_info.min
+                and _SUM_MARGIN * count * (start + half) ** -s < floor):
+            return tree_sum(start, half)
+        if _SUM_PY_LEAF < count <= _SUM_LEAF:
+            import numpy as np  # only a piece too large for plain Python
 
-        # in place: the same ufunc as n ** (-s) in one buffer
-        n = np.arange(start, start + count, dtype=np.float64)
-        return float(np.sum(np.power(n, -s, out=n)))
+            # in place: the same ufunc as n ** (-s) in one buffer
+            n = np.arange(start, start + count, dtype=np.float64)
+            return float(np.sum(np.power(n, -s, out=n)))
+        return tree_sum(start, half) + tree_sum(start + half, count - half)
 
-    return tree_sum(1, terms) + tail
+    return tree_sum(1, terms) + terms ** (1.0 - s) / (s - 1.0)
 
 
 def functional_equation_residual(k: int, terms: int = 10**6) -> float:

@@ -71,7 +71,8 @@ def loaded_after(*argv, among=NUMERIC_MODULES):
     ("table", "--k-max", "100"),
     ("casimir", "--d", "1.5"),
     ("check", "--k", "4"),
-    # from k = 53 on the series for zeta(k + 1) rounds to 1.0 plus its tail
+    # from k = 53 on the skips leave one block of the series for zeta(k + 1),
+    # which holds n = 1 and sums to 1.0
     ("check", "--k", "53"),
     ("check", "--k", "199"),
 ])

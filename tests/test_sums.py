@@ -30,6 +30,23 @@ from oracles import (
 )
 
 
+def _least_one_block_exponent() -> float:
+    """The least float s at which _SUM_MARGIN 2^-s (1 + 2/(s - 1)), a bound
+    on the float sum of n^-s over n >= 2, is at most half an ulp of 1.0,
+    about 53.054: from there on every sum that holds n = 1 rounds to 1.0."""
+    lo, hi = 53.0, 54.0
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        if sums._SUM_MARGIN * 2.0 ** -mid * (1.0 + 2.0 / (mid - 1.0)) <= 2.0 ** -53:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+_S_ONE_BLOCK = _least_one_block_exponent()
+
+
 class TestSumPowers:
     @pytest.mark.parametrize(
         "k,expected",
@@ -199,14 +216,14 @@ class TestZetaPartialSum:
         with pytest.raises(ValueError, match=f"^{message}$"):
             zeta_partial_sum(s, 100)
 
-    # the skipped parts of the tree and the numpy-free sum at s >= 54, where
-    # the terms past n = 1 cannot move 1.0, reach subnormal powers from
-    # s = 52 on and both sides of the threshold
+    # the skipped parts of the tree, and from s = 54 on the one block left,
+    # which holds n = 1 and sums to 1.0; subnormal powers from s = 52 on,
+    # and both sides of s = 54
     SKIP_EXPONENTS = (6, 46, 52, 53, 54, 56, 102, 200, 261)
     # either side of the 128-term block, the 8-way unroll and the 2^16-term
     # leaf, the CLI's default of 10**6, and past 2^20 terms; the two largest
     # counts, where the reference's two arrays dominate the time, take the
-    # unpruned, pruned, subnormal and numpy-free exponents only
+    # unpruned, pruned, subnormal and one-block exponents only
     SUM_GRID = [(s, terms) for s in sorted({2, 3, 4, 10, 13, 201, *SKIP_EXPONENTS})
                 for terms in (10, 127, 129, 65537, 100003, 10**6, 2**20, 2**20 + 7)]
     SUM_GRID += [(s, terms) for terms in (3 * 10**6, 4 * 2**20 + 3)
@@ -214,35 +231,43 @@ class TestZetaPartialSum:
     # sums of at most _SUM_PY_LEAF terms whose last bit differs between
     # libm's powers and numpy's AVX512 power
     SUM_GRID += [(1.879, 134), (2.937, 3776)]
+    # the largest count summed in plain Python and the smallest given to
+    # numpy whole; 16390, which the tree splits at 8192, so that a skip
+    # leaves a left half summed in plain Python; the leaf.  At exponents
+    # that keep every term, that skip part of the tree or all but one
+    # block, and on both sides of s = 54
+    SUM_GRID += [(s, terms) for s in (2, 4, 6, 53.06, 53.5, 53.99, 54.03, 1e300)
+                 for terms in (8192, 8193, 16390, 65536)]
 
     @pytest.mark.parametrize("s,terms", SUM_GRID)
     def test_in_place_powers_match_two_arrays(self, s, terms, monkeypatch):
         # the pieces of numpy's pairwise tree add up to one np.sum over all
         # the terms, bit for bit, with one leaf buffer at a time; the
         # reference takes libm's powers for the terms that the code sums in
-        # plain Python, which the spy counts, and numpy's for the rest
-        python_pieces = []
+        # plain Python, the blocks that the spy counts, and numpy's for the
+        # rest
+        blocks = []
 
-        def spy(a, lo=0, n=None):
-            if n is None:
-                python_pieces.append(len(a))
-            return pairwise_sum(a, lo, n)
+        def spy(a):
+            blocks.append(len(a))
+            return block_sum(a)
 
-        pairwise_sum = sums._pairwise_sum
-        monkeypatch.setattr(sums, "_pairwise_sum", spy)
+        block_sum = sums._block_sum
+        monkeypatch.setattr(sums, "_block_sum", spy)
         tracemalloc.start()
         try:
             got = zeta_partial_sum(s, terms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        expected = zeta_partial_sum_two_arrays(s, terms, sum(python_pieces))
+        expected = zeta_partial_sum_two_arrays(s, terms, sum(blocks))
         assert got.hex() == expected.hex()
         assert peak < 1.5 * 8 * sums._SUM_LEAF, peak
-        assert max(python_pieces, default=0) <= sums._SUM_PY_LEAF
+        assert max(blocks, default=0) <= sums._SUM_BLOCK
 
-    # from s = 6 on at most 5407 terms are left after the skips, at any count
-    @pytest.mark.parametrize("s", range(6, 53, 2))
+    # from s = 6 on at most 5407 terms are left after the skips, at any
+    # count, and from s = 54 on one block
+    @pytest.mark.parametrize("s", [*range(6, 53, 2), 53.99, *range(54, 262)])
     def test_no_numpy_from_s_6(self, s, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
         for terms in (10, 5407, 5408, 10**6, 10**7, sums._MAX_TERMS):
@@ -250,15 +275,29 @@ class TestZetaPartialSum:
         with pytest.raises(ImportError):
             zeta_partial_sum(4, sums._SUM_PY_LEAF + 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(_S_ONE_BLOCK, 60.0), st.floats(_S_ONE_BLOCK, 1e300)),
+           st.integers(10, sums._MAX_TERMS))
+    @example(_S_ONE_BLOCK, 10)
+    @example(_S_ONE_BLOCK, sums._MAX_TERMS)
+    @example(1e300, sums._MAX_TERMS)
+    def test_one_block_sums_to_one(self, s, terms):
+        # where the terms past n = 1 cannot move 1.0 however they are
+        # grouped, the skips leave the block that holds n = 1, which sums to
+        # 1.0, so the result is 1.0 plus the tail
+        assert zeta_partial_sum(s, terms).hex() == (
+            1.0 + terms ** (1.0 - s) / (s - 1.0)).hex()
 
-# lengths either side of the 8-way unroll and the 128-term block, and up
-# to twice the plain-Python piece; terms of any sign over a drawn spread of
-# magnitudes, with drawn floats (zeros of either sign, subnormals, values
-# up to 1e300) scattered among them at a drawn rate
+
+# block lengths either side of the 8-way unroll, up to the 128-term block;
+# terms of any sign over a drawn spread of magnitudes, with drawn floats
+# (zeros of either sign, subnormals, values up to 1e300) scattered among
+# them at a drawn rate.  The split above the block is held to np.sum by
+# TestZetaPartialSum's grid
 @st.composite
 def summands(draw):
-    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 127, 128, 129]),
-                       st.integers(1, 2 * sums._SUM_PY_LEAF)))
+    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 127, 128]),
+                       st.integers(1, sums._SUM_BLOCK)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     decades = draw(st.integers(0, 300))
     specials = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=4))
@@ -271,8 +310,8 @@ def summands(draw):
 @settings(max_examples=60, deadline=None)
 @given(summands())
 @example([-0.0] * 9)  # numpy's sum of zeros is +0.0
-def test_pairwise_sum_is_np_sum(a):
-    assert sums._pairwise_sum(a).hex() == float(np.sum(np.array(a))).hex()
+def test_block_sum_is_np_sum(a):
+    assert sums._block_sum(a).hex() == float(np.sum(np.array(a))).hex()
 
 
 class TestRamanujanIdentity:
