@@ -8,7 +8,7 @@ share.  This module loads no numpy: ``divsum coeff`` and ``divsum mollify
 from __future__ import annotations
 
 import math
-from operator import mul, truediv
+from functools import cache
 
 from ._checks import integer, real
 from .extrapolation import (
@@ -26,14 +26,6 @@ __all__ = ["fourier_coefficient_numeric", "dirichlet_comb_growth",
            "dirichlet_comb_ladder"]
 
 _MAX_FOURIER_INDEX = 32
-# sin(k eps) for 1 <= k < 32 on every ladder eps, and the divisors k as
-# floats: every eps is a power of 2, so k * eps is exact and each entry is
-# the math.sin(k * eps) that the sum would compute term by term.  The table
-# must not hold sin(k eps) / k: dividing before the product with -2 (m - k)
-# rounds each term differently, and moves the bits of c_n records
-_SINES = [[math.sin(k * eps) for k in range(1, _MAX_FOURIER_INDEX)]
-          for eps in _EPS_LADDER]
-_DIVISORS = [float(k) for k in range(1, _MAX_FOURIER_INDEX)]
 
 # the masses C_p, the integrals of t^p exp(-1/(1 - t^2)) over (-1, 1) that
 # normalize the bumps of vanishing order p, as an adaptive Gauss quadrature
@@ -66,19 +58,25 @@ def fourier_coefficient_numeric(n: int,
 
       -(-1)^n (|n| (pi - eps) - 2 sum_{k=1}^{|n|-1} (|n| - k) sin(k eps) / k).
 
-    The sines come from a table built at import, and each term is rounded
-    as the plain sum rounds it, product first, then the division by k, so
-    the record is the one that sum gives, to the bit.
+    Each record is built once per process per (n, levels), at most 1105
+    records, and shared by every later caller: ``EpsilonLimit`` is immutable.
     """
-    n = integer(n, "n", -_MAX_FOURIER_INDEX, _MAX_FOURIER_INDEX)
-    eps_list = _EPS_LADDER[:integer(levels, "levels", 4, MAX_LEVELS)]
+    return _coefficient_ladder(
+        integer(n, "n", -_MAX_FOURIER_INDEX, _MAX_FOURIER_INDEX),
+        integer(levels, "levels", 4, MAX_LEVELS))
+
+
+@cache
+def _coefficient_ladder(n: int, levels: int) -> EpsilonLimit:
+    """The c_n record of ``fourier_coefficient_numeric``, keyed on the
+    validated ints, so every spelling of one (n, levels) shares an entry."""
+    eps_list = _EPS_LADDER[:levels]
     sign = -1.0 if n % 2 else 1.0
     m = abs(n)
-    weights = [-2.0 * (m - k) for k in range(1, m)]
     samples = []
-    for eps, sines in zip(eps_list, _SINES):
-        fejer = -sign * math.fsum([m * (math.pi - eps), *map(
-            truediv, map(mul, weights, sines), _DIVISORS)])
+    for eps in eps_list:
+        fejer = -sign * math.fsum([m * (math.pi - eps), *(
+            -2.0 * (m - k) * math.sin(k * eps) / k for k in range(1, m))])
         samples.append((fejer - sign * n * math.pi) / math.tau)
     return extrapolate_ladder(eps_list, samples, _EPS_FIRST_ORDER)
 

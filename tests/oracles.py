@@ -302,7 +302,7 @@ def fourier_coefficient_quadrature(n: int, levels: int) -> EpsilonLimit:
 def fourier_coefficient_plain(n: int, levels: int) -> EpsilonLimit:
     """The c_n ladder of ``fourier_coefficient_numeric`` with each sample's
     terms computed one by one, sin(k eps) included: the bitwise oracle of
-    the library's sine table and mapped terms, which must round every term
+    the library's cached records, cold or warm, which must round every term
     as this loop does."""
     eps_list = _EPS_LADDER[:levels]
     sign = -1.0 if n % 2 else 1.0

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ import pytest
 
 from divsum import cli
 from divsum.coefficients import (
+    _coefficient_ladder,
     dirichlet_comb_growth,
     dirichlet_comb_ladder,
     fourier_coefficient_numeric,
@@ -567,12 +569,15 @@ class TestFourierCoefficients:
                                                   strict=True):
                 assert eps == eps_ref and abs(v - v_ref) <= 1e-13, (n, eps)
 
-    def test_sine_table_rounds_as_the_plain_sum(self):
-        # every record bit for bit, repr showing every digit of every field
-        for levels in range(4, MAX_LEVELS + 1):
-            for n in range(-32, 33):
-                assert (repr(fourier_coefficient_numeric(n, levels))
-                        == repr(fourier_coefficient_plain(n, levels))), (n, levels)
+    def test_cached_records_round_as_the_plain_sum(self):
+        # every record bit for bit, repr showing every digit of every field:
+        # first as built on a cold cache, then as the cache hands it back
+        _coefficient_ladder.cache_clear()
+        for _ in ("miss", "hit"):
+            for levels in range(4, MAX_LEVELS + 1):
+                for n in range(-32, 33):
+                    assert (repr(fourier_coefficient_numeric(n, levels))
+                            == repr(fourier_coefficient_plain(n, levels))), (n, levels)
 
     def test_ladder_is_epsilon_indexed(self):
         rec = fourier_coefficient_numeric(1, levels=5)
@@ -607,6 +612,50 @@ class TestFourierCoefficients:
                          - sign * n * mpmath.pi) / (2 * mpmath.pi)
                 err = abs(complex(value) - complex(truth))
                 assert err <= 1e-14, (eps, err)
+
+
+class TestFourierCoefficientCache:
+    """One record per validated (n, levels), shared by every caller."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        _coefficient_ladder.cache_clear()
+
+    def test_every_spelling_of_a_key_shares_one_record(self):
+        rec = fourier_coefficient_numeric(5)
+        for same in (fourier_coefficient_numeric(5.0),
+                     fourier_coefficient_numeric(np.int64(5)),
+                     fourier_coefficient_numeric(5, 10),
+                     fourier_coefficient_numeric(levels=10, n=5)):
+            assert same is rec
+        assert _coefficient_ladder.cache_info().currsize == 1
+
+    def test_bool_shares_the_int_entry(self):
+        assert fourier_coefficient_numeric(True) is fourier_coefficient_numeric(1)
+        assert _coefficient_ladder.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": [1]}, "n must be a real number"),
+        ({"n": math.nan}, "n must be an integer"),
+        ({"n": 33}, "n must be <= 32"),
+        ({"n": 2.5}, "n must be an integer"),
+        ({"n": 1, "levels": 3}, "levels must be >= 4"),
+        ({"n": 1, "levels": 21}, "levels must be <= 20"),
+    ])
+    def test_bad_input_raises_before_the_cache(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fourier_coefficient_numeric(**kwargs)
+        assert _coefficient_ladder.cache_info().currsize == 0
+
+    def test_domain_bounds_the_cache(self):
+        for levels in range(4, MAX_LEVELS + 1):
+            for n in range(-32, 33):
+                fourier_coefficient_numeric(n, levels)
+        assert _coefficient_ladder.cache_info().currsize == 65 * 17 == 1105
+
+    def test_record_is_hashable(self):
+        rec = fourier_coefficient_numeric(-7, 6)
+        assert hash(rec) == hash(fourier_coefficient_numeric(-7, 6))
 
 
 class TestMollifiedLimits:
