@@ -30,43 +30,36 @@ from .panels import VANISHING_ORDERS, checked_vanishing_order
 __all__ = ["Mollifier", "TestFunction", "bump_moment", "mollifier"]
 
 
-def _bump_jet(t: np.ndarray, order: int) -> list:
-    """[psi, psi', ..., psi^(order)] at points with |t| < 1, order <= 2."""
-    u = 1.0 - t * t
+def _profile(t: np.ndarray, p: int, order: int) -> np.ndarray:
+    """order-th derivative of t^p psi(t) by the Leibniz rule, order <= 2;
+    exact zeros outside (-1, 1)."""
+    inside = np.abs(t) < 1.0
+    # points outside, nan among them, move to 0, where nothing below can
+    # overflow or divide by zero; their values are dropped at the end
+    t = np.where(inside, t, 0.0)
+    s = t * t
+    u = 1.0 - s
     e = np.exp(-1.0 / u)
-    jet = [e]
+    psi = [e]                                     # psi, psi', psi''
     if order >= 1:
         g = -2.0 * t / u**2                       # (d/dt) of -1/(1-t^2)
-        jet.append(e * g)
+        psi.append(e * g)
     if order >= 2:
-        gp = -2.0 / u**2 - 8.0 * t * t / u**3     # its derivative
-        jet.append(e * (g * g + gp))
-    return jet
-
-
-def _profile(t: np.ndarray, p: int, order: int) -> np.ndarray:
-    """order-th derivative of t^p psi(t) by the Leibniz rule; exact zeros
-    outside (-1, 1)."""
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    psi = _bump_jet(ti, order)
+        gp = -2.0 / u**2 - 8.0 * s / u**3         # its derivative
+        psi.append(e * (g * g + gp))
     if p == 0:
-        out[inside] = psi[order]
-        return out
+        return np.where(inside, psi[order], 0.0)
     # t^p and its first two derivatives by explicit squaring: libm pow is not
     # bit-symmetric in t, and phi(t) = phi(-t) must hold exactly
-    s = ti * ti
     mono = [s if p == 2 else s * s]
     if order >= 1:
-        mono.append(2.0 * ti if p == 2 else 4.0 * (ti * s))
+        mono.append(2.0 * t if p == 2 else 4.0 * (t * s))
     if order >= 2:
         mono.append(2.0 if p == 2 else 12.0 * s)
     f = mono[order] * psi[0]
     for i in range(1, order + 1):
         f = f + math.comb(order, i) * mono[order - i] * psi[i]
-    out[inside] = f
-    return out
+    return np.where(inside, f, 0.0)
 
 
 def bump_moment(j: int) -> float:

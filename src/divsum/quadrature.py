@@ -74,8 +74,11 @@ def gauss_grid(lo, hi):
 
 def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     x, weights, half = gauss_grid(lo, hi)
-    v = np.asarray(f(x.ravel()))
-    values = (v.reshape(*v.shape[:-1], *x.shape) @ weights) * half
+    # an integrand or a weighted sum that leaves the float range is judged
+    # by the check below, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = np.asarray(f(x.ravel()))
+        values = (v.reshape(*v.shape[:-1], *x.shape) @ weights) * half
     if not np.isfinite(values).all():
         raise QuadratureError("integrand is not finite on a panel")
     return values

@@ -1,5 +1,6 @@
 """Pairings with the singular kernels, combs and their limit processes."""
 
+import cmath
 import json
 import math
 import random
@@ -11,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsum import cli
 from divsum.coefficients import (
@@ -35,10 +38,12 @@ from divsum.extrapolation import (
     DEFAULT_EPS_LEVELS,
     EPS_TOP,
     MAX_LEVELS,
+    EpsilonLimit,
     richardson_extrapolate,
 )
 from divsum.mollifiers import Mollifier, bump_moment, mollifier
 from divsum.mollifiers import TestFunction as SmoothTF
+from divsum.panels import VANISHING_ORDERS
 from divsum.quadrature import _panel_values as panel_values
 from divsum.quadrature import TOLERANCE, QuadratureError, integrate
 from divsum.sums import alternating_sum_powers, sum_powers
@@ -1183,3 +1188,74 @@ def test_depth_is_integral_of_any_numeric_type(name):
     expected = repr(ladder(5))
     for same in (np.int64(5), 5.0):
         assert repr(ladder(same)) == expected
+
+
+# (pairing, (p, dilation, shift, amplitude)) whose integrand leaves the float
+# range on a panel, named by where the overflow happened: each raised a numpy
+# RuntimeWarning under the suite's filter before the panel check saw it
+_FLOAT_RANGE_EXITS = [
+    pytest.param(alternating_series_action,
+                 (0, 449.5741266642689, 2.7782693785236816, 1.7e308), id="run-integrand"),
+    pytest.param(finite_part_action_epsilon,
+                 (0, 449.5741266642689, 2.7782693785236816, 1.7e308), id="epsilon-fold"),
+    pytest.param(all_plus_series_action,
+                 (0, 393.9033570139075, 0.5039300762290289, 1.7e308), id="all-plus-integrand"),
+    pytest.param(alternating_series_action,
+                 (0, 3315.4362914116014, 8.282915655827892, 1.7e308), id="panel-weights"),
+    pytest.param(alternating_series_action,
+                 (2, 4.026327514388834, 9.467205033533741, 1e305), id="remainder-cell"),
+]
+_AMPLITUDES = [0.0, 5e-324, 1e-300, 1e-30, 1.0, -1.0, 1e30, 1e300, -1e300, 1e305, 1.7e308]
+
+
+def _finite_outcome(result) -> bool:
+    """A pairing's value, or every sample and the extrapolant of a ladder,
+    is finite."""
+    if isinstance(result, EpsilonLimit):
+        values = [v for _, v in result.samples]
+        if result.extrapolated is not None:
+            values.append(result.extrapolated)
+        return all(map(cmath.isfinite, values))
+    return cmath.isfinite(result)
+
+
+class TestPairingOutcomes:
+    """Every public pairing ends in a finite value, a ValueError or an
+    ArithmeticError (QuadratureError among them), with no numpy warning,
+    whatever the scale of its test function."""
+
+    @pytest.mark.parametrize("pairing, params", _FLOAT_RANGE_EXITS)
+    def test_integrand_past_the_float_range_is_a_numerical_failure(self, pairing, params):
+        p, dilation, shift, amplitude = params
+        tf = mollifier(p, 1).dilated(dilation).shifted(shift).scaled(amplitude)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="not finite on a panel"):
+                pairing(tf)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(VANISHING_ORDERS),
+           st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+           st.floats(-10.0, 10.0),
+           st.sampled_from(_AMPLITUDES) | st.floats(-1.7e308, 1.7e308),
+           st.integers(3, MAX_LEVELS))
+    def test_outcome_is_a_value_or_a_typed_error(self, p, dilation, shift, amplitude, levels):
+        tf = mollifier(p, 1).dilated(dilation).shifted(shift).scaled(amplitude)
+        calls = {
+            "finite_part_action": lambda: finite_part_action(tf),
+            "finite_part_action_epsilon": lambda: finite_part_action_epsilon(tf, levels),
+            "alternating_series_action": lambda: alternating_series_action(tf),
+            "all_plus_series_action": lambda: all_plus_series_action(tf),
+            "jump_average cos": lambda: jump_average(
+                lambda t: amplitude * np.cos(t), p, levels),
+            "jump_average sign": lambda: jump_average(
+                lambda t: amplitude * np.sign(t), p, levels),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = call()
+                except (ValueError, ArithmeticError):
+                    continue
+            assert _finite_outcome(result), name

@@ -1,6 +1,7 @@
 """Mollifier axioms and test-function transforms."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,6 +46,21 @@ class TestAxioms:
         far = np.array([-np.inf, np.inf])
         for f in (phi.value, phi.deriv, phi.deriv2):
             assert np.array_equal(f(far), np.zeros(2))
+
+
+@pytest.mark.parametrize("p", [0, 2, 4])
+def test_base_is_zero_outside_with_no_warning(p):
+    # on the base itself, with no TestFunction errstate around it: t * t
+    # overflows at 1e200 and 1/(1 - t^2) divides by zero at 1 unless the
+    # points outside are kept out of the formulas
+    base = Mollifier(p)
+    t = np.array([np.nan, 1e200, -1e200, 1.0, -1.0, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (base.value, base.deriv, base.deriv2):
+            got = f(t)
+            assert np.array_equal(got, np.zeros(len(t))), f.__name__
+            assert not np.signbit(got).any(), f.__name__
 
 
 @pytest.mark.parametrize("m, order, t", [
