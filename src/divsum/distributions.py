@@ -95,8 +95,9 @@ _PROBE_POINTS = 513
 # saves no round on the benchmark's cells or on bumps of half-width 0.001
 _POLE_GRADING = (0.0, *(s * 0.5**k for k in range(1, 25) for s in (1.0, -1.0)))
 
-# a period cell costs 0.25 to 0.38 ms on a 2-vCPU Intel Xeon (mean over the
-# benchmark's alternating-series cells, best of five passes, six runs) and
+# bounds the period cells scanned for poles; each pole cell costs one
+# remainder integral, 0.25 to 0.38 ms on a 2-vCPU Intel Xeon (mean over the
+# benchmark's alternating-series cells, best of five passes, six runs), and
 # the benchmark's widest support spans 4 periods; 1e299 cells (a bump
 # dilated by 1e-300) would hang
 _MAX_CELLS = 1024
@@ -245,34 +246,30 @@ def alternating_series_action(phi: TestFunction) -> complex:
     e^{it} - 2 e^{2it} + 3 e^{3it} - ...: the periodized finite-part kernel
     plus i*pi times the derivative-of-delta comb at odd multiples of pi.
 
-    A period cell whose pole lies in its part of the support contributes
-    the remainder-route finite part and -i*pi*phi'(pole); on any other part
-    the kernel is smooth, and adjacent such parts are one plain integral.
+    A period cell whose pole lies in the support contributes the
+    remainder-route finite part and -i*pi*phi'(pole).  Those cells are
+    adjacent, and the kernel is smooth on the rest of the support: at most
+    one plain integral before them and one after.
 
     Raises ValueError for a shift past 1e30 or a support over 1024 cells.
     """
     phi = _period_reduced(phi)
     sa, sb = _support(phi)
-    n = math.floor(sa / PERIOD)
-    if math.ceil(sb / PERIOD) - n > _MAX_CELLS:
+    first, end = math.floor(sa / PERIOD), math.ceil(sb / PERIOD)
+    if end - first > _MAX_CELLS:
         raise ValueError(f"support must span at most {_MAX_CELLS} period cells")
+    cells = [n for n in range(first, end) if sa <= n * PERIOD + math.pi <= sb]
     total = 0j
-    runs = []  # [lo, hi] of each maximal run of adjacent pole-free cells
-    while n * PERIOD < sb:
-        cell_lo, cell_hi = n * PERIOD, (n + 1) * PERIOD
-        pole = cell_lo + math.pi
-        lo, hi = max(sa, cell_lo), min(sb, cell_hi)
-        n += 1
-        if lo <= pole <= hi:
-            total += (_remainder_cell_action(phi, sa, sb, pole)
-                      - 1j * math.pi * float(phi.deriv(np.array([pole]))[0]))
-        elif runs and runs[-1][1] == lo:
-            runs[-1][1] = hi  # the kernel is smooth across the cell edge
-        else:
-            runs.append([lo, hi])
-    for lo, hi in runs:
-        total += integrate(lambda t: phi(t) * alternating_kernel(t), lo, hi,
-                           breakpoints=phi.breakpoints)
+    for n in cells:
+        pole = n * PERIOD + math.pi
+        total += (_remainder_cell_action(phi, sa, sb, pole)
+                  - 1j * math.pi * float(phi.deriv(np.array([pole]))[0]))
+    pieces = ([(sa, cells[0] * PERIOD), ((cells[-1] + 1) * PERIOD, sb)] if cells
+              else [(sa, sb)])
+    for lo, hi in pieces:
+        if lo < hi:
+            total += integrate(lambda t: phi(t) * alternating_kernel(t), lo, hi,
+                               breakpoints=phi.breakpoints)
     return total
 
 
@@ -306,8 +303,14 @@ def all_plus_series_action(chi: TestFunction) -> complex:
     # splits the outermost panels at +-15/16 of the half-width on every
     # level, so those edges are seeded too
     edge = (sb - sa) / 32
-    return integrate(lambda x: -chi(x) * centered_kernel(x), sa, sb,
-                     breakpoints=(0.0, sa + edge, sb - edge, *chi.breakpoints))
+
+    def f(x):
+        # on a panel [0, s] at a tiny shift s, sin^2(x/2) underflows to 0 and
+        # 0 * inf would be nan: keep chi's zeros
+        v = chi(x)
+        return np.where(v == 0.0, 0.0, -v * centered_kernel(x))
+
+    return integrate(f, sa, sb, breakpoints=(0.0, sa + edge, sb - edge, *chi.breakpoints))
 
 
 # ---------------------------------------------------------------------------

@@ -450,8 +450,17 @@ class TestAlternatingSeriesAction:
 
 
 class TestAllPlusSeriesAction:
-    def test_zero_function(self):
-        assert all_plus_series_action(zero_tf(-0.5, 0.5)) == 0j
+    # a zero bump at a tiny shift: the grading's edge at the shift and the
+    # breakpoint 0 make a panel [0, shift] on which sin^2(x/2) underflows to 0
+    @pytest.mark.parametrize("chi", [zero_tf(-0.5, 0.5)] + [
+        mollifier(p, 1).shifted(s).scaled(0) for p in (2, 4)
+        for s in (0.0, 1e-150, 3.6e-169, -3.6e-169, 1e-200, 5e-324)],
+        ids=lambda chi: f"p{chi.base.vanishing_order}-shift{chi.shift:g}"
+        if isinstance(chi.base, Mollifier) else "zero-base")
+    def test_zero_function(self, chi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_plus_series_action(chi) == 0j
 
     def test_requires_vanishing_at_origin(self):
         with pytest.raises(ValueError, match="vanish"):

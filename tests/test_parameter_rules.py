@@ -89,6 +89,7 @@ FLOAT = Rule(float, _values(
 
 _BUMP, _CAVITY = mollifier(0, 1).shifted(math.pi), CavityConfig(d=1.5)
 _UNIT = mollifier(2, 1)  # its transforms leave the drawn value as it is
+_WIDE = mollifier(0, 1).dilated(1 / (13 * math.tau))
 
 
 def _pairing(phi):
@@ -272,10 +273,13 @@ def _evaluations():
     (_evaluations, {}),
     (lambda: finite_part_action(_BUMP), {"tol": 1, "a": 1, "b": 1}),
     (lambda: alternating_series_action(_BUMP), {"shift": 1, "tol": 1, "a": 1, "b": 1}),
+    # support +-13 * 2pi, whose lower edge floor() puts in cell -14: one
+    # remainder integral per pole cell and no integral of an empty interval
+    (lambda: alternating_series_action(_WIDE), {"shift": 1, "tol": 26, "a": 26, "b": 26}),
     (lambda: finite_part_action_epsilon(_BUMP),
      {"levels": 1, "tol": 1, "a": 1, "b": 1, "first_order": 2}),
 ], ids=["evaluation", "finite_part_action", "alternating_series_action",
-        "finite_part_action_epsilon"])
+        "alternating_series_action_wide", "finite_part_action_epsilon"])
 def test_each_value_is_checked_where_it_enters(monkeypatch, call, names):
     # a test function evaluates without a rule call: its numbers were
     # checked when it was built, and the pole and order are the library's own
